@@ -33,7 +33,6 @@ from .digraph import (
     directed_path_digraph,
     empty_digraph,
     is_acyclic,
-    is_tournament,
     load_digraph,
     opposite,
     poset_digraph,
@@ -42,9 +41,17 @@ from .digraph import (
     star_partition_digraph,
 )
 from .guards import DisagreementError, GuardError, guard
-from .hamilton import ham_dp, ham_report, parity_suite, wiseman_check
+from .hamilton import (
+    PARITY_BOUND,
+    WISEMAN_BOUND,
+    ham_dp,
+    ham_report,
+    parity_suite,
+    wiseman_check,
+)
 from .redei import (
-    ROUTE_BOUNDS,
+    CHOW_BOUND,
+    CHOW_IDENTITIES_BOUND,
     applicable_routes,
     hook_coefficient,
     powersum_to_ones,
@@ -57,6 +64,10 @@ from .redei import (
 )
 from .symfun import BASES, SymFun, convert, omega, to_p
 from .walks import verify_walk_identity
+
+# The identity suite checks the walk identity only up to this n, though
+# verify_walk_identity admits 8.
+WALK_IDENTITY_SUITE_BOUND = 6
 
 
 # ------------------------------------------------------------ digraph input
@@ -123,22 +134,27 @@ def digraph_from_args(args) -> Digraph:
 # ------------------------------------------------------------ identity suite
 
 def identity_suite(D: Digraph) -> dict:
-    """Run every identity the guards allow; map name -> None (pass) or detail."""
+    """Run every identity the guards allow; map name -> None (pass) or detail.
+
+    routes-agree runs only when at least two routes admit D, and the
+    identities that use its U_D only when it passed.  Raises GuardError
+    when no identity admits D.
+    """
     results: dict = {}
 
     def run(name: str, fn):
         try:
             fn()
             results[name] = None
-        except DisagreementError as exc:
-            results[name] = str(exc)
-        except AssertionError as exc:
+        except (DisagreementError, AssertionError) as exc:
             results[name] = str(exc)
 
     n = D.n
-    u_p: list = []
+    routes = applicable_routes(D)
+    u_ref = None  # U_D in the p basis, once routes-agree has passed
 
     def check_routes():
+        nonlocal u_ref
         route_results = u_all_routes(D)
         ok, ref = routes_agree(route_results)
         if not ok:
@@ -146,14 +162,14 @@ def identity_suite(D: Digraph) -> dict:
                 r.route: repr(to_p(r.value)) for r in route_results
             }
             raise DisagreementError(f"routes disagree: {values}")
-        u_p.append(ref)
+        u_ref = ref
 
-    run("routes-agree", check_routes)
-    if not u_p:
-        return results
-    u_ref = u_p[0]
+    if len(routes) >= 2:
+        run("routes-agree", check_routes)
+        if u_ref is None:
+            return results
 
-    if n <= ROUTE_BOUNDS["powersum-GS"]:
+    if u_ref is not None and "powersum-GS" in routes:
         run(
             "omega-complement",
             lambda: _assert_equal_p(
@@ -170,7 +186,7 @@ def identity_suite(D: Digraph) -> dict:
                 "U_D vs U of opposite",
             ),
         )
-    if n <= 12:
+    if n <= PARITY_BOUND:
         def check_parity():
             par = parity_suite(D)
             if not par["berge_ok"]:
@@ -179,7 +195,7 @@ def identity_suite(D: Digraph) -> dict:
                 raise DisagreementError(f"tournament with even count: {par}")
 
         run("berge-parity", check_parity)
-    if n <= ROUTE_BOUNDS["schur-JT"]:
+    if "schur-JT" in routes:
         def check_hooks():
             for i in range(1, n + 1):
                 hook_coefficient(D, i)
@@ -192,28 +208,28 @@ def identity_suite(D: Digraph) -> dict:
                     )
 
         run("hooks-readoff", check_hooks)
-    if n <= 6:
+    if u_ref is not None and n <= CHOW_BOUND:
         run(
             "u-from-path-cycle",
             lambda: _assert_equal_p(
                 u_ref, u_from_chow(D), "U_D vs y=0 path-cycle function"
             ),
         )
-    if n <= 5:
+    if n <= CHOW_IDENTITIES_BOUND:
         def check_chow():
             report = verify_chow_identities(D)
             if not report.ok:
                 raise DisagreementError("; ".join(report.failures))
 
         run("chow-identities", check_chow)
-    if n <= 6:
+    if n <= WALK_IDENTITY_SUITE_BOUND:
         def check_walks():
             report = verify_walk_identity(D, trials=2, seed=7)
             if not report.ok:
                 raise DisagreementError("; ".join(report.failures))
 
         run("walk-identity", check_walks)
-    if is_tournament(D) and n <= ROUTE_BOUNDS["tournament"]:
+    if "tournament" in routes:
         def check_tournament_ones():
             value = powersum_to_ones(u_tournament(D))
             expected = ham_dp(complement(D))
@@ -223,8 +239,10 @@ def identity_suite(D: Digraph) -> dict:
                 )
 
         run("tournament-ones", check_tournament_ones)
-    if is_acyclic(D) and n <= 8:
+    if is_acyclic(D) and n <= WISEMAN_BOUND:
         run("wiseman-acyclic", lambda: wiseman_check(D))
+    if not results:
+        raise GuardError(f"no identity admits n = {n}")
     return results
 
 
@@ -320,19 +338,11 @@ def cmd_u(args) -> int:
         routes = applicable_routes(D)
         if not routes:
             raise GuardError(f"no route admits n = {D.n}")
-    elif args.routes in (None, "default"):
-        routes = None
+    elif args.routes == "default":
+        routes = ["powersum-GS"]
     else:
         routes = [r.strip() for r in args.routes.split(",") if r.strip()]
-        for r in routes:
-            if r not in ROUTE_BOUNDS:
-                raise ValueError(f"unknown route {r!r}")
-            guard(f"route {r}", D.n, ROUTE_BOUNDS[r])
-    if routes is None:
-        guard("route powersum-GS", D.n, ROUTE_BOUNDS["powersum-GS"])
-        results = u_all_routes(D, ["powersum-GS"])
-    else:
-        results = u_all_routes(D, routes)
+    results = u_all_routes(D, routes)
     ok, ref = routes_agree(results)
     value = convert(ref, args.basis) if ok else None
     payload = {

@@ -30,13 +30,21 @@ from .digraph import (
     is_acyclic,
     is_tournament,
 )
-from .guards import DisagreementError, guard
+from .guards import DisagreementError, GuardError, guard
 from .ringmat import principal_determinants, principal_permanents, permanent_ryser
+
+# Largest n that ham_detper, ham_dp, the cycle formulas, parity_suite
+# and wiseman_check admit.
+DETPER_BOUND = 18
+DP_BOUND = 22
+CYCLE_FORMULA_BOUND = 16
+PARITY_BOUND = 12
+WISEMAN_BOUND = 8
 
 
 def ham_detper(D: Digraph) -> int:
     """Hamiltonian paths by the determinant-permanent subset formula."""
-    guard("ham_detper", D.n, 18)
+    guard("ham_detper", D.n, DETPER_BOUND)
     n = D.n
     if n == 0:
         return 1
@@ -53,7 +61,7 @@ def ham_detper(D: Digraph) -> int:
 
 def ham_dp(D: Digraph) -> int:
     """Hamiltonian paths by the subset dynamic program over endpoints."""
-    guard("ham_dp", D.n, 22)
+    guard("ham_dp", D.n, DP_BOUND)
     n = D.n
     if n == 0:
         return 1
@@ -151,7 +159,7 @@ def ham_cycles(D: Digraph, route: str = "formula_a", i: int = 1) -> int:
     n = D.n
     if route == "bruteforce":
         return ham_cycles_bruteforce(D)
-    guard("ham_cycles", n, 16)
+    guard("ham_cycles", n, CYCLE_FORMULA_BOUND)
     if n < 1:
         raise ValueError("formula routes need n >= 1")
     det_a = principal_determinants(D.adjacency())
@@ -214,55 +222,66 @@ class HamReport:
         return out
 
 
+# What ham_report runs: (kind, name, function, the n it runs it at).
+# Brute force stops at 8 there, below its guard, because it costs n!;
+# the cycle formulas need a vertex to anchor at.
+_FORMULA_NS = range(1, CYCLE_FORMULA_BOUND + 1)
+REPORT_ROUTES = (
+    ("paths", "detper", ham_detper, range(DETPER_BOUND + 1)),
+    ("paths", "dp", ham_dp, range(DP_BOUND + 1)),
+    ("paths", "bruteforce", ham_paths_bruteforce, range(9)),
+    ("cycles", "formula_a", lambda D: ham_cycles(D, "formula_a"), _FORMULA_NS),
+    ("cycles", "formula_b", lambda D: ham_cycles(D, "formula_b"), _FORMULA_NS),
+    ("cycles", "bruteforce", ham_cycles_bruteforce, range(9)),
+)
+
+# ham_report calls through this dict, not the rows: a wrapper put on the
+# module's functions from outside (bench/tracer.py) replaces values of
+# module-level dicts but not fields of a row.
+_REPORT_FUNCTIONS = {f"{kind}:{name}": fn for kind, name, fn, _ in REPORT_ROUTES}
+
+
 def ham_report(D: Digraph, cycles: bool = False) -> HamReport:
-    """Count by every route the guards allow and insist they agree."""
-    routes: dict = {}
+    """Count by every route REPORT_ROUTES runs at this n and insist they agree.
+
+    Raises GuardError before counting when fewer than two path routes, or
+    (with cycles) no cycle route, run at this n.
+    """
+    kinds = ("paths", "cycles") if cycles else ("paths",)
+    found: dict = {kind: {} for kind in kinds}
+    for kind, name, _, ns in REPORT_ROUTES:
+        if kind in found and D.n in ns:
+            found[kind][name] = None
+    if len(found["paths"]) < 2 or (cycles and not found["cycles"]):
+        admitted = {kind: list(names) for kind, names in found.items()}
+        raise GuardError(f"ham_report: too few routes admit n = {D.n}: {admitted}")
+    agreed: dict = {}
     timings: dict = {}
-    candidates = [("detper", ham_detper), ("dp", ham_dp)]
-    if D.n <= 8:
-        candidates.append(("bruteforce", ham_paths_bruteforce))
-    for name, fn in candidates:
-        t0 = time.perf_counter()
-        routes[name] = fn(D)
-        timings[f"paths:{name}"] = (time.perf_counter() - t0) * 1000
-    values = set(routes.values())
-    if len(values) != 1:
-        raise DisagreementError(f"Hamiltonian path routes disagree: {routes}")
-    report = HamReport(
+    for kind, routes in found.items():
+        for name in routes:
+            t0 = time.perf_counter()
+            routes[name] = _REPORT_FUNCTIONS[f"{kind}:{name}"](D)
+            timings[f"{kind}:{name}"] = (time.perf_counter() - t0) * 1000
+        values = set(routes.values())
+        if len(values) != 1:
+            raise DisagreementError(f"Hamiltonian {kind} routes disagree: {routes}")
+        agreed[kind] = values.pop()
+    return HamReport(
         n=D.n,
         digraph_hash=digraph_hash(D),
-        ham_paths=values.pop(),
-        routes=routes,
+        ham_paths=agreed["paths"],
+        routes=found["paths"],
+        ham_cycles=agreed.get("cycles"),
+        cycle_routes=found.get("cycles", {}),
         timings_ms=timings,
     )
-    if cycles:
-        cyc_routes: dict = {}
-        if D.n >= 1 and D.n <= 16:
-            t0 = time.perf_counter()
-            cyc_routes["formula_a"] = ham_cycles(D, "formula_a", i=1)
-            timings["cycles:formula_a"] = (time.perf_counter() - t0) * 1000
-            t0 = time.perf_counter()
-            cyc_routes["formula_b"] = ham_cycles(D, "formula_b")
-            timings["cycles:formula_b"] = (time.perf_counter() - t0) * 1000
-        if D.n <= 8:
-            t0 = time.perf_counter()
-            cyc_routes["bruteforce"] = ham_cycles_bruteforce(D)
-            timings["cycles:bruteforce"] = (time.perf_counter() - t0) * 1000
-        cvalues = set(cyc_routes.values())
-        if len(cvalues) > 1:
-            raise DisagreementError(
-                f"Hamiltonian cycle routes disagree: {cyc_routes}"
-            )
-        report.ham_cycles = cvalues.pop() if cvalues else 0
-        report.cycle_routes = cyc_routes
-    return report
 
 
 # ------------------------------------------------------------------- parity
 
 def parity_suite(D: Digraph) -> dict:
     """Berge parity (always) and Redei oddness (for tournaments)."""
-    guard("parity_suite", D.n, 12)
+    guard("parity_suite", D.n, PARITY_BOUND)
     paths = ham_dp(D)
     paths_bar = ham_dp(complement(D))
     tourney = is_tournament(D)
@@ -281,7 +300,7 @@ def parity_suite(D: Digraph) -> dict:
 def wiseman_check(D: Digraph) -> dict:
     """For acyclic D: ham(Dbar) equals per(Abar) equals the number of
     cycle covers of Dbar."""
-    guard("wiseman", D.n, 8)
+    guard("wiseman", D.n, WISEMAN_BOUND)
     if not is_acyclic(D):
         raise ValueError("wiseman_check needs an acyclic digraph")
     Dbar = complement(D)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
 from itertools import combinations, permutations as _it_permutations
+from typing import Callable, NamedTuple
 
 from .combinat import (
     conjugate,
@@ -74,19 +74,9 @@ from .symfun import (
 )
 from .walks import xi
 
-ROUTE_BOUNDS = {
-    "F-definition": 7,
-    "path-cover": 8,
-    "powersum-GS": 8,
-    "subset-formula": 7,
-    "matrix-det": 6,
-    "schur-JT": 7,
-    "immanant-LR": 6,
-    "tournament": 8,
-    "acyclic-powersum": 8,
-    "acyclic-schur": 6,
-    "acyclic-records": 8,
-}
+# Largest n of the path-cycle functions and of their identity check.
+CHOW_BOUND = 6
+CHOW_IDENTITIES_BOUND = 5
 
 
 # --------------------------------------------------------------- fundamentals
@@ -95,7 +85,7 @@ def u_via_fundamental(D: Digraph) -> SymFun:
     """Literal definition: sum the fundamentals of the descent sets of all
     permutations, in n variables, then lift to augmented monomials."""
     n = D.n
-    guard("u_fundamental", n, ROUTE_BOUNDS["F-definition"])
+    _admit("F-definition", D)
     counts: dict = {}
     for pi in _it_permutations(range(1, n + 1)):
         key = d_descent_set(D, pi)
@@ -113,7 +103,7 @@ def u_via_fundamental(D: Digraph) -> SymFun:
 def u_via_path_covers(D: Digraph) -> SymFun:
     """Augmented monomials of path partitions over path covers of the
     complement."""
-    guard("u_path_covers", D.n, ROUTE_BOUNDS["path-cover"])
+    _admit("path-cover", D)
     out: dict = {}
     for cover in enumerate_path_covers(complement(D)):
         lam = cover.path_partition()
@@ -127,7 +117,7 @@ def u_via_powersum_GS(D: Digraph) -> SymFun:
     """Signed power sums over permutations whose nontrivial cycles are all
     cycles of D or all-of-each cycles of its complement; the sign twists
     each D-cycle by (-1)^(length-1)."""
-    guard("u_powersum", D.n, ROUTE_BOUNDS["powersum-GS"])
+    _admit("powersum-GS", D)
     out: dict = {}
     for sigma in perms_with_cycles_in_either(D):
         lam = cycle_type(sigma)
@@ -154,7 +144,7 @@ def u_via_subset_formula(D: Digraph) -> SymFun:
     """Bilinear sum over complementary vertex subsets: unsigned cycle
     covers of the complement against signed cycle covers of D."""
     n = D.n
-    guard("u_subset", n, ROUTE_BOUNDS["subset-formula"])
+    _admit("subset-formula", D)
     Dbar = complement(D)
     verts = list(D.vertices())
     out: dict = {}
@@ -178,7 +168,7 @@ def u_via_matrix_route(D: Digraph) -> SymFun:
     """Extract the squarefree full-support coefficient of
     det H(X Abar) * det E(X A) over the multilinear ring."""
     n = D.n
-    guard("u_matrix", n, ROUTE_BOUNDS["matrix-det"])
+    _admit("matrix-det", D)
     if n == 0:
         return SymFun.const(1)
     H = matrix_series(complement(D).adjacency(), "H")
@@ -216,7 +206,7 @@ def schur_coeff_JT(D: Digraph, lam) -> int:
     """
     lam = tuple(lam)
     n = D.n
-    guard("u_schur_jt", n, ROUTE_BOUNDS["schur-JT"])
+    guard("u_schur_jt", n, ROUTES["schur-JT"].bound)
     if sum(lam) != n:
         raise ValueError("lam must be a partition of n")
     a = _jt_coefficient(complement(D), lam)
@@ -255,7 +245,7 @@ def _jt_coefficient(D: Digraph, lam: tuple) -> int:
 
 
 def u_via_schur_JT(D: Digraph) -> SymFun:
-    guard("u_schur_jt", D.n, ROUTE_BOUNDS["schur-JT"])
+    _admit("schur-JT", D)
     terms = {}
     for lam in partitions_of(D.n):
         c = schur_coeff_JT(D, lam)
@@ -268,7 +258,7 @@ def u_via_immanant_LR(D: Digraph) -> SymFun:
     """Immanants of complementary principal submatrices paired through
     Littlewood-Richardson coefficients."""
     n = D.n
-    guard("u_immanant", n, ROUTE_BOUNDS["immanant-LR"])
+    _admit("immanant-LR", D)
     A = D.adjacency()
     Abar = complement(D).adjacency()
     verts = list(D.vertices())
@@ -305,13 +295,10 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
               when every edge descends (u > v).
     """
     n = D.n
-    if not is_acyclic(D):
-        raise ValueError("u_acyclic needs an acyclic digraph")
+    _admit(f"acyclic-{flavor}", D)
     if flavor == "powersum":
-        guard("u_acyclic", n, ROUTE_BOUNDS["acyclic-powersum"])
         return SymFun("p", _cycle_cover_pvec(complement(D), None, signed=False))
     if flavor == "schur":
-        guard("u_acyclic_schur", n, ROUTE_BOUNDS["acyclic-schur"])
         Abar = complement(D).adjacency()
         terms = {}
         for lam in partitions_of(n):
@@ -319,26 +306,19 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
             if c:
                 terms[lam] = c
         return SymFun("s", terms)
-    if flavor == "records":
-        guard("u_acyclic_records", n, ROUTE_BOUNDS["acyclic-records"])
-        if not has_only_descending_edges(D):
-            raise ValueError("records flavor needs every edge to descend")
-        out: dict = {}
-        for pi in _it_permutations(range(1, n + 1)):
-            if not d_descent_set(D, pi):
-                lam = record_partition(pi)
-                out[lam] = out.get(lam, 0) + 1
-        return SymFun("p", out)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    # records: _admit has rejected every other flavor
+    out: dict = {}
+    for pi in _it_permutations(range(1, n + 1)):
+        if not d_descent_set(D, pi):
+            lam = record_partition(pi)
+            out[lam] = out.get(lam, 0) + 1
+    return SymFun("p", out)
 
 
 def u_tournament(D: Digraph) -> SymFun:
     """Odd-cycle power sum form: permutations all of whose cycles are
     odd cycles of D, weighted by 2^(number of nontrivial cycles)."""
-    n = D.n
-    guard("u_tournament", n, ROUTE_BOUNDS["tournament"])
-    if not is_tournament(D):
-        raise ValueError("u_tournament needs a tournament")
+    _admit("tournament", D)
     out: dict = {}
     for sigma in perms_with_all_cycles_in(D):
         lam = cycle_type(sigma)
@@ -365,7 +345,7 @@ def is_p_positive(f: SymFun) -> bool:
 def hook_descent_count(D: Digraph, i: int) -> int:
     """Number of permutations whose D-descent set is exactly {i, ..., n-1}."""
     n = D.n
-    guard("u_hooks", n, ROUTE_BOUNDS["schur-JT"])
+    guard("u_hooks", n, ROUTES["schur-JT"].bound)
     target = frozenset(range(i, n))
     return sum(
         1
@@ -393,7 +373,7 @@ def chow_xi(D: Digraph, route: str = "direct") -> TwoAlphabetSymFun:
     """Path-cycle function: augmented monomials in z on path partitions
     times power sums in y on cycle partitions, over path-cycle covers."""
     n = D.n
-    guard("chow", n, 6)
+    guard("chow", n, CHOW_BOUND)
     if route == "direct":
         out = TwoAlphabetSymFun.zero()
         acc: dict = {}
@@ -445,7 +425,7 @@ def chow_xi_hat(D: Digraph) -> TwoAlphabetSymFun:
     """Variant with augmented monomials over the union alphabet and
     cycle weight (-2) per cycle."""
     n = D.n
-    guard("chow", n, 6)
+    guard("chow", n, CHOW_BOUND)
     out = TwoAlphabetSymFun.zero()
     acc: dict = {}
     for cover in enumerate_path_cycle_covers(D):
@@ -493,7 +473,7 @@ def verify_chow_identities(D: Digraph) -> ChowReport:
     alphabet for z, turns Xi of the complement into Xi of D; and the
     analogous statement for Xi_hat without the final substitution.
     """
-    guard("chow_identities", D.n, 5)
+    guard("chow_identities", D.n, CHOW_IDENTITIES_BOUND)
     report = ChowReport(n=D.n, digraph_hash=digraph_hash(D))
     Dbar = complement(D)
     lhs = chow_xi(Dbar, "direct").negate_y().omega_z().z_to_zy()
@@ -539,46 +519,58 @@ class URouteResult:
         return out
 
 
-def applicable_routes(D: Digraph) -> list:
-    """Routes whose guards and preconditions admit this digraph."""
-    n = D.n
-    routes = []
-    for name in (
-        "F-definition",
-        "path-cover",
-        "powersum-GS",
-        "subset-formula",
-        "matrix-det",
-        "schur-JT",
-        "immanant-LR",
-    ):
-        if n <= ROUTE_BOUNDS[name]:
-            routes.append(name)
-    if is_acyclic(D):
-        if n <= ROUTE_BOUNDS["acyclic-powersum"]:
-            routes.append("acyclic-powersum")
-        if n <= ROUTE_BOUNDS["acyclic-schur"]:
-            routes.append("acyclic-schur")
-        if has_only_descending_edges(D) and n <= ROUTE_BOUNDS["acyclic-records"]:
-            routes.append("acyclic-records")
-    if is_tournament(D) and n <= ROUTE_BOUNDS["tournament"]:
-        routes.append("tournament")
-    return routes
+class Route(NamedTuple):
+    """A U_D route: the function computing it, the largest n it runs at,
+    and the property a digraph needs for it to apply (None: any)."""
+
+    fn: Callable
+    bound: int
+    precondition: Callable | None = None
 
 
-_ROUTE_FUNCTIONS = {
-    "F-definition": u_via_fundamental,
-    "path-cover": u_via_path_covers,
-    "powersum-GS": u_via_powersum_GS,
-    "subset-formula": u_via_subset_formula,
-    "matrix-det": u_via_matrix_route,
-    "schur-JT": u_via_schur_JT,
-    "immanant-LR": u_via_immanant_LR,
-    "acyclic-powersum": lambda D: u_acyclic(D, "powersum"),
-    "acyclic-schur": lambda D: u_acyclic(D, "schur"),
-    "acyclic-records": lambda D: u_acyclic(D, "records"),
-    "tournament": u_tournament,
+# Route name -> Route, in the order of applicable_routes, which is the
+# order of the routes in `u --routes all` output.
+ROUTES = {
+    "F-definition": Route(u_via_fundamental, 7),
+    "path-cover": Route(u_via_path_covers, 8),
+    "powersum-GS": Route(u_via_powersum_GS, 8),
+    "subset-formula": Route(u_via_subset_formula, 7),
+    "matrix-det": Route(u_via_matrix_route, 6),
+    "schur-JT": Route(u_via_schur_JT, 7),
+    "immanant-LR": Route(u_via_immanant_LR, 6),
+    "acyclic-powersum": Route(lambda D: u_acyclic(D, "powersum"), 8, is_acyclic),
+    "acyclic-schur": Route(lambda D: u_acyclic(D, "schur"), 6, is_acyclic),
+    "acyclic-records": Route(
+        lambda D: u_acyclic(D, "records"), 8, has_only_descending_edges
+    ),
+    "tournament": Route(u_tournament, 8, is_tournament),
 }
+
+# compute_route calls through this name -> function dict, not the rows:
+# a wrapper put on the module's functions from outside (bench/tracer.py)
+# replaces values in module-level dicts but not fields of a row.  For the
+# same reason the acyclic flavors look u_acyclic up when called.
+_ROUTE_FUNCTIONS = {name: r.fn for name, r in ROUTES.items()}
+
+
+def _admit(name: str, D: Digraph) -> None:
+    """Raise unless route `name` may run on D: ValueError for an unknown
+    route or an unmet precondition, GuardError above its bound."""
+    route = ROUTES.get(name)
+    if route is None:
+        raise ValueError(f"unknown route {name!r}")
+    guard(f"route {name}", D.n, route.bound)
+    if route.precondition and not route.precondition(D):
+        raise ValueError(f"route {name} needs {route.precondition.__name__}(D)")
+
+
+def applicable_routes(D: Digraph) -> list:
+    """Routes whose bounds and preconditions admit this digraph."""
+    return [
+        name
+        for name, r in ROUTES.items()
+        if D.n <= r.bound and (r.precondition is None or r.precondition(D))
+    ]
 
 
 def compute_route(D: Digraph, route: str) -> URouteResult:
@@ -594,19 +586,26 @@ def compute_route(D: Digraph, route: str) -> URouteResult:
 
 
 def u_all_routes(D: Digraph, routes=None) -> list:
+    """Results of the given routes, default every applicable one.
+
+    Given routes are all admitted (known name, bound, precondition)
+    before any of them runs.
+    """
     if routes is None:
         routes = applicable_routes(D)
     else:
-        unknown = [r for r in routes if r not in _ROUTE_FUNCTIONS]
-        if unknown:
-            raise ValueError(f"unknown routes {unknown}")
+        for r in routes:
+            _admit(r, D)
     return [compute_route(D, r) for r in routes]
 
 
 def routes_agree(results) -> tuple:
-    """(all equal as symmetric functions, common p form or None)."""
+    """(all equal as symmetric functions, common p form or None).
+
+    Raises ValueError when there is nothing to compare.
+    """
     if not results:
-        return True, None
+        raise ValueError("no route results to compare")
     reference = to_p(results[0].value)
     for res in results[1:]:
         if to_p(res.value).terms != reference.terms:
@@ -616,5 +615,4 @@ def routes_agree(results) -> tuple:
 
 def u_digraph(D: Digraph, basis: str = "p") -> SymFun:
     """U_D by the default route (signed power sums), in the requested basis."""
-    guard("u_digraph", D.n, ROUTE_BOUNDS["powersum-GS"])
     return convert(u_via_powersum_GS(D), basis)

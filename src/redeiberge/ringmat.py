@@ -375,54 +375,44 @@ def _anchored_cycle_weights(A) -> list:
 
 def principal_permanents(A) -> list:
     """per A[S] for every subset S of row/column indices, indexed by bitmask."""
-    n = len(A)
-    guard("principal_minors", n, 18)
-    cyc = _anchored_cycle_weights(A)
-    per = [0] * (1 << n)
-    per[0] = 1
-    for S in range(1, 1 << n):
-        a = S & -S
-        rest = S ^ a
-        acc = 0
-        T = rest
-        while True:
-            m = T | a
-            c = cyc[m]
-            if c:
-                acc += c * per[S ^ m]
-            if T == 0:
-                break
-            T = (T - 1) & rest
-        per[S] = acc
-    return per
+    guard("principal_minors", len(A), 18)
+    return _cycle_cover_sums(_anchored_cycle_weights(A))
 
 
 def principal_determinants(A) -> list:
     """det A[S] for every subset S, by signed cycle-cover convolution."""
-    n = len(A)
-    guard("principal_minors", n, 18)
-    cyc = _anchored_cycle_weights(A)
-    det = [0] * (1 << n)
-    det[0] = 1
-    for S in range(1, 1 << n):
+    guard("principal_minors", len(A), 18)
+    # a cycle on L vertices contributes sign (-1)^(L-1)
+    signed = [
+        c if m.bit_count() & 1 else -c
+        for m, c in enumerate(_anchored_cycle_weights(A))
+    ]
+    return _cycle_cover_sums(signed)
+
+
+def _cycle_cover_sums(w: list) -> list:
+    """out[S]: sum over partitions of S into blocks m of the product of w[m].
+
+    w is indexed by bitmask; each block is taken with the lowest vertex
+    of what remains, so every partition is counted once (3^n steps).
+    """
+    out = [0] * len(w)
+    out[0] = 1
+    for S in range(1, len(w)):
         a = S & -S
         rest = S ^ a
         acc = 0
         T = rest
         while True:
             m = T | a
-            c = cyc[m]
+            c = w[m]
             if c:
-                # a cycle of length L contributes sign (-1)^(L-1)
-                if m.bit_count() & 1:
-                    acc += c * det[S ^ m]
-                else:
-                    acc -= c * det[S ^ m]
+                acc += c * out[S ^ m]
             if T == 0:
                 break
             T = (T - 1) & rest
-        det[S] = acc
-    return det
+        out[S] = acc
+    return out
 
 
 def submatrix(M, rows, cols=None) -> list:
@@ -493,12 +483,6 @@ def mlp_mat_mul(M1, M2) -> list:
             row.append(acc)
         out.append(row)
     return out
-
-
-def mlp_mat_add(M1, M2) -> list:
-    return [
-        [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(M1, M2)
-    ]
 
 
 def _series_coefficients(kind: str, n: int) -> list:

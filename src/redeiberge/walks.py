@@ -78,26 +78,33 @@ def gamma(D: Digraph, k: int, point) -> int:
     guard("gamma", k, 12)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = D.n
     pt = list(point)
-    if len(pt) != n:
+    if len(pt) != D.n:
         raise ValueError("point must have one coordinate per vertex")
-    A = D.adjacency()
+    return _walk_counts(D.adjacency(), pt, k + 1)[k]
+
+
+def _walk_counts(A, pt: list, count: int) -> list:
+    """[gamma_0, ..., gamma_(count-1)] at the point pt, with no size guard."""
+    n = len(A)
     vec = pt[:]  # X 1
-    for _ in range(k):
-        out = [0] * n
-        for i in range(n):
-            xi_ = pt[i]
-            if not xi_:
-                continue
-            row = A[i]
-            s = 0
-            for j in range(n):
-                if row[j]:
-                    s += vec[j]
-            out[i] = xi_ * s
-        vec = out
-    return sum(vec)
+    counts = []
+    for step in range(count):
+        if step:
+            out = [0] * n
+            for i in range(n):
+                xi_ = pt[i]
+                if not xi_:
+                    continue
+                row = A[i]
+                s = 0
+                for j in range(n):
+                    if row[j]:
+                        s += vec[j]
+                out[i] = xi_ * s
+            vec = out
+        counts.append(sum(vec))
+    return counts
 
 
 # ----------------------------------------------------- truncated z-series
@@ -165,7 +172,6 @@ def _zdet(M: list, K: int) -> list:
 def walk_series(D: Digraph, point, K: int) -> list:
     """Coefficients gamma_0..gamma_K of W_D(z) at the point, via the
     determinant ratio."""
-    n = D.n
     A = D.adjacency()
     Abar = complement(D).adjacency()
     pt = list(point)
@@ -232,11 +238,12 @@ def verify_walk_identity(
     acyc = is_acyclic(D)
     report = WalkIdentityReport(n=n, K=K, trials=trials, seed=seed, acyclic=acyc)
     Dbar = complement(D)
+    A = D.adjacency()
     for t in range(trials):
         pt = [rng.randint(-3, 3) for _ in range(n)]
         series = walk_series(D, pt, K)
         # gamma_0 = 1 (empty walk); gamma_k for k >= 1 counts k-vertex walks
-        gammas = [1] + [gamma_unguarded(D, k - 1, pt) for k in range(1, K + 1)]
+        gammas = [1] + _walk_counts(A, pt, K)
         if series != gammas:
             report.record(
                 f"trial {t}: series {series} != walk counts {gammas} at {pt}"
@@ -251,24 +258,3 @@ def verify_walk_identity(
             if den != [1] + [0] * K:
                 report.record(f"trial {t}: acyclic denominator {den} at {pt}")
     return report
-
-
-def gamma_unguarded(D: Digraph, k: int, point) -> int:
-    """gamma without the size guard, for internal series comparison."""
-    n = D.n
-    pt = list(point)
-    A = D.adjacency()
-    vec = pt[:]
-    for _ in range(k):
-        out = [0] * n
-        for i in range(n):
-            if not pt[i]:
-                continue
-            row = A[i]
-            s = 0
-            for j in range(n):
-                if row[j]:
-                    s += vec[j]
-            out[i] = pt[i] * s
-        vec = out
-    return sum(vec)

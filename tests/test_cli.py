@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import redeiberge.cli as cli
+import redeiberge.hamilton as hamilton
 from redeiberge.cli import (
     build_corpus,
     digraph_from_args,
@@ -102,12 +103,15 @@ def test_exit_codes():
     assert main(["u", "--gen", "nosuch:3"]) == 2
     assert main(["u", "--gen", "empty:3", "--basis", "q"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", "bogus"]) == 2
+    assert main(["u", "--gen", "empty:3", "--routes", ","]) == 2
     assert main(["u", "--edges", "/nonexistent/file.dg"]) == 2
     assert main(["u", "--gen", "complete:9"]) == 3
     assert main(["u", "--gen", "complete:9", "--routes", "all"]) == 3
     assert main(["u", "--gen", "empty:7", "--routes", "matrix-det"]) == 3
     assert main(["verify", "--corpus", "weird"]) == 2
     assert main(["verify", "--corpus", "exhaustive:4"]) == 3
+    # no identity admits n = 13, so nothing would be checked
+    assert main(["verify", "--corpus", "random:13,1", "--artifacts", ""]) == 3
 
 
 def test_argparse_exits_map_to_codes(capsys):
@@ -186,6 +190,20 @@ def test_ham_json_payload(capsys):
     assert "ham_cycles" not in payload
 
 
+def test_ham_cycles_guarded_where_no_cycle_route_applies(monkeypatch, capsys):
+    # ham_detper admits n = 17 but no cycle route does; the report must
+    # stop before any 3^n principal-minor loop starts.
+    def no_work(*args, **kwargs):
+        raise AssertionError("counting began before the guard")
+
+    for name in ("principal_permanents", "principal_determinants"):
+        monkeypatch.setattr(hamilton, name, no_work)
+    with pytest.raises(GuardError):
+        hamilton.ham_report(empty_digraph(17), cycles=True)
+    assert main(["ham", "--gen", "empty:17", "--cycles"]) == 3
+    assert "guard:" in capsys.readouterr().err
+
+
 def test_ham_table_format(capsys):
     assert main(
         ["ham", "--gen", "path:4", "--cycles", "--format", "table"]
@@ -238,6 +256,17 @@ def test_run_corpus_summary():
     tally = summary["identities"]
     assert tally["routes-agree"] == {"checked": 16, "failed": 0}
     assert tally["berge-parity"]["checked"] == 16
+
+
+def test_verify_skips_route_agreement_without_two_routes(capsys):
+    # No U_D route admits n = 9, so routes-agree must not count as checked;
+    # Berge parity does not use U_D and still runs.
+    code, payload = run_json(
+        capsys, ["verify", "--corpus", "random:9,2", "--artifacts", ""]
+    )
+    assert code == 0
+    assert payload["identities"] == {"berge-parity": {"checked": 2, "failed": 0}}
+    assert identity_suite(empty_digraph(9)) == {"berge-parity": None}
 
 
 def test_verify_json_and_jobs_determinism(capsys):

@@ -23,8 +23,9 @@ from redeiberge.digraph import (
 )
 from redeiberge.guards import DisagreementError, GuardError
 from redeiberge.hamilton import ham_dp
+import redeiberge.redei as redei
 from redeiberge.redei import (
-    ROUTE_BOUNDS,
+    ROUTES,
     applicable_routes,
     chow_xi,
     chow_xi_hat,
@@ -41,7 +42,6 @@ from redeiberge.redei import (
     u_from_chow,
     u_tournament,
     u_via_immanant_LR,
-    u_via_matrix_route,
     u_via_schur_JT,
     verify_chow_identities,
 )
@@ -205,7 +205,7 @@ def test_acyclic_flavors_agree():
         assert is_acyclic(D)
         base = u_digraph(D)
         assert to_p(u_acyclic(D, "powersum")) == base
-        if D.n <= ROUTE_BOUNDS["acyclic-schur"]:
+        if D.n <= ROUTES["acyclic-schur"].bound:
             assert to_p(u_acyclic(D, "schur")) == base
         assert to_p(u_acyclic(D, "records")) == base
 
@@ -307,13 +307,38 @@ def test_unknown_route_rejected():
         u_all_routes(EXAMPLE3, routes=["powersum-GS", "bogus"])
 
 
-def test_route_guards():
+def _meeting_precondition(route, n):
+    """An n-vertex digraph the route's precondition accepts."""
+    transitive = digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, u)])
+    for D in (empty_digraph(n), transitive):
+        if route.precondition is None or route.precondition(D):
+            return D
+    raise AssertionError("no candidate digraph meets the precondition")
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_route_guards(name, monkeypatch):
+    route = ROUTES[name]
+    assert name in applicable_routes(_meeting_precondition(route, route.bound))
+    D = _meeting_precondition(route, route.bound + 1)
+    assert name not in applicable_routes(D)
+
+    # Everything redei imports for its work fails if called, so the route
+    # must stop at its guard before any of it runs.
+    def no_work(*args, **kwargs):
+        raise AssertionError("route began work above its bound")
+
+    for attr, value in list(vars(redei).items()):
+        foreign = getattr(value, "__module__", None) != redei.__name__
+        if callable(value) and foreign and attr != "guard":
+            monkeypatch.setattr(redei, attr, no_work)
     with pytest.raises(GuardError):
-        u_via_matrix_route(empty_digraph(ROUTE_BOUNDS["matrix-det"] + 1))
+        route.fn(D)
     with pytest.raises(GuardError):
-        u_digraph(empty_digraph(ROUTE_BOUNDS["powersum-GS"] + 1))
-    with pytest.raises(GuardError):
-        u_via_schur_JT(empty_digraph(ROUTE_BOUNDS["schur-JT"] + 1))
+        u_all_routes(D, [name])
+    if name == "powersum-GS":  # the default route, behind u_digraph
+        with pytest.raises(GuardError):
+            u_digraph(D)
 
 
 def test_schur_coeff_requires_partition_of_n():
