@@ -137,8 +137,10 @@ def identity_suite(D: Digraph) -> dict:
     """Run every identity the guards allow; map name -> None (pass) or detail.
 
     routes-agree runs only when at least two routes admit D, and the
-    identities that use its U_D only when it passed.  Raises GuardError
-    when no identity admits D.
+    identities that use its U_D only when it passed.  An identity that
+    raises is recorded as failed, its detail starting with the exception's
+    type name, so one bad digraph never aborts a corpus run.  Raises
+    GuardError when no identity admits D.
     """
     results: dict = {}
 
@@ -146,8 +148,8 @@ def identity_suite(D: Digraph) -> dict:
         try:
             fn()
             results[name] = None
-        except (DisagreementError, AssertionError) as exc:
-            results[name] = str(exc)
+        except Exception as exc:
+            results[name] = f"{type(exc).__name__}: {exc}"
 
     n = D.n
     routes = applicable_routes(D)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .digraph import (
     Digraph,
@@ -42,14 +43,33 @@ PARITY_BOUND = 12
 WISEMAN_BOUND = 8
 
 
+@lru_cache(maxsize=3)
+def _minors(D: Digraph, kind: str) -> list:
+    """One principal-minor table of D, indexed by bitmask: per A[S] ("per"),
+    det A[S] ("det") or det Abar[S] ("det_bar").
+
+    ham_detper and both cycle formulas read their tables here, so within
+    one ham_report each table is built once; ham_report empties the cache
+    when it ends, and calls outside a report hold at most three tables.
+    The tables are shared, so callers must not mutate them.
+    """
+    if kind == "per":
+        return principal_permanents(D.adjacency())
+    if kind == "det":
+        return principal_determinants(D.adjacency())
+    if kind == "det_bar":
+        return principal_determinants(complement(D).adjacency())
+    raise ValueError(f"unknown minor table {kind!r}")
+
+
 def ham_detper(D: Digraph) -> int:
     """Hamiltonian paths by the determinant-permanent subset formula."""
     guard("ham_detper", D.n, DETPER_BOUND)
     n = D.n
     if n == 0:
         return 1
-    per_a = principal_permanents(D.adjacency())
-    det_abar = principal_determinants(complement(D).adjacency())
+    per_a = _minors(D, "per")
+    det_abar = _minors(D, "det_bar")
     full = (1 << n) - 1
     total = 0
     for S in range(full + 1):
@@ -162,12 +182,14 @@ def ham_cycles(D: Digraph, route: str = "formula_a", i: int = 1) -> int:
     guard("ham_cycles", n, CYCLE_FORMULA_BOUND)
     if n < 1:
         raise ValueError("formula routes need n >= 1")
-    det_a = principal_determinants(D.adjacency())
-    per_a = principal_permanents(D.adjacency())
+    if route not in ("formula_a", "formula_b"):
+        raise ValueError(f"unknown route {route!r}")
+    if route == "formula_a" and not 1 <= i <= n:
+        raise ValueError("excluded vertex out of range")
+    det_a = _minors(D, "det")
+    per_a = _minors(D, "per")
     full = (1 << n) - 1
     if route == "formula_a":
-        if not 1 <= i <= n:
-            raise ValueError("excluded vertex out of range")
         forbidden = 1 << (i - 1)
         total = 0
         for S in range(full + 1):
@@ -178,19 +200,17 @@ def ham_cycles(D: Digraph, route: str = "formula_a", i: int = 1) -> int:
                 term = d * per_a[full ^ S]
                 total += -term if S.bit_count() & 1 else term
         return total
-    if route == "formula_b":
-        total = 0
-        for S in range(full + 1):
-            d = det_a[S]
-            if d:
-                term = d * per_a[full ^ S] * (n - S.bit_count())
-                total += -term if S.bit_count() & 1 else term
-        if total % n:
-            raise DisagreementError(
-                f"cycle formula (b) does not divide exactly: {total} / {n}"
-            )
-        return total // n
-    raise ValueError(f"unknown route {route!r}")
+    total = 0
+    for S in range(full + 1):
+        d = det_a[S]
+        if d:
+            term = d * per_a[full ^ S] * (n - S.bit_count())
+            total += -term if S.bit_count() & 1 else term
+    if total % n:
+        raise DisagreementError(
+            f"cycle formula (b) does not divide exactly: {total} / {n}"
+        )
+    return total // n
 
 
 # ------------------------------------------------------------------ reports
@@ -245,7 +265,9 @@ def ham_report(D: Digraph, cycles: bool = False) -> HamReport:
     """Count by every route REPORT_ROUTES runs at this n and insist they agree.
 
     Raises GuardError before counting when fewer than two path routes, or
-    (with cycles) no cycle route, run at this n.
+    (with cycles) no cycle route, run at this n.  The routes share the
+    principal-minor tables of D (see _minors), so the timing of a shared
+    table is charged to the first route that builds it.
     """
     kinds = ("paths", "cycles") if cycles else ("paths",)
     found: dict = {kind: {} for kind in kinds}
@@ -257,15 +279,18 @@ def ham_report(D: Digraph, cycles: bool = False) -> HamReport:
         raise GuardError(f"ham_report: too few routes admit n = {D.n}: {admitted}")
     agreed: dict = {}
     timings: dict = {}
-    for kind, routes in found.items():
-        for name in routes:
-            t0 = time.perf_counter()
-            routes[name] = _REPORT_FUNCTIONS[f"{kind}:{name}"](D)
-            timings[f"{kind}:{name}"] = (time.perf_counter() - t0) * 1000
-        values = set(routes.values())
-        if len(values) != 1:
-            raise DisagreementError(f"Hamiltonian {kind} routes disagree: {routes}")
-        agreed[kind] = values.pop()
+    try:
+        for kind, routes in found.items():
+            for name in routes:
+                t0 = time.perf_counter()
+                routes[name] = _REPORT_FUNCTIONS[f"{kind}:{name}"](D)
+                timings[f"{kind}:{name}"] = (time.perf_counter() - t0) * 1000
+            values = set(routes.values())
+            if len(values) != 1:
+                raise DisagreementError(f"Hamiltonian {kind} routes disagree: {routes}")
+            agreed[kind] = values.pop()
+    finally:
+        _minors.cache_clear()
     return HamReport(
         n=D.n,
         digraph_hash=digraph_hash(D),

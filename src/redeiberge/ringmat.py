@@ -166,11 +166,6 @@ def mask_of(verts) -> int:
     return mask
 
 
-def coeff_extract(f: MultilinearPoly, verts):
-    """The coefficient functional: read off the monomial over the vertex set."""
-    return f.coeff(mask_of(verts))
-
-
 # ------------------------------------------------------------ exact det / per
 
 
@@ -309,26 +304,6 @@ def permanent_ryser(M) -> int:
         if prod:
             total += -prod if (n - gray.bit_count()) & 1 else prod
     return total
-
-
-def permanent_expansion(M) -> int:
-    """Permanent by recursive Laplace expansion (independent small oracle)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    cols = list(range(n))
-
-    def rec(r: int, used: int) -> int:
-        if r == n:
-            return 1
-        total = 0
-        for j in cols:
-            if used >> j & 1 or not M[r][j]:
-                continue
-            total += M[r][j] * rec(r + 1, used | 1 << j)
-        return total
-
-    return rec(0, 0)
 
 
 # ------------------------------------------------- principal minor families
@@ -516,37 +491,4 @@ def matrix_series(A, kind: str) -> list:
                 entry = mat[i][j]
                 if entry:
                     out[i][j] = out[i][j] + entry.scale(ck)
-    return out
-
-
-def identity_minus_xa(A) -> list:
-    """I - XA over the multilinear ring with integer coefficients."""
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            if i == j:
-                terms[0] = 1
-            if A[i][j]:
-                terms[1 << i] = terms.get(1 << i, 0) - A[i][j]
-            row.append(MultilinearPoly(n, terms))
-        out.append(row)
-    return out
-
-
-def identity_plus_xa(A) -> list:
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            if i == j:
-                terms[0] = 1
-            if A[i][j]:
-                terms[1 << i] = terms.get(1 << i, 0) + A[i][j]
-            row.append(MultilinearPoly(n, terms))
-        out.append(row)
     return out

@@ -3,7 +3,7 @@
 Everything here recomputes values from first principles with the
 dumbest correct algorithm available (literal enumeration, classical
 recurrences), sharing no code with the package internals beyond the
-Digraph container, so that agreement is meaningful.
+Digraph and MultilinearPoly containers, so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
+
+from redeiberge.ringmat import MultilinearPoly
 
 
 # ---------------------------------------------------- fundamental / U oracle
@@ -401,3 +403,45 @@ def covers_by_edge_subsets(D) -> dict:
         )
         out[key] = out.get(key, 0) + 1
     return out
+
+
+# ------------------------------------------------------ multilinear kernels
+
+def permanent_expansion(M) -> int:
+    """Permanent by recursive Laplace expansion."""
+    n = len(M)
+
+    def rec(r: int, used: int) -> int:
+        if r == n:
+            return 1
+        total = 0
+        for j in range(n):
+            if used >> j & 1 or not M[r][j]:
+                continue
+            total += M[r][j] * rec(r + 1, used | 1 << j)
+        return total
+
+    return rec(0, 0)
+
+
+def coeff_extract(f: MultilinearPoly, verts):
+    """The coefficient functional: read off the monomial over the vertex set."""
+    return f.coeff(sum(1 << (v - 1) for v in set(verts)))
+
+
+def identity_minus_xa(A) -> list:
+    """I - XA over the multilinear ring with integer coefficients."""
+    return _identity_plus_signed_xa(A, -1)
+
+
+def identity_plus_xa(A) -> list:
+    """I + XA over the multilinear ring with integer coefficients."""
+    return _identity_plus_signed_xa(A, 1)
+
+
+def _identity_plus_signed_xa(A, sign: int) -> list:
+    n = len(A)
+    return [
+        [MultilinearPoly(n, {0: int(i == j), 1 << i: sign * A[i][j]}) for j in range(n)]
+        for i in range(n)
+    ]

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from functools import wraps
 
+from oracles import identity_minus_xa, identity_plus_xa, permanent_expansion
 from redeiberge.cli import build_corpus, run_corpus
 from redeiberge.combinat import (
     character,
@@ -52,10 +53,7 @@ from redeiberge.ringmat import (
     MultilinearPoly,
     bareiss_det,
     det_ring,
-    identity_minus_xa,
-    identity_plus_xa,
     matrix_series,
-    permanent_expansion,
     permanent_ryser,
 )
 from redeiberge.symfun import SymFun, TwoAlphabetSymFun, convert, to_p

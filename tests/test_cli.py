@@ -258,6 +258,23 @@ def test_run_corpus_summary():
     assert tally["berge-parity"]["checked"] == 16
 
 
+def test_run_corpus_records_an_identity_that_raises(monkeypatch):
+    # Any exception an identity raises is that identity's failure on that
+    # digraph; the corpus run still finishes and tallies the others.
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "verify_walk_identity", broken)
+    summary = run_corpus(build_corpus("random:4,3", seed=1))
+    tally = summary["identities"]
+    assert tally.pop("walk-identity") == {"checked": 3, "failed": 3}
+    assert tally and all(v["checked"] and not v["failed"] for v in tally.values())
+    assert summary["failed_items"] == 3
+    for row in summary["failures"]:
+        assert list(row["failures"]) == ["walk-identity"]
+        assert row["failures"]["walk-identity"].startswith("ZeroDivisionError")
+
+
 def test_verify_skips_route_agreement_without_two_routes(capsys):
     # No U_D route admits n = 9, so routes-agree must not count as checked;
     # Berge parity does not use U_D and still runs.

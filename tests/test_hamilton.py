@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import redeiberge.hamilton as hamilton
+import redeiberge.ringmat as ringmat
 from gens import digraphs
 from redeiberge.digraph import (
     complement,
@@ -13,6 +16,7 @@ from redeiberge.digraph import (
     directed_path_digraph,
     empty_digraph,
     random_acyclic_digraph,
+    random_digraph,
     random_tournament,
 )
 from redeiberge.guards import DisagreementError, GuardError
@@ -86,10 +90,18 @@ def test_cycle_conventions():
         assert ham_cycles(complete_digraph(n), "formula_a") == factorial(n - 1)
     with pytest.raises(ValueError):
         ham_cycles(empty_digraph(0), "formula_a")
-    with pytest.raises(ValueError):
-        ham_cycles(empty_digraph(3), "nope")
-    with pytest.raises(ValueError):
-        ham_cycles(empty_digraph(3), "formula_a", i=4)
+
+
+def test_cycle_formulas_reject_bad_arguments_before_any_table(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a principal-minor table was built")
+
+    for name in ("principal_permanents", "principal_determinants"):
+        monkeypatch.setattr(hamilton, name, no_work)
+    D = complete_digraph(5)
+    for route, i in (("bogus", 1), ("formula_a", 0), ("formula_a", D.n + 1)):
+        with pytest.raises(ValueError):
+            ham_cycles(D, route, i)
 
 
 # ----------------------------------------------------------------- reports
@@ -113,6 +125,48 @@ def test_ham_report_structure():
         "cycles:formula_b",
         "cycles:bruteforce",
     }
+
+
+def test_ham_report_builds_each_minor_table_once(monkeypatch):
+    # per A, det A and det Abar: one table each, shared by detper and both
+    # cycle formulas, and none held once the report returns.
+    D = random_digraph(8, 0.6, 4)
+    hamilton._minors.cache_clear()
+    calls = Counter()
+    for module, name in (
+        (hamilton, "principal_permanents"),
+        (hamilton, "principal_determinants"),
+        (ringmat, "_anchored_cycle_weights"),
+    ):
+        def counted(A, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(A)
+
+        monkeypatch.setattr(module, name, counted)
+    report = ham_report(D, cycles=True)
+    assert calls == {
+        "principal_permanents": 1,
+        "principal_determinants": 2,
+        "_anchored_cycle_weights": 3,
+    }
+    assert report.ham_paths == ham_dp(D) > 0
+    assert report.ham_cycles == ham_cycles_bruteforce(D) > 0
+    assert hamilton._minors.cache_info().currsize == 0
+
+
+def test_ham_report_empties_the_minor_cache_when_routes_disagree(monkeypatch):
+    held = []
+
+    def wrong_dp(D):
+        held.append(hamilton._minors.cache_info().currsize)
+        return ham_dp(D) + 1
+
+    monkeypatch.setitem(hamilton._REPORT_FUNCTIONS, "paths:dp", wrong_dp)
+    hamilton._minors.cache_clear()
+    with pytest.raises(DisagreementError):
+        ham_report(complete_digraph(5), cycles=True)
+    assert held == [2]  # detper's two tables, before dp ran
+    assert hamilton._minors.cache_info().currsize == 0
 
 
 def test_ham_report_zero_vertices():

@@ -6,23 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gens import int_matrices
+from oracles import (
+    coeff_extract,
+    identity_minus_xa,
+    identity_plus_xa,
+    permanent_expansion,
+)
 from redeiberge.combinat import cycles_of, partitions_of, sgn
 from redeiberge.digraph import digraph, enumerate_cycle_covers
 from redeiberge.guards import GuardError
 from redeiberge.ringmat import (
     MultilinearPoly,
     bareiss_det,
-    coeff_extract,
     det_ring,
     determinant,
-    identity_minus_xa,
-    identity_plus_xa,
     immanant,
     mask_of,
     matrix_series,
     mlp_identity,
     mlp_mat_mul,
-    permanent_expansion,
     permanent_ryser,
     principal_determinants,
     principal_permanents,
