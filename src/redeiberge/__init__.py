@@ -67,8 +67,6 @@ from .redei import (
 )
 from .ringmat import (
     MultilinearPoly,
-    bareiss_det,
-    determinant,
     immanant,
     permanent_ryser,
     principal_determinants,

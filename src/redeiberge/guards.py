@@ -1,16 +1,10 @@
 """Size guards for the exponential-cost operations.
 
 Every expensive entry point declares a named bound and calls guard()
-before doing any work.  Bounds can be raised (never lowered) for a
-single run via the environment variable REDEI_GUARD_OVERRIDE, whose
-integer value is merged as bound = max(default, override).
+before doing any work.
 """
 
 from __future__ import annotations
-
-import os
-
-ENV_OVERRIDE = "REDEI_GUARD_OVERRIDE"
 
 
 class GuardError(ValueError):
@@ -21,17 +15,7 @@ class DisagreementError(RuntimeError):
     """Raised when two routes that must agree produce different values."""
 
 
-def guard(name: str, value: int, default_bound: int) -> None:
+def guard(name: str, value: int, bound: int) -> None:
     """Check value <= bound for the named operation, else raise GuardError."""
-    bound = default_bound
-    env = os.environ.get(ENV_OVERRIDE)
-    if env is not None:
-        try:
-            bound = max(default_bound, int(env))
-        except ValueError:
-            raise GuardError(f"{ENV_OVERRIDE} must be an integer, got {env!r}")
     if value > bound:
-        raise GuardError(
-            f"{name}: size {value} exceeds bound {bound}"
-            f" (raise with {ENV_OVERRIDE} at your own risk)"
-        )
+        raise GuardError(f"{name}: size {value} exceeds bound {bound}")

@@ -48,9 +48,8 @@ def _minors(D: Digraph, kind: str) -> list:
     """One principal-minor table of D, indexed by bitmask: per A[S] ("per"),
     det A[S] ("det") or det Abar[S] ("det_bar").
 
-    ham_detper and both cycle formulas read their tables here, so within
-    one ham_report each table is built once; ham_report empties the cache
-    when it ends, and calls outside a report hold at most three tables.
+    ham_detper and both cycle formulas read their tables through
+    _report_minors, so within one ham_report each table is built once.
     The tables are shared, so callers must not mutate them.
     """
     if kind == "per":
@@ -62,14 +61,25 @@ def _minors(D: Digraph, kind: str) -> list:
     raise ValueError(f"unknown minor table {kind!r}")
 
 
+_in_report = False  # True only while ham_report runs its routes
+
+
+def _report_minors(D: Digraph, *kinds: str) -> list:
+    """_minors(D, kind) for each kind, kept cached only inside ham_report
+    (which empties the cache when it ends), so a direct call holds none."""
+    tables = [_minors(D, kind) for kind in kinds]
+    if not _in_report:
+        _minors.cache_clear()
+    return tables
+
+
 def ham_detper(D: Digraph) -> int:
     """Hamiltonian paths by the determinant-permanent subset formula."""
     guard("ham_detper", D.n, DETPER_BOUND)
     n = D.n
     if n == 0:
         return 1
-    per_a = _minors(D, "per")
-    det_abar = _minors(D, "det_bar")
+    per_a, det_abar = _report_minors(D, "per", "det_bar")
     full = (1 << n) - 1
     total = 0
     for S in range(full + 1):
@@ -186,8 +196,7 @@ def ham_cycles(D: Digraph, route: str = "formula_a", i: int = 1) -> int:
         raise ValueError(f"unknown route {route!r}")
     if route == "formula_a" and not 1 <= i <= n:
         raise ValueError("excluded vertex out of range")
-    det_a = _minors(D, "det")
-    per_a = _minors(D, "per")
+    det_a, per_a = _report_minors(D, "det", "per")
     full = (1 << n) - 1
     if route == "formula_a":
         forbidden = 1 << (i - 1)
@@ -277,8 +286,10 @@ def ham_report(D: Digraph, cycles: bool = False) -> HamReport:
     if len(found["paths"]) < 2 or (cycles and not found["cycles"]):
         admitted = {kind: list(names) for kind, names in found.items()}
         raise GuardError(f"ham_report: too few routes admit n = {D.n}: {admitted}")
+    global _in_report
     agreed: dict = {}
     timings: dict = {}
+    _in_report = True
     try:
         for kind, routes in found.items():
             for name in routes:
@@ -290,6 +301,7 @@ def ham_report(D: Digraph, cycles: bool = False) -> HamReport:
                 raise DisagreementError(f"Hamiltonian {kind} routes disagree: {routes}")
             agreed[kind] = values.pop()
     finally:
+        _in_report = False
         _minors.cache_clear()
     return HamReport(
         n=D.n,

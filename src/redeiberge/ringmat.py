@@ -7,14 +7,20 @@ Products of monomials with overlapping support vanish, which makes
 X A nilpotent and lets the generating-function determinants terminate
 exactly.
 
-Matrix kernels: fraction-free Bareiss determinant, Ryser permanent with
-Gray-code updates, immanants, and one dynamic program that produces the
-determinants and permanents of all principal submatrices at once.
+Two determinant kernels, one per job:
+
+- det_ring, for a matrix with ring-valued entries (the matrix-det and
+  schur-JT routes of U_D), by column-subset minors;
+- principal_determinants and principal_permanents, for all principal
+  minors of an integer matrix at once, by cycle-cover convolution (the
+  Hamiltonian formulas and the walk series).
+
+Also here: the Ryser permanent with Gray-code updates, immanants, and
+the matrix series H(XA) and E(XA).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations as _it_permutations
 
 from .combinat import character, cycle_type, partitions_of
@@ -117,24 +123,6 @@ class MultilinearPoly:
         )
         return self.terms.get(mask, 0)
 
-    def inverse(self) -> "MultilinearPoly":
-        """Multiplicative inverse; needs an invertible scalar constant term."""
-        c0 = self.terms.get(0, 0)
-        if not isinstance(c0, (int, Fraction)) or not c0:
-            raise ZeroDivisionError("constant term is not an invertible scalar")
-        inv0 = Fraction(1, 1) / Fraction(c0)
-        g = MultilinearPoly(
-            self.n, {m: -c * inv0 for m, c in self.terms.items() if m}
-        )
-        acc = MultilinearPoly.const(self.n, Fraction(1))
-        power = MultilinearPoly.const(self.n, Fraction(1))
-        for _ in range(self.n):
-            power = power * g
-            if not power.terms:
-                break
-            acc = acc + power
-        return acc.scale(inv0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPoly)
@@ -168,39 +156,18 @@ def mask_of(verts) -> int:
 
 # ------------------------------------------------------------ exact det / per
 
-
-def bareiss_det(M) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [list(map(int, row)) for row in M]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for r in range(k + 1, n):
-                if A[r][k]:
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = A[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * pivot - A[i][k] * A[k][j]) // prev
-        prev = pivot
-    return sign * A[n - 1][n - 1]
+# Largest matrix det_ring admits.
+DET_RING_BOUND = 8
 
 
-def det_ring(M, one, bound: int = 8):
+def det_ring(M, one):
     """Determinant over any commutative ring, by column-subset minors.
 
     one is the ring's multiplicative identity; cost is O(n * 2^n) ring
     multiplications, no division.
     """
     n = len(M)
-    guard("det_ring", n, bound)
+    guard("det_ring", n, DET_RING_BOUND)
     if n == 0:
         return one
     minors = {0: one}
@@ -231,47 +198,6 @@ def det_ring(M, one, bound: int = 8):
     if result is None:
         result = one - one
     return result
-
-
-def determinant(M):
-    """Exact determinant: Bareiss for integers, Gaussian elimination for
-    rationals, column-subset minor DP for ring-valued entries."""
-    if all(isinstance(x, int) for row in M for x in row):
-        return bareiss_det(M)
-    if all(isinstance(x, (int, Fraction)) for row in M for x in row):
-        return _fraction_gauss_det(M)
-    return det_ring(M, _ring_one_like(M))
-
-
-def _fraction_gauss_det(M) -> Fraction:
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if A[r][k]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            A[k], A[pivot_row] = A[pivot_row], A[k]
-            det = -det
-        det *= A[k][k]
-        inv = 1 / A[k][k]
-        for r in range(k + 1, n):
-            if A[r][k]:
-                factor = A[r][k] * inv
-                for c in range(k, n):
-                    A[r][c] -= factor * A[k][c]
-    return det
-
-
-def _ring_one_like(M):
-    for row in M:
-        for x in row:
-            if isinstance(x, MultilinearPoly):
-                return MultilinearPoly.const(x.n, 1)
-            if isinstance(x, SymFun):
-                return SymFun.const(1, x.basis)
-    return 1
 
 
 def permanent_ryser(M) -> int:

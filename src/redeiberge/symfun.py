@@ -226,10 +226,6 @@ class SymFun:
         """Largest term weight (0 for the zero function)."""
         return max((sum(l) for l in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        weights = {sum(l) for l in self.terms}
-        return len(weights) <= 1
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: partition_key(kv[0]))
 

@@ -7,7 +7,10 @@ of the gamma sequence is the rational function
 
     W_D(z) = det(I + z X Abar) / det(I - z X A)
 
-evaluated here as a truncated integer power series at integer points;
+evaluated here as a truncated integer power series at integer points.
+The z^k coefficient of det(I + z M) is the sum of the k x k principal
+minors of M, so both determinants are read off
+ringmat.principal_determinants, the kernel the Hamiltonian formulas use.
 verify_walk_identity checks that statement, the reciprocity
 W_Dbar(z) * W_D(-z) = 1, and (for acyclic D) that the denominator is 1.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .digraph import Digraph, complement, is_acyclic
 from .guards import guard
-from .ringmat import MultilinearPoly
+from .ringmat import MultilinearPoly, principal_determinants
 
 
 @dataclass(frozen=True)
@@ -137,70 +140,32 @@ def _zinv(a: list, K: int) -> list:
     return out
 
 
-def _zdet(M: list, K: int) -> list:
-    """Determinant of a matrix of truncated z-series, by column minors."""
-    n = len(M)
-    guard("det_ring", n, 8)
-    if n == 0:
-        return [1] + [0] * K
-    minors = {0: [1] + [0] * K}
-    for r in range(n):
-        nxt: dict = {}
-        rpar = r & 1
-        for cols, val in minors.items():
-            below = 0
-            for j in range(n):
-                bit = 1 << j
-                if cols & bit:
-                    below ^= 1
-                    continue
-                entry = M[r][j]
-                if not any(entry):
-                    continue
-                term = _zmul(val, entry, K)
-                if rpar ^ below:
-                    term = [-t for t in term]
-                key = cols | bit
-                if key in nxt:
-                    nxt[key] = [x + y for x, y in zip(nxt[key], term)]
-                else:
-                    nxt[key] = term
-        minors = nxt
-    return minors.get((1 << n) - 1, [0] * (K + 1))
+def _det_series(A, pt: list, K: int, sign: int) -> list:
+    """det(I + sign z X A) mod z^(K+1) at the point.
+
+    The z^k coefficient is sign^k times the sum of the k x k principal
+    minors of X A, all of which principal_determinants gives at once.
+    """
+    XA = [[x * a for a in row] for x, row in zip(pt, A)]
+    out = [0] * (K + 1)
+    for S, d in enumerate(principal_determinants(XA)):
+        k = S.bit_count()
+        if d and k <= K:
+            out[k] += sign**k * d
+    return out
 
 
 def walk_series(D: Digraph, point, K: int) -> list:
     """Coefficients gamma_0..gamma_K of W_D(z) at the point, via the
     determinant ratio."""
-    A = D.adjacency()
-    Abar = complement(D).adjacency()
     pt = list(point)
-    num = _matrix_i_plus_zxa(Abar, pt, K)
-    den = _matrix_i_plus_zxa(A, pt, K, sign=-1)
-    det_num = _zdet(num, K)
-    det_den = _zdet(den, K)
-    return _zmul(det_num, _zinv(det_den, K), K)
-
-
-def _matrix_i_plus_zxa(A, pt, K: int, sign: int = 1) -> list:
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = [0] * (K + 1)
-            if i == j:
-                entry[0] = 1
-            if A[i][j] and K >= 1:
-                entry[1] += sign * pt[i] * A[i][j]
-            row.append(entry)
-        out.append(row)
-    return out
+    num = _det_series(complement(D).adjacency(), pt, K, 1)
+    return _zmul(num, _zinv(denominator_series(D, pt, K), K), K)
 
 
 def denominator_series(D: Digraph, point, K: int) -> list:
     """det(I - zXA) as a truncated series at the point."""
-    return _zdet(_matrix_i_plus_zxa(D.adjacency(), list(point), K, sign=-1), K)
+    return _det_series(D.adjacency(), list(point), K, -1)
 
 
 # ------------------------------------------------------------- verification

@@ -445,3 +445,49 @@ def _identity_plus_signed_xa(A, sign: int) -> list:
         [MultilinearPoly(n, {0: int(i == j), 1 << i: sign * A[i][j]}) for j in range(n)]
         for i in range(n)
     ]
+
+
+# ------------------------------------------------ determinant and inverse
+
+def bareiss_det(M) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(map(int, row)) for row in M]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for r in range(k + 1, n):
+                if A[r][k]:
+                    A[k], A[r] = A[r], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = A[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * pivot - A[i][k] * A[k][j]) // prev
+        prev = pivot
+    return sign * A[n - 1][n - 1]
+
+
+def multilinear_inverse(f: MultilinearPoly) -> MultilinearPoly:
+    """Inverse of f; needs an invertible scalar constant term.
+
+    With f = c0 (1 - g) and g nilpotent, f^(-1) = (1 + g + g^2 + ...) / c0.
+    """
+    c0 = f.terms.get(0, 0)
+    if not isinstance(c0, (int, Fraction)) or not c0:
+        raise ZeroDivisionError("constant term is not an invertible scalar")
+    inv0 = Fraction(1, 1) / Fraction(c0)
+    g = MultilinearPoly(f.n, {m: -c * inv0 for m, c in f.terms.items() if m})
+    acc = MultilinearPoly.const(f.n, Fraction(1))
+    power = MultilinearPoly.const(f.n, Fraction(1))
+    for _ in range(f.n):
+        power = power * g
+        if not power.terms:
+            break
+        acc = acc + power
+    return acc.scale(inv0)

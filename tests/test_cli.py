@@ -2,6 +2,10 @@
 codes, corpus plumbing, and artifact output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -382,3 +386,18 @@ def test_poset_generator_through_cli(tmp_path, capsys):
     code, payload = run_json(capsys, ["u", "--gen", f"poset:{path}"])
     assert code == 0
     assert payload["digraph"]["n"] == 4
+
+
+# ------------------------------------------------------------------- scripts
+
+def test_worked_example_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "worked_example.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ham paths: 1 " in done.stdout

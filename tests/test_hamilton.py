@@ -169,6 +169,18 @@ def test_ham_report_empties_the_minor_cache_when_routes_disagree(monkeypatch):
     assert hamilton._minors.cache_info().currsize == 0
 
 
+def test_direct_calls_hold_no_minor_table():
+    # Only a ham_report keeps tables between its routes.
+    hamilton._minors.cache_clear()
+    wiseman_check(random_acyclic_digraph(5, 0.5, 3))
+    assert hamilton._minors.cache_info().currsize == 0
+    D = complete_digraph(5)
+    assert ham_cycles(D, "formula_a") == 24
+    assert hamilton._minors.cache_info().currsize == 0
+    assert ham_detper(D) == 120
+    assert hamilton._minors.cache_info().currsize == 0
+
+
 def test_ham_report_zero_vertices():
     report = ham_report(empty_digraph(0), cycles=True)
     assert report.ham_paths == 1

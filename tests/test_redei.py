@@ -423,6 +423,23 @@ def test_u_from_chow_matches_u(D):
     assert to_p(u_from_chow(D)) == u_digraph(D)
 
 
+def test_chow_identities_build_each_direct_function_once(monkeypatch):
+    # Xi of the complement and Xi of D, once each: the powersum route is
+    # compared against the same Xi_D the full transform was.
+    routes = []
+    real = redei.chow_xi
+
+    def counted(D, route="direct"):
+        routes.append(route)
+        return real(D, route)
+
+    monkeypatch.setattr(redei, "chow_xi", counted)
+    report = verify_chow_identities(random_digraph(4, 0.45, seed=401))
+    assert report.ok, report.failures
+    assert routes.count("direct") == 2
+    assert routes.count("powersum") == 1
+
+
 def test_chow_unknown_route_and_guard():
     with pytest.raises(ValueError):
         chow_xi(EXAMPLE3, "sideways")

@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from gens import int_matrices
 from oracles import (
+    bareiss_det,
     coeff_extract,
     identity_minus_xa,
     identity_plus_xa,
+    multilinear_inverse,
     permanent_expansion,
 )
 from redeiberge.combinat import cycles_of, partitions_of, sgn
 from redeiberge.digraph import digraph, enumerate_cycle_covers
-from redeiberge.guards import GuardError
+from redeiberge.guards import GuardError, guard
 from redeiberge.ringmat import (
     MultilinearPoly,
-    bareiss_det,
     det_ring,
-    determinant,
     immanant,
     mask_of,
     matrix_series,
@@ -71,14 +71,14 @@ def test_multilinear_validation_and_const():
 def test_multilinear_inverse_is_geometric():
     # (1 - x1 - x2)^(-1) = 1 + (x1 + x2) + 2 x1 x2
     f = MultilinearPoly(2, {0: 1, 0b01: -1, 0b10: -1})
-    inv = f.inverse()
+    inv = multilinear_inverse(f)
     assert inv.coeff(0) == 1
     assert inv.coeff({1}) == 1
     assert inv.coeff({2}) == 1
     assert inv.coeff({1, 2}) == 2
     assert (f * inv) == MultilinearPoly.const(2, Fraction(1))
     with pytest.raises(ZeroDivisionError):
-        MultilinearPoly(2, {0b01: 1}).inverse()
+        multilinear_inverse(MultilinearPoly(2, {0b01: 1}))
 
 
 # ------------------------------------------------------------ determinants
@@ -93,12 +93,12 @@ def test_det_ring_and_fraction_path_match_bareiss(M):
     ref = bareiss_det(M)
     assert det_ring(M, 1) == ref
     Mq = [[Fraction(x, 2) for x in row] for row in M]
-    assert determinant(Mq) == Fraction(ref, 2 ** len(M))
+    assert det_ring(Mq, Fraction(1)) == Fraction(ref, 2 ** len(M))
 
 
 def test_determinant_edge_cases():
     assert bareiss_det([]) == 1
-    assert determinant([]) == 1
+    assert det_ring([], 1) == 1
     assert bareiss_det([[0, 1], [0, 0]]) == 0
     assert det_ring([[0, 1], [1, 0]], 1) == -1
     with pytest.raises(GuardError):
@@ -142,6 +142,17 @@ def test_principal_families_match_direct_minors(M):
 def test_principal_minors_guard():
     with pytest.raises(GuardError):
         principal_permanents([[1] * 19 for _ in range(19)])
+
+
+def test_guards_ignore_the_environment(monkeypatch):
+    # Bounds are fixed in the code; no environment variable raises them.
+    monkeypatch.setenv("REDEI_GUARD_OVERRIDE", "99")
+    with pytest.raises(GuardError):
+        guard("det_ring", 9, 8)
+    with pytest.raises(GuardError):
+        det_ring([[1] * 9 for _ in range(9)], 1)
+    with pytest.raises(GuardError):
+        principal_determinants([[1] * 19 for _ in range(19)])
 
 
 def test_submatrix_rectangular():
@@ -220,7 +231,8 @@ def test_macmahon_permanent_side():
     for _ in range(20):
         n = rng.randint(1, 4)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        f = det_ring(identity_minus_xa(A), MultilinearPoly.const(n, 1)).inverse()
+        one = MultilinearPoly.const(n, 1)
+        f = multilinear_inverse(det_ring(identity_minus_xa(A), one))
         for S in range(1 << n):
             verts = [i + 1 for i in range(n) if S >> i & 1]
             assert f.coeff(S) == permanent_expansion(submatrix(A, verts)), (A, verts)

@@ -82,6 +82,31 @@ def test_walk_series_matches_enumeration(D, shift):
         assert series[k] == oracles.walks_oracle(D, pt, k), k
 
 
+@given(digraphs(min_n=2, max_n=5), st.data())
+def test_truncated_series_match_oracles(D, data):
+    # K < n cuts both determinants below their full degree.
+    n = D.n
+    K = data.draw(st.integers(min_value=0, max_value=n - 1))
+    pt = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    series = walk_series(D, pt, K)
+    assert series == [1] + [oracles.walks_oracle(D, pt, k) for k in range(1, K + 1)]
+    A = D.adjacency()
+    want = [0] * (K + 1)
+    for S in range(1 << n):
+        verts = [i for i in range(n) if S >> i & 1]
+        if len(verts) <= K:
+            sub = [[-pt[i] * A[i][j] for j in verts] for i in verts]
+            want[len(verts)] += oracles.bareiss_det(sub)
+    assert denominator_series(D, pt, K) == want
+
+
+def test_walk_series_guard_is_the_principal_minor_bound():
+    # det(I + zXJ) = 1 + z(x_1 + ... + x_9) over the complete complement
+    assert walk_series(empty_digraph(9), [1] * 9, 2) == [1, 9, 0]
+    with pytest.raises(GuardError):
+        walk_series(empty_digraph(19), [1] * 19, 2)
+
+
 def test_acyclic_denominator_is_one():
     for seed in range(12):
         D = random_acyclic_digraph(seed % 5 + 1, 0.6, seed)
