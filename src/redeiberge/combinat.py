@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _it_permutations
 from math import factorial
 
 from .guards import guard
@@ -110,11 +109,6 @@ def hook_partition(i: int, n: int) -> Partition:
 
 # --------------------------------------------------------------- permutations
 
-def permutations_of(n: int):
-    """All permutations of [n] in one-line notation, lexicographic."""
-    return _it_permutations(range(1, n + 1))
-
-
 def perm_to_dict(sigma: Permutation) -> dict:
     return {i: v for i, v in enumerate(sigma, start=1)}
 
@@ -153,31 +147,6 @@ def sgn(sigma) -> int:
 def psi(sigma) -> int:
     """Number of nontrivial (length >= 2) cycles."""
     return sum(1 for c in cycles_of(sigma) if len(c) >= 2)
-
-
-def perm_from_cycles(n: int, cycles) -> Permutation:
-    """One-line permutation of [n] from disjoint cycles (fixed points omitted)."""
-    img = list(range(1, n + 1))
-    for cyc in cycles:
-        for t, v in enumerate(cyc):
-            img[v - 1] = cyc[(t + 1) % len(cyc)]
-    return tuple(img)
-
-
-def is_digraph_cycle(cyc, digraph) -> bool:
-    """True iff following the cycle (incl. closing step) walks along edges.
-
-    A fixed point (v,) requires the loop (v, v).
-    """
-    k = len(cyc)
-    return all(digraph.has_edge(cyc[t], cyc[(t + 1) % k]) for t in range(k))
-
-
-def phi(sigma, digraph) -> int:
-    """Sum of (length - 1) over the cycles of sigma that are cycles of the digraph."""
-    return sum(
-        len(c) - 1 for c in cycles_of(sigma) if is_digraph_cycle(c, digraph)
-    )
 
 
 # ------------------------------------------------- records and Foata's map
@@ -220,29 +189,6 @@ def foata_linearize(sigma: Permutation) -> Permutation:
     return tuple(word)
 
 
-# ------------------------------------------------ descent sets, compositions
-
-def descent_composition(descents, n: int) -> tuple:
-    """Composition of n whose partial-sum set is the given descent set."""
-    cuts = sorted(descents)
-    if cuts and not (1 <= cuts[0] and cuts[-1] <= n - 1):
-        raise ValueError("descents must lie in [1, n-1]")
-    prev, parts = 0, []
-    for c in cuts + [n]:
-        parts.append(c - prev)
-        prev = c
-    return tuple(parts)
-
-
-def composition_descents(alpha) -> frozenset:
-    """Partial sums of alpha except the last."""
-    out, acc = [], 0
-    for part in alpha[:-1]:
-        acc += part
-        out.append(acc)
-    return frozenset(out)
-
-
 # ----------------------------------------------------------------- characters
 
 def _beta_numbers(lam: Partition, slots: int) -> tuple:
@@ -280,7 +226,3 @@ def character(lam: Partition, mu: Partition) -> int:
     for smaller, height in _strip_removals(lam, k):
         total += (-1) ** height * character(smaller, rest)
     return total
-
-
-def character_degree(lam: Partition) -> int:
-    return character(lam, (1,) * sum(lam))

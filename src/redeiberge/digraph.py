@@ -5,6 +5,11 @@ A digraph is a vertex count n together with a set of directed edges in
 edges are not.  Vertices are labelled 1..n everywhere, including in
 induced subgraphs, which keep their original labels and simply restrict
 the edge set.
+
+Permutations whose nontrivial cycles all follow edges of D, or each
+follow edges of D or of its complement, are built cycle by cycle by one
+backtracking generator, `_perms_with_cycles_along`; no rejected
+permutation is ever built.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from itertools import permutations as _it_permutations
 
-from .combinat import is_digraph_cycle
 from .guards import guard
 
 
@@ -85,6 +88,16 @@ def opposite(D: Digraph) -> Digraph:
     return Digraph(D.n, frozenset((v, u) for (u, v) in D.edges))
 
 
+def _vertex_subset(D: Digraph, verts) -> list:
+    """The sorted vertex subset (all of [n] when verts is None)."""
+    if verts is None:
+        return list(D.vertices())
+    vs = sorted(set(verts))
+    if not all(v in D.vertices() for v in vs):
+        raise ValueError("vertex subset out of range")
+    return vs
+
+
 def induced(D: Digraph, verts) -> Digraph:
     """Restrict the edge set to verts x verts; labels are kept."""
     vs = set(verts)
@@ -120,11 +133,6 @@ def is_tournament(D: Digraph) -> bool:
             if ((u, v) in D.edges) == ((v, u) in D.edges):
                 return False
     return True
-
-
-def is_two_cycle_free(D: Digraph) -> bool:
-    """No loops and no antiparallel pair of edges."""
-    return all(u != v and (v, u) not in D.edges for (u, v) in D.edges)
 
 
 def has_only_descending_edges(D: Digraph) -> bool:
@@ -300,7 +308,7 @@ def enumerate_path_cycle_covers(
     edges, so the all-singletons cover is always present when paths are
     allowed.
     """
-    vs = sorted(D.vertices() if verts is None else set(verts))
+    vs = _vertex_subset(D, verts)
     guard("covers", len(vs), 8)
     vset = set(vs)
     succ: dict = {}
@@ -369,51 +377,66 @@ def perms_with_all_cycles_in(D: Digraph, verts=None) -> list:
 
     Fixed points are unconstrained.  Returned as dicts on the vertex set.
     """
-    vs = sorted(D.vertices() if verts is None else set(verts))
+    vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
-    return [
-        sigma
-        for sigma in _perm_dicts(vs)
-        if _cycles_ok(sigma, lambda c: is_digraph_cycle(c, D))
-    ]
+    return _perms_with_cycles_along(vs, [D.edges])
 
 
 def perms_with_cycles_in_either(D: Digraph, verts=None) -> list:
     """Permutations whose nontrivial cycles are each a cycle of D or of its
     complement; fixed points are unconstrained."""
-    vs = sorted(D.vertices() if verts is None else set(verts))
+    vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
-    Dbar = complement(D)
-    return [
-        sigma
-        for sigma in _perm_dicts(vs)
-        if _cycles_ok(
-            sigma,
-            lambda c: is_digraph_cycle(c, D) or is_digraph_cycle(c, Dbar),
-        )
+    return _perms_with_cycles_along(vs, [D.edges, complement(D).edges])
+
+
+def _perms_with_cycles_along(vs: list, edge_sets) -> list:
+    """Permutations of vs whose nontrivial cycles each run along the edges
+    of one of edge_sets, built cycle by cycle.
+
+    The smallest unplaced vertex is either fixed or starts a cycle that
+    grows through unplaced vertices along one digraph's edges and closes
+    back on it, so only accepted permutations are ever built.
+    """
+    m = len(vs)
+    succs = [
+        [[j for j in range(m) if j != i and (vs[i], vs[j]) in edges] for i in range(m)]
+        for edges in edge_sets
     ]
+    out: list = []
+    _place(0, vs, succs, [None] * m, out)
+    return out
 
 
-def _perm_dicts(vs: list):
-    for images in _it_permutations(vs):
-        yield dict(zip(vs, images))
+# The two steps are module functions, not closures: closures that call each
+# other form a reference cycle that would keep `out` alive until the cycle
+# collector runs.  img[i] is the image of vs[i], None while vs[i] is unplaced.
+
+def _place(i: int, vs: list, succs: list, img: list, out: list) -> None:
+    m = len(vs)
+    while i < m and img[i] is not None:
+        i += 1
+    if i == m:
+        out.append(dict(zip(vs, img)))
+        return
+    img[i] = vs[i]
+    _place(i + 1, vs, succs, img, out)
+    img[i] = None
+    for succ in succs:
+        _grow(i, i, succ, vs, succs, img, out)
 
 
-def _cycles_ok(sigma: dict, accept) -> bool:
-    seen = set()
-    for start in sigma:
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = sigma[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = sigma[cur]
-        if len(cyc) >= 2 and not accept(tuple(cyc)):
-            return False
-    return True
+def _grow(
+    start: int, last: int, succ: list, vs: list, succs: list, img: list, out: list
+) -> None:
+    for w in succ[last]:
+        if w == start:
+            img[last] = vs[start]
+            _place(start + 1, vs, succs, img, out)
+        elif img[w] is None:
+            img[last] = vs[w]
+            _grow(start, w, succ, vs, succs, img, out)
+    img[last] = None
 
 
 # ------------------------------------------------------------- serialization

@@ -36,7 +36,6 @@ from .combinat import (
     cycle_type,
     hook_partition,
     partitions_of,
-    phi,
     record_partition,
     sgn_of_type,
 )
@@ -114,16 +113,34 @@ def u_via_path_covers(D: Digraph) -> SymFun:
 # ----------------------------------------------------------- power sum routes
 
 def u_via_powersum_GS(D: Digraph) -> SymFun:
-    """Signed power sums over permutations whose nontrivial cycles are all
-    cycles of D or all-of-each cycles of its complement; the sign twists
-    each D-cycle by (-1)^(length-1)."""
+    """Signed power sums over permutations each of whose nontrivial cycles
+    is a cycle of D or a cycle of its complement; the sign twists each
+    D-cycle by (-1)^(length-1)."""
     _admit("powersum-GS", D)
     out: dict = {}
     for sigma in perms_with_cycles_in_either(D):
-        lam = cycle_type(sigma)
-        s = -1 if phi(sigma, D) & 1 else 1
+        lam, s = _type_and_twist(sigma, D.edges)
         out[lam] = out.get(lam, 0) + s
     return SymFun("p", out)
+
+
+def _type_and_twist(sigma: dict, edges) -> tuple:
+    """Cycle type of sigma and (-1)^phi, phi summing length - 1 over the
+    cycles of sigma whose every step is in edges; one walk of the cycles."""
+    parts, phi, rest = [], 0, dict(sigma)
+    while rest:
+        start, cur = rest.popitem()
+        length, along = 1, (start, cur) in edges
+        while cur != start:
+            nxt = rest.pop(cur)
+            along = along and (cur, nxt) in edges
+            length += 1
+            cur = nxt
+        parts.append(length)
+        if along:
+            phi += length - 1
+    parts.sort(reverse=True)
+    return tuple(parts), -1 if phi & 1 else 1
 
 
 def _cycle_cover_pvec(D: Digraph, verts, signed: bool) -> dict:

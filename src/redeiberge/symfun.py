@@ -468,13 +468,15 @@ def multiply(f: SymFun, g: SymFun, basis: str | None = None) -> SymFun:
     guard("multiply", f.weight() + g.weight(), 14)
     if basis is None:
         basis = f.basis if f.basis == g.basis else "p"
-    fp, gp = to_p(f), to_p(g)
+    fp = f.terms if f.basis == "p" else to_p(f).terms
+    gp = g.terms if g.basis == "p" else to_p(g).terms
     out: dict = {}
-    for lam1, c1 in fp.terms.items():
-        for lam2, c2 in gp.terms.items():
+    for lam1, c1 in fp.items():
+        for lam2, c2 in gp.items():
             key = _merge(lam1 + lam2)
             out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return convert(SymFun("p", out), basis)
+    prod = SymFun("p", out)
+    return prod if basis == "p" else convert(prod, basis)
 
 
 def omega(f: SymFun) -> SymFun:
@@ -487,16 +489,6 @@ def omega(f: SymFun) -> SymFun:
 def equals(f: SymFun, g: SymFun) -> bool:
     """Basis-independent equality."""
     return to_p(f).terms == to_p(g).terms
-
-
-def inner_product(f: SymFun, g: SymFun) -> Fraction:
-    """Hall inner product, <p_lam, p_mu> = delta * z_lam."""
-    fp, gp = to_p(f), to_p(g)
-    return sum(
-        (c * gp.terms[lam] * z_lambda(lam) for lam, c in fp.terms.items()
-         if lam in gp.terms),
-        Fraction(0),
-    )
 
 
 # ------------------------------------------------------------- specialization

@@ -12,7 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
+from redeiberge.combinat import character, z_lambda
 from redeiberge.ringmat import MultilinearPoly
+from redeiberge.symfun import to_p
 
 
 # ---------------------------------------------------- fundamental / U oracle
@@ -491,3 +493,115 @@ def multilinear_inverse(f: MultilinearPoly) -> MultilinearPoly:
             break
         acc = acc + power
     return acc.scale(inv0)
+
+
+# ------------------------------------------------ permutations tied to edges
+
+def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
+    """Permutations of verts (default [n]), as dicts, whose cycles of length
+    >= 2 each step along edges of D, or (either=True) each step wholly
+    along edges of D or wholly along non-edges; by filtering all of them."""
+    vs = sorted(range(1, D.n + 1) if verts is None else set(verts))
+    out = []
+    for images in permutations(vs):
+        sigma = dict(zip(vs, images))
+        ok = True
+        for v in vs:
+            cyc = [v]
+            while sigma[cyc[-1]] != v:
+                cyc.append(sigma[cyc[-1]])
+            if len(cyc) < 2:
+                continue
+            steps = [(cyc[t], cyc[(t + 1) % len(cyc)]) for t in range(len(cyc))]
+            in_d = [e in D.edges for e in steps]
+            if not (all(in_d) or (either and not any(in_d))):
+                ok = False
+                break
+        if ok:
+            out.append(sigma)
+    return out
+
+
+# ---------------------------------------------- helpers only the tests use
+#
+# Small conveniences the package itself never calls.  character_degree and
+# inner_product read the package's character table and p-basis conversion,
+# so they test those, not stand in for them.
+
+def permutations_of(n: int):
+    """All permutations of [n] in one-line notation, lexicographic."""
+    return permutations(range(1, n + 1))
+
+
+def perm_from_cycles(n: int, cycles) -> tuple:
+    """One-line permutation of [n] from disjoint cycles (fixed points omitted)."""
+    img = list(range(1, n + 1))
+    for cyc in cycles:
+        for t, v in enumerate(cyc):
+            img[v - 1] = cyc[(t + 1) % len(cyc)]
+    return tuple(img)
+
+
+def is_digraph_cycle(cyc, D) -> bool:
+    """True iff following the cycle (incl. closing step) walks along edges.
+
+    A fixed point (v,) requires the loop (v, v).
+    """
+    k = len(cyc)
+    return all((cyc[t], cyc[(t + 1) % k]) in D.edges for t in range(k))
+
+
+def phi(sigma: tuple, D) -> int:
+    """Sum of (length - 1) over the cycles of the one-line permutation sigma
+    that are cycles of D."""
+    total, seen = 0, set()
+    for start in range(1, len(sigma) + 1):
+        if start in seen:
+            continue
+        cyc = [start]
+        while sigma[cyc[-1] - 1] != start:
+            cyc.append(sigma[cyc[-1] - 1])
+        seen.update(cyc)
+        if is_digraph_cycle(cyc, D):
+            total += len(cyc) - 1
+    return total
+
+
+def is_two_cycle_free(D) -> bool:
+    """No loops and no antiparallel pair of edges."""
+    return all(u != v and (v, u) not in D.edges for (u, v) in D.edges)
+
+
+def descent_composition(descents, n: int) -> tuple:
+    """Composition of n whose partial-sum set is the given descent set."""
+    cuts = sorted(descents)
+    if cuts and not (1 <= cuts[0] and cuts[-1] <= n - 1):
+        raise ValueError("descents must lie in [1, n-1]")
+    prev, parts = 0, []
+    for c in cuts + [n]:
+        parts.append(c - prev)
+        prev = c
+    return tuple(parts)
+
+
+def composition_descents(alpha) -> frozenset:
+    """Partial sums of alpha except the last."""
+    out, acc = [], 0
+    for part in alpha[:-1]:
+        acc += part
+        out.append(acc)
+    return frozenset(out)
+
+
+def character_degree(lam) -> int:
+    """chi^lam at the identity class."""
+    return character(tuple(lam), (1,) * sum(lam))
+
+
+def inner_product(f, g) -> Fraction:
+    """Hall inner product, <p_lam, p_mu> = delta * z_lam."""
+    fp, gp = to_p(f).terms, to_p(g).terms
+    return sum(
+        (c * gp[lam] * z_lambda(lam) for lam, c in fp.items() if lam in gp),
+        Fraction(0),
+    )

@@ -1,4 +1,5 @@
 import json
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import digraphs
+from oracles import is_two_cycle_free
 from redeiberge.digraph import (
     Digraph,
     all_digraphs,
@@ -28,7 +30,6 @@ from redeiberge.digraph import (
     induced,
     is_acyclic,
     is_tournament,
-    is_two_cycle_free,
     load_digraph,
     opposite,
     perms_with_all_cycles_in,
@@ -223,6 +224,48 @@ def test_perms_with_cycles_in_digraph():
     # edges of D and Dbar and are excluded
     both = perms_with_cycles_in_either(D)
     assert len(both) == 4
+
+
+def _as_set_without_duplicates(sigmas) -> set:
+    keys = [tuple(sorted(s.items())) for s in sigmas]
+    assert len(set(keys)) == len(keys)
+    return set(keys)
+
+
+@given(digraphs(max_n=6), st.data())
+def test_perm_families_match_filtering_oracle(D, data):
+    verts = data.draw(
+        st.one_of(st.none(), st.sets(st.integers(1, D.n)) if D.n else st.none())
+    )
+    for family, either in (
+        (perms_with_all_cycles_in, False),
+        (perms_with_cycles_in_either, True),
+    ):
+        got = _as_set_without_duplicates(family(D, verts))
+        want = oracles.perms_with_cycles_oracle(D, verts, either)
+        assert got == _as_set_without_duplicates(want)
+
+
+def test_perm_families_keep_the_guard():
+    with pytest.raises(GuardError):
+        perms_with_cycles_in_either(empty_digraph(9))
+    with pytest.raises(GuardError):
+        perms_with_all_cycles_in(empty_digraph(9))
+    # every permutation's cycles are cycles of the complete complement
+    eight = perms_with_cycles_in_either(empty_digraph(9), verts=range(1, 9))
+    assert len(eight) == factorial(8)
+
+
+def test_vertex_subsets_out_of_range_raise():
+    D = digraph(3, [(1, 2), (2, 1)])
+    for call in (
+        lambda: perms_with_cycles_in_either(D, verts=[7]),
+        lambda: perms_with_all_cycles_in(D, verts=[0, 1]),
+        lambda: enumerate_path_cycle_covers(D, verts=[9]),
+        lambda: induced(D, [1, 4]),
+    ):
+        with pytest.raises(ValueError, match="vertex subset out of range"):
+            call()
 
 
 @given(digraphs(max_n=4))

@@ -8,14 +8,19 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from redeiberge.combinat import conjugate, hook_partition, partitions_of
+from redeiberge.combinat import (
+    conjugate,
+    cycle_type,
+    hook_partition,
+    partitions_of,
+    perm_to_dict,
+)
 from redeiberge.digraph import (
     complement,
     digraph,
     directed_path_digraph,
     empty_digraph,
     is_acyclic,
-    is_two_cycle_free,
     opposite,
     random_acyclic_digraph,
     random_digraph,
@@ -56,8 +61,9 @@ from redeiberge.symfun import (
 )
 from redeiberge.walks import xi
 
-from gens import digraphs
-from oracles import u_poly_bruteforce
+import oracles
+from gens import digraphs, perms
+from oracles import is_two_cycle_free, u_poly_bruteforce
 
 EXAMPLE3 = digraph(3, [(1, 1), (1, 3), (3, 2)])
 TREE = digraph(4, [(4, 3), (3, 2), (3, 1)])
@@ -143,6 +149,28 @@ def test_all_routes_agree(D):
     ok, common = routes_agree(u_all_routes(D))
     assert ok
     assert common == u_digraph(D)
+
+
+def test_powersum_gs_matches_other_routes_up_to_its_bound():
+    # The route comparisons above and in the acceptance gate stop at n = 5.
+    # path-cover of a sparse D is slow at n = 8, so densities there are >= 0.5.
+    for n, densities in ((7, (0.2, 0.5, 0.8)), (8, (0.5, 0.7, 0.9))):
+        for seed, p in enumerate(densities):
+            D = random_digraph(n, p, seed=40 + seed)
+            assert to_p(redei.u_via_path_covers(D)) == redei.u_via_powersum_GS(D)
+    T = random_tournament(8, seed=41)
+    assert u_tournament(T) == redei.u_via_powersum_GS(T)
+    A = random_acyclic_digraph(8, 0.5, seed=42)
+    assert to_p(u_acyclic(A, "powersum")) == redei.u_via_powersum_GS(A)
+
+
+@given(st.data())
+def test_type_and_twist_match_cycle_type_and_phi(data):
+    sigma = data.draw(perms(max_n=6))
+    D = data.draw(digraphs(min_n=len(sigma), max_n=len(sigma)))
+    lam, sign = redei._type_and_twist(perm_to_dict(sigma), D.edges)
+    assert lam == cycle_type(sigma)
+    assert sign == (-1) ** oracles.phi(sigma, D)
 
 
 def test_powersum_to_ones_counts_complement_ham_paths():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import partitions
+from oracles import inner_product
 from redeiberge.combinat import (
     conjugate,
     multiplicity_factorial,
@@ -13,6 +14,7 @@ from redeiberge.combinat import (
     sgn_of_type,
     z_lambda,
 )
+from redeiberge import symfun
 from redeiberge.guards import GuardError
 from redeiberge.symfun import (
     BASES,
@@ -22,7 +24,6 @@ from redeiberge.symfun import (
     convert,
     equals,
     fundamental_F,
-    inner_product,
     lift_to_mtilde,
     littlewood_richardson,
     multiply,
@@ -190,6 +191,20 @@ def test_multiply_matches_specialized_product(f, g):
 def test_multiply_guard():
     with pytest.raises(GuardError):
         multiply(SymFun.element("p", (8,)), SymFun.element("p", (7,)))
+
+
+def test_p_times_p_stays_in_the_p_basis(monkeypatch):
+    def no_basis_change(*args):
+        raise AssertionError("a p x p product went through a basis change")
+
+    monkeypatch.setattr(symfun, "to_p", no_basis_change)
+    monkeypatch.setattr(symfun, "convert", no_basis_change)
+    f = SymFun("p", {(1,): 1, (2,): 2})
+    g = SymFun("p", {(1,): 3, (): Fraction(1, 2)})
+    want = SymFun("p", {(1, 1): 3, (2, 1): 6, (1,): Fraction(1, 2), (2,): 1})
+    assert multiply(f, g) == want
+    assert multiply(f, g, "p") == want
+    assert f * g == want
 
 
 # ------------------------------------------------------------ inner product
