@@ -80,7 +80,6 @@ from .symfun import (
     littlewood_richardson,
     multiply,
     omega,
-    specialize,
 )
 from .walks import gamma, verify_walk_identity, xi
 

@@ -197,17 +197,12 @@ def identity_suite(D: Digraph) -> dict:
                 raise DisagreementError(f"tournament with even count: {par}")
 
         run("berge-parity", check_parity)
-    if "schur-JT" in routes:
+    if "schur-JT" in routes and n >= 1:
         def check_hooks():
-            for i in range(1, n + 1):
-                hook_coefficient(D, i)
-            if n >= 1:
-                lo = hook_coefficient(D, 1)
-                hi = hook_coefficient(D, n)
-                if lo != ham_dp(D) or hi != ham_dp(complement(D)):
-                    raise DisagreementError(
-                        f"hook read-off mismatch: {lo}, {hi}"
-                    )
+            hooks = [hook_coefficient(D, i) for i in range(1, n + 1)]
+            lo, hi = hooks[0], hooks[-1]
+            if lo != ham_dp(D) or hi != ham_dp(complement(D)):
+                raise DisagreementError(f"hook read-off mismatch: {lo}, {hi}")
 
         run("hooks-readoff", check_hooks)
     if u_ref is not None and n <= CHOW_BOUND:
@@ -266,6 +261,8 @@ def build_corpus(spec: str, seed=0) -> list:
         body = spec.split(":", 1)[1]
         n_str, count_str = body.split(",")
         n, count = int(n_str), int(count_str)
+        if count < 1:
+            raise ValueError(f"corpus count must be at least 1, got {count}")
         rng = random.Random(seed)
         densities = (0.15, 0.3, 0.5, 0.7, 0.85)
         return [
@@ -288,6 +285,8 @@ def _suite_worker(payload: dict) -> dict:
 
 def run_corpus(items, jobs: int = 1) -> dict:
     """Identity suite over a list of digraphs; summary plus failure records."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     payloads = [digraph_to_json_dict(D) for D in items]
     if jobs > 1:
         with Pool(jobs) as pool:

@@ -216,8 +216,14 @@ def poset_digraph(n: int, relations) -> Digraph:
     )
 
 
+def _check_probability(p: float) -> None:
+    if not 0 <= p <= 1:  # also rejects NaN
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+
+
 def random_digraph(n: int, p: float, seed) -> Digraph:
     """Each of the n^2 possible edges (loops included) kept with probability p."""
+    _check_probability(p)
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -239,6 +245,7 @@ def random_tournament(n: int, seed) -> Digraph:
 
 def random_acyclic_digraph(n: int, p: float, seed) -> Digraph:
     """Random digraph whose edges all descend through a random vertex order."""
+    _check_probability(p)
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)

@@ -6,7 +6,7 @@ is an edge of D.  It is symmetric, and this module computes it by
 several structurally different algorithms that are checked against each
 other:
 
-- "F-definition"   literal sum of fundamentals, lifted off monomials
+- "F-definition"   literal sum of fundamentals, read off the M basis
 - "path-cover"     augmented monomials over path covers of the complement
 - "powersum-GS"    signed power sums over permutations whose nontrivial
                    cycles lie in D or its complement
@@ -35,6 +35,7 @@ from .combinat import (
     conjugate,
     cycle_type,
     hook_partition,
+    multiplicity_factorial,
     partitions_of,
     record_partition,
     sgn_of_type,
@@ -62,12 +63,9 @@ from .ringmat import (
     submatrix,
 )
 from .symfun import (
-    MultivarPoly,
     SymFun,
     TwoAlphabetSymFun,
     convert,
-    fundamental_F,
-    lift_to_mtilde,
     littlewood_richardson,
     to_p,
 )
@@ -81,20 +79,44 @@ CHOW_IDENTITIES_BOUND = 5
 # --------------------------------------------------------------- fundamentals
 
 def u_via_fundamental(D: Digraph) -> SymFun:
-    """Literal definition: sum the fundamentals of the descent sets of all
-    permutations, in n variables, then lift to augmented monomials."""
+    """Literal definition, read off the quasisymmetric M basis.
+
+    Counts the permutations by D-descent set S (a bitmask on [n-1]); as
+    F_S is the sum of M_T over T containing S, one subset-sum pass gives
+    the M coefficient a_T of U_D.  U_D is symmetric, so every composition
+    alpha (T its set of partial sums) that rearranges lam must carry the
+    same a_T, which is then [m_lam] U_D; a composition that differs raises
+    ValueError.
+    """
     n = D.n
     _admit("F-definition", D)
-    counts: dict = {}
+    size = 1 << max(n - 1, 0)
+    a = [0] * size
     for pi in _it_permutations(range(1, n + 1)):
-        key = d_descent_set(D, pi)
-        counts[key] = counts.get(key, 0) + 1
-    poly = MultivarPoly.zero(n)
-    for key, c in counts.items():
-        contribution = fundamental_F(key, n, n)
-        for exp, v in contribution.terms.items():
-            poly.add_term(exp, v * c)
-    return lift_to_mtilde(poly, n)
+        a[sum(1 << (i - 1) for i in d_descent_set(D, pi))] += 1
+    for i in range(n - 1):
+        bit = 1 << i
+        for T in range(size):
+            if T & bit:
+                a[T] += a[T ^ bit]
+    m_coeff: dict = {}
+    for T, coeff in enumerate(a):
+        cuts = [0] + [i for i in range(1, n) if T >> (i - 1) & 1] + [n]
+        # at n = 0 the one composition is empty, and U_D = 1
+        parts = [b - c for c, b in zip(cuts, cuts[1:]) if b > c]
+        lam = tuple(sorted(parts, reverse=True))
+        if m_coeff.setdefault(lam, coeff) != coeff:
+            raise ValueError(
+                f"U_D is not symmetric: M coefficients {m_coeff[lam]} and"
+                f" {coeff} for rearrangements of {lam}"
+            )
+    return SymFun(
+        "mtilde",
+        {
+            lam: Fraction(c, multiplicity_factorial(lam))
+            for lam, c in m_coeff.items()
+        },
+    )
 
 
 # ---------------------------------------------------------------- path covers

@@ -53,94 +53,6 @@ def _merge(parts) -> Partition:
     return tuple(sorted(parts, reverse=True))
 
 
-# ---------------------------------------------------------------- MultivarPoly
-
-class MultivarPoly:
-    """Polynomial in a fixed number of variables, exponent vector -> Fraction."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms: dict = {}
-        if terms:
-            for exp, c in terms.items():
-                c = _as_coeff(c)
-                if not c:
-                    continue
-                if len(exp) != nvars:
-                    raise ValueError("exponent vector of wrong length")
-                self.terms[tuple(exp)] = self.terms.get(tuple(exp), Fraction(0)) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultivarPoly":
-        return cls(nvars)
-
-    @classmethod
-    def monomial(cls, nvars: int, exp, coeff=1) -> "MultivarPoly":
-        return cls(nvars, {tuple(exp): coeff})
-
-    def add_term(self, exp, c) -> None:
-        cur = self.terms.get(exp, Fraction(0)) + c
-        if cur:
-            self.terms[exp] = cur
-        else:
-            self.terms.pop(exp, None)
-
-    def __add__(self, other: "MultivarPoly") -> "MultivarPoly":
-        out = MultivarPoly(self.nvars, dict(self.terms))
-        for e, c in other.terms.items():
-            out.add_term(e, c)
-        return out
-
-    def __sub__(self, other: "MultivarPoly") -> "MultivarPoly":
-        out = MultivarPoly(self.nvars, dict(self.terms))
-        for e, c in other.terms.items():
-            out.add_term(e, -c)
-        return out
-
-    def __mul__(self, other: "MultivarPoly") -> "MultivarPoly":
-        out = MultivarPoly(self.nvars)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out.add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return out
-
-    def scale(self, c) -> "MultivarPoly":
-        c = _as_coeff(c)
-        return MultivarPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
-
-    def coeff(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultivarPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        raise TypeError("MultivarPoly is mutable, not hashable")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, reverse=True):
-            mono = "*".join(
-                f"z{i+1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e)
-                if k
-            )
-            bits.append(f"{self.terms[e]}*{mono}" if mono else f"{self.terms[e]}")
-        return " + ".join(bits)
-
-
 # --------------------------------------------------------------------- SymFun
 
 class SymFun:
@@ -489,98 +401,6 @@ def omega(f: SymFun) -> SymFun:
 def equals(f: SymFun, g: SymFun) -> bool:
     """Basis-independent equality."""
     return to_p(f).terms == to_p(g).terms
-
-
-# ------------------------------------------------------------- specialization
-
-def _distinct_arrangements(values, nslots: int):
-    """Distinct length-nslots tuples using each value of the multiset once,
-    padded with zeros."""
-    pool: dict[int, int] = {}
-    for v in values:
-        pool[v] = pool.get(v, 0) + 1
-    pool[0] = nslots - len(values)
-    cur = [0] * nslots
-
-    def rec(i: int):
-        if i == nslots:
-            yield tuple(cur)
-            return
-        for v in list(pool):
-            if pool[v]:
-                pool[v] -= 1
-                cur[i] = v
-                yield from rec(i + 1)
-                pool[v] += 1
-
-    yield from rec(0)
-
-
-def specialize(f: SymFun, nvars: int) -> MultivarPoly:
-    """Evaluate with z_{nvars+1} = z_{nvars+2} = ... = 0, exactly."""
-    fm = convert(f, "m")
-    out = MultivarPoly.zero(nvars)
-    for lam, c in fm.terms.items():
-        if len(lam) > nvars:
-            continue
-        for exp in _distinct_arrangements(lam, nvars):
-            out.add_term(exp, c)
-    return out
-
-
-def lift_to_mtilde(poly: MultivarPoly, degree: int) -> SymFun:
-    """Inverse of specialize for symmetric polynomials of the given degree.
-
-    Reads coefficients off partition-shaped monomials and verifies the
-    residual is zero, so asymmetric or wrong-degree input is rejected.
-    """
-    if degree > 0 and poly.nvars < degree:
-        raise ValueError("need at least as many variables as the degree")
-    coeffs: dict = {}
-    for exp, c in poly.terms.items():
-        if sum(exp) != degree:
-            raise ValueError("polynomial is not homogeneous of the stated degree")
-        lam = tuple(sorted((v for v in exp if v), reverse=True))
-        if exp == lam + (0,) * (poly.nvars - len(lam)):
-            coeffs[lam] = c
-    f = SymFun(
-        "mtilde",
-        {lam: c / multiplicity_factorial(lam) for lam, c in coeffs.items()},
-    )
-    if specialize(f, poly.nvars) != poly:
-        raise ValueError("polynomial is not symmetric; lift has nonzero residual")
-    return f
-
-
-# -------------------------------------------------------- fundamental basis
-
-def fundamental_F(strict_positions, n: int, nvars: int) -> MultivarPoly:
-    """Gessel's fundamental quasisymmetric F in nvars variables.
-
-    Sum of z_{i_1} ... z_{i_n} over weakly increasing index chains with a
-    strict rise after each position in strict_positions (subset of [n-1]).
-    """
-    guard("fundamental", n, 7)
-    strict = set(strict_positions)
-    if strict and not all(1 <= j <= n - 1 for j in strict):
-        raise ValueError("strict positions must lie in [1, n-1]")
-    out = MultivarPoly.zero(nvars)
-    exp = [0] * nvars
-
-    def rec(pos: int, low: int):
-        if pos == n:
-            out.add_term(tuple(exp), Fraction(1))
-            return
-        for v in range(low, nvars + 1):
-            exp[v - 1] += 1
-            rec(pos + 1, v + 1 if (pos + 1) in strict else v)
-            exp[v - 1] -= 1
-
-    if n == 0:
-        out.add_term(tuple(exp), Fraction(1))
-    else:
-        rec(0, 1)
-    return out
 
 
 # ------------------------------------------------------ Littlewood-Richardson

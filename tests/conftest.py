@@ -1,9 +1,4 @@
-import os
-import sys
-
 from hypothesis import HealthCheck, settings
-
-sys.path.insert(0, os.path.dirname(__file__))
 
 settings.register_profile(
     "suite",

@@ -33,7 +33,7 @@ from redeiberge.digraph import (
     random_tournament,
 )
 from redeiberge.guards import GuardError
-from redeiberge.redei import applicable_routes, u_digraph
+from redeiberge.redei import applicable_routes, hook_coefficient, u_digraph
 from redeiberge.symfun import convert
 
 EXAMPLE3 = digraph(3, [(1, 1), (1, 3), (3, 2)])
@@ -105,6 +105,8 @@ def test_exit_codes():
     assert main(["u", "--gen", "empty:3"]) == 0
     assert main(["u"]) == 2
     assert main(["u", "--gen", "nosuch:3"]) == 2
+    for p in ("1.7", "-0.5", "nan"):
+        assert main(["u", "--gen", f"random:4,{p}"]) == 2
     assert main(["u", "--gen", "empty:3", "--basis", "q"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", "bogus"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", ","]) == 2
@@ -116,6 +118,12 @@ def test_exit_codes():
     assert main(["verify", "--corpus", "exhaustive:4"]) == 3
     # no identity admits n = 13, so nothing would be checked
     assert main(["verify", "--corpus", "random:13,1", "--artifacts", ""]) == 3
+    # an empty corpus or no worker would check nothing either
+    assert main(["verify", "--corpus", "random:5,0", "--artifacts", ""]) == 2
+    assert main(["verify", "--corpus", "random:5,-2", "--artifacts", ""]) == 2
+    argv = ["verify", "--corpus", "random:3,1", "--artifacts", ""]
+    assert main(argv + ["--jobs", "0"]) == 2
+    assert main(argv + ["--jobs", "-1"]) == 2
 
 
 def test_argparse_exits_map_to_codes(capsys):
@@ -231,6 +239,21 @@ def test_build_corpus_shapes():
         build_corpus("exhaustive:4")
     with pytest.raises(ValueError):
         build_corpus("sampled:3")
+
+
+def test_hooks_readoff_computes_each_hook_once(monkeypatch):
+    calls = []
+
+    def counted(D, i):
+        calls.append(i)
+        return hook_coefficient(D, i)
+
+    monkeypatch.setattr(cli, "hook_coefficient", counted)
+    results = identity_suite(random_digraph(5, 0.5, seed=3))
+    assert results["hooks-readoff"] is None
+    assert calls == [1, 2, 3, 4, 5]
+    # at n = 0 there is no hook to read off
+    assert "hooks-readoff" not in identity_suite(empty_digraph(0))
 
 
 def test_identity_suite_keys_and_passes():

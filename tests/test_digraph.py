@@ -159,6 +159,14 @@ def test_random_generators_are_seeded_and_in_family():
     assert random_digraph(4, 1.0, seed=0).edge_count() == 16
 
 
+def test_random_generators_reject_a_probability_outside_0_1():
+    for p in (-0.5, 1.7, float("nan")):
+        with pytest.raises(ValueError):
+            random_digraph(4, p, seed=0)
+        with pytest.raises(ValueError):
+            random_acyclic_digraph(4, p, seed=0)
+
+
 def test_exhaustive_generators():
     threes = list(all_digraphs(2))
     assert len(threes) == 16

@@ -16,6 +16,7 @@ from redeiberge.combinat import (
     perm_to_dict,
 )
 from redeiberge.digraph import (
+    all_digraphs,
     complement,
     digraph,
     directed_path_digraph,
@@ -56,14 +57,19 @@ from redeiberge.symfun import (
     TwoAlphabetSymFun,
     convert,
     omega,
-    specialize,
     to_p,
 )
 from redeiberge.walks import xi
 
 import oracles
 from gens import digraphs, perms
-from oracles import is_two_cycle_free, u_poly_bruteforce
+from oracles import (
+    MultivarPoly,
+    is_two_cycle_free,
+    lift_to_mtilde,
+    specialize,
+    u_poly_bruteforce,
+)
 
 EXAMPLE3 = digraph(3, [(1, 1), (1, 3), (3, 2)])
 TREE = digraph(4, [(4, 3), (3, 2), (3, 1)])
@@ -131,6 +137,24 @@ def test_u_matches_bruteforce_definition(D):
     got = {k: Fraction(v) for k, v in specialize(u, nvars).terms.items() if v}
     want = {k: Fraction(v) for k, v in u_poly_bruteforce(D, nvars).items()}
     assert got == want
+
+
+def test_fundamental_route_matches_lifted_definition():
+    seeded = [(1, 0.5), (2, 0.5), (4, 0.3), (4, 0.7), (5, 0.2), (5, 0.5), (5, 0.8)]
+    corpus = [empty_digraph(0), *all_digraphs(3)]
+    corpus += [random_digraph(n, p, seed) for seed, (n, p) in enumerate(seeded)]
+    for D in corpus:
+        n = D.n
+        want = lift_to_mtilde(MultivarPoly(n, u_poly_bruteforce(D, n)), n)
+        assert redei.u_via_fundamental(D) == want
+
+
+def test_fundamental_route_rejects_asymmetric_m_coefficients(monkeypatch):
+    # every permutation descends at position 1 only: F_{1} alone is not
+    # symmetric, as M_(1,2) and M_(2,1) get different coefficients
+    monkeypatch.setattr(redei, "d_descent_set", lambda D, pi: frozenset({1}))
+    with pytest.raises(ValueError, match="not symmetric"):
+        redei.u_via_fundamental(empty_digraph(3))
 
 
 @given(digraphs(max_n=4))

