@@ -78,9 +78,10 @@ def parse_generator(spec: str, seed) -> Digraph:
         if kind == "empty":
             return empty_digraph(int(rest))
         if kind == "complete":
-            parts = rest.split(",")
-            loops = "loops" in parts[1:]
-            return complete_digraph(int(parts[0]), loops)
+            n, *opts = rest.split(",")
+            if opts not in ([], ["loops"]):
+                raise ValueError("the only option after n is 'loops'")
+            return complete_digraph(int(n), bool(opts))
         if kind == "tournament":
             return random_tournament(int(rest), seed)
         if kind == "random":

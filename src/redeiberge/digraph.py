@@ -331,8 +331,6 @@ def enumerate_path_cycle_covers(
                 path.append(succ[path[-1]])
             on_path.update(path)
             paths.append(tuple(path))
-        if not allow_paths and paths:
-            return
         seen = set(on_path)
         for v in vs:
             if v in seen:
@@ -356,7 +354,10 @@ def enumerate_path_cycle_covers(
             harvest()
             return
         v = vs[idx]
-        rec(idx + 1)
+        # v ends a path; with every vertex given a successor, the cover
+        # is all cycles
+        if allow_paths:
+            rec(idx + 1)
         for w in D.out_neighbors(v):
             if w in vset and w not in has_pred:
                 succ[v] = w

@@ -264,13 +264,7 @@ def _jt_coefficient(D: Digraph, lam: tuple) -> int:
         [xival(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
         for i in range(ell)
     ]
-    det = det_ring(M, MultilinearPoly.const(n, 1))
-    val = det.coeff((1 << n) - 1) if n else det.coeff(0)
-    if isinstance(val, Fraction):
-        if val.denominator != 1:
-            raise ArithmeticError("non-integral Schur coefficient")
-        val = int(val)
-    return int(val)
+    return det_ring(M, MultilinearPoly.const(n, 1)).coeff((1 << n) - 1)
 
 
 def u_via_schur_JT(D: Digraph) -> SymFun:
@@ -401,24 +395,27 @@ def hook_coefficient(D: Digraph, i: int) -> int:
 def chow_xi(D: Digraph, route: str = "direct") -> TwoAlphabetSymFun:
     """Path-cycle function: augmented monomials in z on path partitions
     times power sums in y on cycle partitions, over path-cycle covers."""
-    n = D.n
-    guard("chow", n, CHOW_BOUND)
+    guard("chow", D.n, CHOW_BOUND)
     if route == "direct":
-        out = TwoAlphabetSymFun.zero()
-        acc: dict = {}
-        for cover in enumerate_path_cycle_covers(D):
-            key = (cover.path_partition(), cover.cycle_partition())
-            acc[key] = acc.get(key, 0) + 1
-        for (plam, clam), c in acc.items():
-            zpart = TwoAlphabetSymFun.from_z(
-                SymFun("mtilde", {plam: c})
-            )
-            ypart = TwoAlphabetSymFun({((), clam): 1})
-            out = out + zpart * ypart
-        return out
+        return _chow_cover_tally(D, 1)
     if route == "powersum":
         return _chow_xi_powersum(D)
     raise ValueError(f"unknown route {route!r}")
+
+
+def _chow_cover_tally(D: Digraph, w: int) -> TwoAlphabetSymFun:
+    """Sum over D's path-cycle covers of w^(number of cycles) times
+    mtilde_(path partition)(z) * p_(cycle partition)(y)."""
+    acc: dict = {}
+    for cover in enumerate_path_cycle_covers(D):
+        key = (cover.path_partition(), cover.cycle_partition())
+        acc[key] = acc.get(key, 0) + 1
+    terms: dict = {}
+    for (plam, clam), c in acc.items():
+        c *= w ** len(clam)
+        for mu, d in to_p(SymFun("mtilde", {plam: 1})).terms.items():
+            terms[(mu, clam)] = terms.get((mu, clam), 0) + c * d
+    return TwoAlphabetSymFun(terms)
 
 
 def _chow_xi_powersum(D: Digraph) -> TwoAlphabetSymFun:
@@ -427,54 +424,32 @@ def _chow_xi_powersum(D: Digraph) -> TwoAlphabetSymFun:
     n = D.n
     Dbar = complement(D)
     verts = list(D.vertices())
-    out = TwoAlphabetSymFun.zero()
+    terms: dict = {}
     for k in range(n + 1):
         for I in combinations(verts, k):
-            Ic = [v for v in verts if v not in I]
             signed = _cycle_cover_pvec(Dbar, I, signed=True)
             if not signed:
                 continue
-            joint = TwoAlphabetSymFun.zero()
-            any_joint = False
-            for cover in enumerate_cycle_covers(D, Ic):
-                joint = joint + TwoAlphabetSymFun.joint_p(
-                    cover.cycle_partition()
-                )
-                any_joint = True
-            if not any_joint:
-                continue
-            zonly = TwoAlphabetSymFun(
-                {(lam, ()): c for lam, c in signed.items()}
-            )
-            out = out + zonly * joint
-    return out
+            Ic = [v for v in verts if v not in I]
+            for clam, c2 in _cycle_cover_pvec(D, Ic, signed=False).items():
+                joint = TwoAlphabetSymFun.joint_p(clam).terms
+                for lam, c1 in signed.items():
+                    for (zl, yl), d in joint.items():
+                        key = (tuple(sorted(lam + zl, reverse=True)), yl)
+                        terms[key] = terms.get(key, 0) + c1 * c2 * d
+    return TwoAlphabetSymFun(terms)
 
 
 def chow_xi_hat(D: Digraph) -> TwoAlphabetSymFun:
     """Variant with augmented monomials over the union alphabet and
-    cycle weight (-2) per cycle."""
-    n = D.n
-    guard("chow", n, CHOW_BOUND)
-    out = TwoAlphabetSymFun.zero()
-    acc: dict = {}
-    for cover in enumerate_path_cycle_covers(D):
-        key = (cover.path_partition(), cover.cycle_partition())
-        acc[key] = acc.get(key, 0) + 1
-    for (plam, clam), c in acc.items():
-        weight = c * (-2) ** len(clam)
-        mt_joint = _mtilde_joint(plam)
-        ypart = TwoAlphabetSymFun({((), clam): 1})
-        out = out + mt_joint * ypart * weight
-    return out
+    cycle weight (-2) per cycle.
 
-
-def _mtilde_joint(lam: tuple) -> TwoAlphabetSymFun:
-    """mtilde_lam over the union alphabet, expanded into split power sums."""
-    f = to_p(SymFun("mtilde", {lam: 1}))
-    out = TwoAlphabetSymFun.zero()
-    for mu, c in f.terms.items():
-        out = out + TwoAlphabetSymFun.joint_p(mu) * c
-    return out
+    Since mtilde_lam(z u y) = z_to_zy(mtilde_lam(z)), and z_to_zy leaves
+    p(y) alone, this is the (-2)-weighted cover tally read as
+    mtilde(z) p(y), with the union alphabet then substituted for z.
+    """
+    guard("chow", D.n, CHOW_BOUND)
+    return _chow_cover_tally(D, -2).z_to_zy()
 
 
 def u_from_chow(D: Digraph) -> SymFun:

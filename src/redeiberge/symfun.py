@@ -512,14 +512,12 @@ class TwoAlphabetSymFun:
 
     def z_to_zy(self) -> "TwoAlphabetSymFun":
         """Substitute the union alphabet for z: p_k(z) -> p_k(z) + p_k(y)."""
-        out = TwoAlphabetSymFun.zero()
+        out: dict = {}
         for (zl, yl), c in self.terms.items():
-            expanded = TwoAlphabetSymFun.joint_p(zl)
-            shifted = {
-                (z2, _merge(y2 + yl)): d for (z2, y2), d in expanded.terms.items()
-            }
-            out = out + TwoAlphabetSymFun(shifted) * c
-        return out
+            for (z2, y2), d in TwoAlphabetSymFun.joint_p(zl).terms.items():
+                key = (z2, _merge(y2 + yl))
+                out[key] = out.get(key, Fraction(0)) + c * d
+        return TwoAlphabetSymFun(out)
 
     def y_to_zero(self) -> "TwoAlphabetSymFun":
         return TwoAlphabetSymFun(

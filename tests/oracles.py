@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
+from math import prod
 
 from redeiberge.combinat import character, multiplicity_factorial, z_lambda
 from redeiberge.ringmat import MultilinearPoly
@@ -556,6 +557,31 @@ def covers_by_edge_subsets(D) -> dict:
         )
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def _mtilde_value(lam, letters) -> int:
+    """mtilde_lam at the given letter values: the sum over injective maps
+    from the parts of lam to the letters of prod letter^part."""
+    return sum(
+        prod(x ** part for x, part in zip(chosen, lam))
+        for chosen in permutations(letters, len(lam))
+    )
+
+
+def chow_value_oracle(D, z, y, hat: bool = False) -> int:
+    """Chow's path-cycle function of D at letter values z and y.
+
+    Over the covers of covers_by_edge_subsets, Xi_D sums
+    mtilde_paths(z) p_cycles(y), and Xi_hat_D (hat) sums
+    (-2)^(number of cycles) mtilde_paths(z u y) p_cycles(y).
+    """
+    letters = tuple(z) + tuple(y) if hat else tuple(z)
+    total = 0
+    for (paths, cycles), count in covers_by_edge_subsets(D).items():
+        weight = (-2) ** len(cycles) if hat else 1
+        p_y = prod(sum(v ** k for v in y) for k in cycles)
+        total += count * weight * _mtilde_value(paths, letters) * p_y
+    return total
 
 
 # ------------------------------------------------------ multilinear kernels

@@ -75,7 +75,16 @@ def test_parse_generator_poset_file(tmp_path):
 
 
 def test_parse_generator_errors(tmp_path):
-    for spec in ("nosuch:3", "random:4", "star:0", "complete:", "empty:x"):
+    for spec in (
+        "nosuch:3",
+        "random:4",
+        "star:0",
+        "complete:",
+        "complete:3,loop",
+        "complete:3,loops,x",
+        "complete:3,loops,loops",
+        "empty:x",
+    ):
         with pytest.raises(ValueError):
             parse_generator(spec, 0)
     empty = tmp_path / "empty.poset"
@@ -107,6 +116,8 @@ def test_exit_codes():
     assert main(["u", "--gen", "nosuch:3"]) == 2
     for p in ("1.7", "-0.5", "nan"):
         assert main(["u", "--gen", f"random:4,{p}"]) == 2
+    for spec in ("complete:3,loop", "complete:3,loops,x"):
+        assert main(["u", "--gen", spec]) == 2
     assert main(["u", "--gen", "empty:3", "--basis", "q"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", "bogus"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", ","]) == 2

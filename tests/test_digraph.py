@@ -198,6 +198,16 @@ def test_cover_components_partition_vertices(D):
             assert c[0] == min(c)
 
 
+@given(digraphs(max_n=5), st.data())
+def test_cycle_covers_are_the_pathless_covers_in_order(D, data):
+    keep = data.draw(st.lists(st.booleans(), min_size=D.n, max_size=D.n))
+    subset = [v for v, k in zip(D.vertices(), keep) if k]
+    for verts in (None, subset):
+        assert enumerate_cycle_covers(D, verts) == [
+            c for c in enumerate_path_cycle_covers(D, verts) if not c.paths
+        ]
+
+
 def test_cover_filters():
     D = digraph(2, [(1, 2), (2, 1)])
     full = enumerate_path_cycle_covers(D)

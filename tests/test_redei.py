@@ -1,6 +1,7 @@
 """Descent symmetric function U_D: golden values, route agreement, hooks,
 special-class forms, and the two-alphabet path-cycle functions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -490,6 +491,52 @@ def test_chow_identities_build_each_direct_function_once(monkeypatch):
     assert report.ok, report.failures
     assert routes.count("direct") == 2
     assert routes.count("powersum") == 1
+
+
+def _two_alphabet_value(f, z, y):
+    """Sum of the p(z) (x) p(y) terms of f at letter values z and y."""
+    total = Fraction(0)
+    for (zl, yl), c in f.terms.items():
+        pz = [sum(v ** k for v in z) for k in zl]
+        py = [sum(v ** k for v in y) for k in yl]
+        total += c * math.prod(pz) * math.prod(py)
+    return total
+
+
+def test_chow_functions_match_cover_oracle_at_integer_points():
+    rng = random.Random(77)
+    cases = [D for n in range(3) for D in all_digraphs(n)]
+    cases += [random_digraph(3, 0.5, seed=700 + s) for s in range(6)]
+    cases += [random_digraph(4, 0.45, seed=710 + s) for s in range(4)]
+    for D in cases:
+        xi_d = chow_xi(D, "direct")
+        xi_p = chow_xi(D, "powersum")
+        xi_hat = chow_xi_hat(D)
+        for _ in range(3):
+            z = [rng.randint(-3, 3) for _ in range(D.n)]
+            y = [rng.randint(-3, 3) for _ in range(D.n)]
+            want = oracles.chow_value_oracle(D, z, y)
+            assert _two_alphabet_value(xi_d, z, y) == want, (D, z, y)
+            assert _two_alphabet_value(xi_p, z, y) == want, (D, z, y)
+            assert _two_alphabet_value(xi_hat, z, y) == (
+                oracles.chow_value_oracle(D, z, y, hat=True)
+            ), (D, z, y)
+
+
+def test_chow_functions_build_each_result_in_one_term_dict(monkeypatch):
+    adds = []
+    real = TwoAlphabetSymFun.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(TwoAlphabetSymFun, "__add__", counted)
+    D = random_digraph(4, 0.45, seed=402)
+    chow_xi(D, "direct")
+    chow_xi(D, "powersum")
+    chow_xi_hat(D)
+    assert adds == []
 
 
 def test_chow_unknown_route_and_guard():
