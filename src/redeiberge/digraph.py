@@ -28,13 +28,14 @@ class Digraph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        # type(...) is int, not isinstance: True and False are ints too
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"vertex count {self.n!r} is not a nonnegative int")
         for e in self.edges:
             if (
                 not isinstance(e, tuple)
                 or len(e) != 2
-                or not all(isinstance(v, int) and 1 <= v <= self.n for v in e)
+                or not all(type(v) is int and 1 <= v <= self.n for v in e)
             ):
                 raise ValueError(f"edge {e!r} not inside [1, {self.n}]^2")
 
@@ -66,7 +67,8 @@ class Digraph:
 
 
 def digraph(n: int, edges) -> Digraph:
-    return Digraph(n, frozenset((int(u), int(v)) for u, v in edges))
+    """Digraph on [n] from (u, v) pairs; n and every vertex must be ints."""
+    return Digraph(n, frozenset((u, v) for u, v in edges))
 
 
 # ------------------------------------------------------------------ operations
@@ -318,6 +320,7 @@ def enumerate_path_cycle_covers(
     vs = _vertex_subset(D, verts)
     guard("covers", len(vs), 8)
     vset = set(vs)
+    nbrs = {v: [w for w in D.out_neighbors(v) if w in vset] for v in vs}
     succ: dict = {}
     has_pred: set = set()
     out = []
@@ -343,11 +346,16 @@ def enumerate_path_cycle_covers(
                 seen.add(cur)
                 cur = succ[cur]
             cycles.append(_canonical_cycle(tuple(cyc)))
-        if not allow_cycles and cycles:
-            return
         out.append(
             PathCycleCover(tuple(sorted(paths)), tuple(sorted(cycles)))
         )
+
+    def closes_cycle(v: int, w: int) -> bool:
+        # w heads a chain of assigned successors; v -> w closes it into a
+        # cycle exactly when that chain ends at v
+        while w in succ:
+            w = succ[w]
+        return w == v
 
     def rec(idx: int):
         if idx == len(vs):
@@ -358,8 +366,8 @@ def enumerate_path_cycle_covers(
         # is all cycles
         if allow_paths:
             rec(idx + 1)
-        for w in D.out_neighbors(v):
-            if w in vset and w not in has_pred:
+        for w in nbrs[v]:
+            if w not in has_pred and (allow_cycles or not closes_cycle(v, w)):
                 succ[v] = w
                 has_pred.add(w)
                 rec(idx + 1)
@@ -478,7 +486,7 @@ def digraph_to_json_dict(D: Digraph) -> dict:
 
 
 def digraph_from_json_dict(data: dict) -> Digraph:
-    return digraph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    return digraph(data["n"], data["edges"])
 
 
 def load_digraph(path: str) -> Digraph:

@@ -212,16 +212,16 @@ def u_via_matrix_route(D: Digraph) -> SymFun:
         return SymFun.const(1)
     H = matrix_series(complement(D).adjacency(), "H")
     E = matrix_series(D.adjacency(), "E")
-    one = MultilinearPoly.const(n, SymFun.const(1))
-    det_h = det_ring(H, one)
-    det_e = det_ring(E, one)
+    det_h = det_ring(H, MultilinearPoly.const(n, SymFun.const(1, "h")))
+    det_e = det_ring(E, MultilinearPoly.const(n, SymFun.const(1, "e")))
     full = (1 << n) - 1
-    total = SymFun.zero("p")
+    terms: dict = {}
     for mask, ch in det_h.terms.items():
         ce = det_e.terms.get(full ^ mask)
         if ce:
-            total = total + ch * ce
-    return total
+            for lam, c in (ch * ce).terms.items():
+                terms[lam] = terms.get(lam, 0) + c
+    return SymFun("p", terms)
 
 
 # ------------------------------------------------------------- Schur routes

@@ -16,7 +16,8 @@ Two determinant kernels, one per job:
   Hamiltonian formulas and the walk series).
 
 Also here: the Ryser permanent with Gray-code updates, immanants, and
-the matrix series H(XA) and E(XA).
+the matrix series H(XA) and E(XA), whose coefficients stay in the h and
+e bases, so that det_ring's products of them are concatenations.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import permutations as _it_permutations
 
 from .combinat import character, cycle_type, partitions_of
 from .guards import guard
-from .symfun import SymFun, _ek_in_p, _hk_in_p
+from .symfun import SymFun
 
 # ------------------------------------------------------------ MultilinearPoly
 
@@ -386,23 +387,19 @@ def mlp_mat_mul(M1, M2) -> list:
     return out
 
 
-def _series_coefficients(kind: str, n: int) -> list:
-    """h_k (kind "H") or e_k (kind "E") in the p basis, for k = 0..n."""
-    table = _hk_in_p if kind == "H" else _ek_in_p
-    return [SymFun("p", dict(table(k))) for k in range(n + 1)]
-
-
 def matrix_series(A, kind: str) -> list:
     """The matrix H_z(XA) = sum_k h_k (XA)^k, or E_z(XA) with e_k.
 
     X A is nilpotent in the multilinear ring, so the sum over k <= n is
-    exact.  Entries are MultilinearPoly with SymFun (p basis) coefficients.
+    exact.  Entries are MultilinearPoly with SymFun coefficients in the
+    h basis (kind "H") or the e basis (kind "E").
     """
     n = len(A)
     guard("matrix_series", n, 6)
     if kind not in ("H", "E"):
         raise ValueError("kind must be 'H' or 'E'")
-    coeffs = _series_coefficients(kind, n)
+    basis = kind.lower()
+    coeffs = [SymFun.element(basis, (k,) if k else ()) for k in range(n + 1)]
     powers = [mlp_identity(n)]
     xa = xa_matrix(A)
     for _ in range(n):

@@ -1,7 +1,7 @@
 """Exact symmetric functions with basis conversion.
 
-A SymFun is a finite rational linear combination of basis elements
-indexed by partitions, in one of six bases:
+A SymFun is a finite linear combination of basis elements indexed by
+partitions, in one of six bases:
 
 - "p"       power sums
 - "h"       complete homogeneous
@@ -10,10 +10,14 @@ indexed by partitions, in one of six bases:
 - "m"       monomial
 - "mtilde"  augmented monomial, mtilde_lam = (prod of multiplicities!) m_lam
 
-All conversions route through p with exact Fraction arithmetic.  The
-p-expansion engine uses Newton's identities for h and e, the character
-expansion for s, and a unitriangular transition (built from the rule
-p_r * mtilde_lam = sum over slots + new part) for the monomial bases.
+Coefficients are ints, and Fractions only where a value is not an
+integer.  Only the public constructors (SymFun(...), SymFun.element/const,
+from_json_dict, TwoAlphabetSymFun(...)) validate; results built here
+have partition keys by construction.  Products in p, h or e concatenate
+partitions; other conversions route through p, whose expansion engine
+uses Newton's identities for h and e, the character expansion for s,
+and a unitriangular transition (built from the rule p_r * mtilde_lam =
+sum over slots + new part) for the monomial bases.
 
 A TwoAlphabetSymFun is an element of the tensor square, stored in the
 p(z) (x) p(y) normal form; it supports the alphabet operations needed
@@ -41,12 +45,19 @@ from .guards import guard
 BASES = ("p", "h", "e", "s", "m", "mtilde")
 
 
-def _as_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _as_coeff(c):
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _with_terms(f, terms: dict):
+    """f with terms minus zeros, integral values as int: the trusted
+    construction of results built here, and the last step of validation."""
+    f.terms = {
+        k: c if c.denominator != 1 else c.numerator for k, c in terms.items() if c
+    }
+    return f
 
 
 def _merge(parts) -> Partition:
@@ -56,7 +67,7 @@ def _merge(parts) -> Partition:
 # --------------------------------------------------------------------- SymFun
 
 class SymFun:
-    """Finite rational combination of basis elements indexed by partitions."""
+    """Finite exact combination of basis elements indexed by partitions."""
 
     __slots__ = ("basis", "terms")
 
@@ -64,22 +75,15 @@ class SymFun:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        self.terms: dict = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = tuple(lam)
-                if not is_partition(lam):
-                    raise ValueError(f"not a partition: {lam!r}")
-                c = _as_coeff(c)
-                if c:
-                    self.terms[lam] = self.terms.get(lam, Fraction(0)) + c
-            self.terms = {l: c for l, c in self.terms.items() if c}
+        merged: dict = {}
+        for lam, c in (terms or {}).items():
+            lam = tuple(lam)
+            if not is_partition(lam):
+                raise ValueError(f"not a partition: {lam!r}")
+            merged[lam] = merged.get(lam, 0) + _as_coeff(c)
+        _with_terms(self, merged)
 
     # ---------------------------------------------------------- constructors
-
-    @classmethod
-    def zero(cls, basis: str = "p") -> "SymFun":
-        return cls(basis)
 
     @classmethod
     def const(cls, c, basis: str = "p") -> "SymFun":
@@ -103,13 +107,13 @@ class SymFun:
         self._check_same_basis(other)
         out = dict(self.terms)
         for lam, c in other.terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return SymFun(self.basis, out)
+            out[lam] = out.get(lam, 0) + c
+        return _with_terms(SymFun(self.basis), out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymFun(self.basis, {l: -c for l, c in self.terms.items()})
+        return _with_terms(SymFun(self.basis), {l: -c for l, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -121,8 +125,8 @@ class SymFun:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            return SymFun(self.basis, {l: v * c for l, v in self.terms.items()})
+            out = {l: v * other for l, v in self.terms.items()}
+            return _with_terms(SymFun(self.basis), out)
         if isinstance(other, SymFun):
             return multiply(self, other)
         return NotImplemented
@@ -131,8 +135,8 @@ class SymFun:
 
     # --------------------------------------------------------------- queries
 
-    def coefficient(self, lam) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+    def coefficient(self, lam):
+        return self.terms.get(tuple(lam), 0)
 
     def weight(self) -> int:
         """Largest term weight (0 for the zero function)."""
@@ -186,47 +190,33 @@ class SymFun:
         terms = {}
         for item in data["terms"]:
             lam = tuple(item["partition"])
-            terms[lam] = terms.get(lam, Fraction(0)) + _coeff_from_str(item["coeff"])
+            terms[lam] = terms.get(lam, 0) + Fraction(item["coeff"])
         return cls(data["basis"], terms)
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _coeff_from_str(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s)
 
 
 # ------------------------------------------------------- conversion to/from p
 
 @lru_cache(maxsize=None)
 def _pk_in_h(k: int) -> tuple:
-    """p_k expanded in the h basis, via Newton's identity."""
-    if k == 0:
-        return (((), Fraction(1)),)
-    out = {(k,): Fraction(k)}
+    """p_k (k >= 1) expanded in the h basis, via Newton's identity."""
+    out = {(k,): k}
     for i in range(1, k):
         for lam, c in _pk_in_h(k - i):
             key = _merge(lam + (i,))
-            out[key] = out.get(key, Fraction(0)) - c
+            out[key] = out.get(key, 0) - c
     return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
 def _pk_in_e(k: int) -> tuple:
-    """p_k expanded in the e basis, via Newton's identity."""
-    if k == 0:
-        return (((), Fraction(1)),)
-    out = {(k,): Fraction((-1) ** (k - 1) * k)}
-    for i in range(1, k):
-        sign = (-1) ** (i - 1)
-        for lam, c in _pk_in_e(k - i):
-            key = _merge(lam + (i,))
-            out[key] = out.get(key, Fraction(0)) + sign * c
-    return tuple(sorted(out.items()))
+    """p_k (k >= 1) in the e basis: omega maps h_lam to e_lam and p_k to
+    (-1)^(k-1) p_k, so p_k = (-1)^(k-1) omega(p_k in h)."""
+    sign = (-1) ** (k - 1)
+    return tuple((lam, sign * c) for lam, c in _pk_in_h(k))
 
 
 @lru_cache(maxsize=None)
@@ -261,48 +251,44 @@ def _mtilde_to_p(lam: Partition) -> tuple:
     Every mtilde term of p_lam other than mtilde_lam itself strictly
     dominates lam, so the recursion terminates at the one-row partition.
     """
-    out = {lam: Fraction(1)}
+    out = {lam: 1}
     for nu, c in _p_to_mtilde(lam):
         if nu == lam:
             continue
         for rho, d in _mtilde_to_p(nu):
-            out[rho] = out.get(rho, Fraction(0)) - c * d
+            out[rho] = out.get(rho, 0) - c * d
     return tuple(sorted((k, v) for k, v in out.items() if v))
 
 
 def _fold_parts(parts, pk_expansion) -> dict:
     """Product over parts of single-part expansions, concatenating partitions."""
-    cur = {(): Fraction(1)}
+    cur = {(): 1}
     for k in parts:
         nxt: dict = {}
         for lam1, c1 in cur.items():
             for lam2, c2 in pk_expansion(k):
                 key = _merge(lam1 + lam2)
-                nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
+                nxt[key] = nxt.get(key, 0) + c1 * c2
         cur = nxt
     return cur
 
 
 @lru_cache(maxsize=None)
 def _hk_in_p(k: int) -> tuple:
-    return tuple((mu, Fraction(1, z_lambda(mu))) for mu in _all_partitions(k))
+    return tuple((mu, Fraction(1, z_lambda(mu))) for mu in partitions_of(k))
 
 
 @lru_cache(maxsize=None)
 def _ek_in_p(k: int) -> tuple:
     return tuple(
-        (mu, Fraction(sgn_of_type(mu), z_lambda(mu))) for mu in _all_partitions(k)
+        (mu, Fraction(sgn_of_type(mu), z_lambda(mu))) for mu in partitions_of(k)
     )
-
-
-def _all_partitions(k: int) -> tuple:
-    return tuple(partitions_of(k))
 
 
 def _term_to_p(basis: str, lam: Partition) -> dict:
     """Expansion of one basis element in p."""
     if basis == "p":
-        return {lam: Fraction(1)}
+        return {lam: 1}
     if basis == "h":
         return _fold_parts(lam, _hk_in_p)
     if basis == "e":
@@ -311,7 +297,7 @@ def _term_to_p(basis: str, lam: Partition) -> dict:
         n = sum(lam)
         return {
             mu: Fraction(character(lam, mu), z_lambda(mu))
-            for mu in _all_partitions(n)
+            for mu in partitions_of(n)
             if character(lam, mu)
         }
     if basis == "mtilde":
@@ -325,7 +311,7 @@ def _term_to_p(basis: str, lam: Partition) -> dict:
 def _p_term_to(basis: str, mu: Partition) -> dict:
     """Expansion of p_mu in the target basis."""
     if basis == "p":
-        return {mu: Fraction(1)}
+        return {mu: 1}
     if basis == "h":
         return _fold_parts(mu, _pk_in_h)
     if basis == "e":
@@ -333,16 +319,15 @@ def _p_term_to(basis: str, mu: Partition) -> dict:
     if basis == "s":
         n = sum(mu)
         return {
-            lam: Fraction(character(lam, mu))
-            for lam in _all_partitions(n)
+            lam: character(lam, mu)
+            for lam in partitions_of(n)
             if character(lam, mu)
         }
     if basis == "mtilde":
-        return {lam: Fraction(c) for lam, c in _p_to_mtilde(mu)}
+        return dict(_p_to_mtilde(mu))
     if basis == "m":
         return {
-            lam: Fraction(c) * multiplicity_factorial(lam)
-            for lam, c in _p_to_mtilde(mu)
+            lam: c * multiplicity_factorial(lam) for lam, c in _p_to_mtilde(mu)
         }
     raise ValueError(basis)
 
@@ -350,12 +335,12 @@ def _p_term_to(basis: str, mu: Partition) -> dict:
 def to_p(f: SymFun) -> SymFun:
     guard("convert", f.weight(), 14)
     if f.basis == "p":
-        return SymFun("p", dict(f.terms))
+        return _with_terms(SymFun("p"), f.terms)
     out: dict = {}
     for lam, c in f.terms.items():
         for mu, d in _term_to_p(f.basis, lam).items():
-            out[mu] = out.get(mu, Fraction(0)) + c * d
-    return SymFun("p", out)
+            out[mu] = out.get(mu, 0) + c * d
+    return _with_terms(SymFun("p"), out)
 
 
 def convert(f: SymFun, basis: str) -> SymFun:
@@ -364,38 +349,44 @@ def convert(f: SymFun, basis: str) -> SymFun:
         raise ValueError(f"unknown basis {basis!r}")
     guard("convert", f.weight(), 14)
     if f.basis == basis:
-        return SymFun(basis, dict(f.terms))
+        return _with_terms(SymFun(basis), f.terms)
     g = to_p(f)
     if basis == "p":
         return g
     out: dict = {}
     for mu, c in g.terms.items():
         for lam, d in _p_term_to(basis, mu).items():
-            out[lam] = out.get(lam, Fraction(0)) + c * d
-    return SymFun(basis, out)
+            out[lam] = out.get(lam, 0) + c * d
+    return _with_terms(SymFun(basis), out)
 
 
 def multiply(f: SymFun, g: SymFun, basis: str | None = None) -> SymFun:
-    """Exact product; result basis defaults to a shared input basis, else p."""
+    """Exact product; result basis defaults to a shared input basis, else p.
+
+    In p, h and e a product of basis elements is the element of the
+    concatenated partition, so two factors in the same one of these
+    bases multiply in it; any other pair multiplies in p.
+    """
     guard("multiply", f.weight() + g.weight(), 14)
     if basis is None:
         basis = f.basis if f.basis == g.basis else "p"
-    fp = f.terms if f.basis == "p" else to_p(f).terms
-    gp = g.terms if g.basis == "p" else to_p(g).terms
+    work = f.basis if f.basis == g.basis and f.basis in ("p", "h", "e") else "p"
+    fw = f.terms if f.basis == work else to_p(f).terms
+    gw = g.terms if g.basis == work else to_p(g).terms
     out: dict = {}
-    for lam1, c1 in fp.items():
-        for lam2, c2 in gp.items():
+    for lam1, c1 in fw.items():
+        for lam2, c2 in gw.items():
             key = _merge(lam1 + lam2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    prod = SymFun("p", out)
-    return prod if basis == "p" else convert(prod, basis)
+            out[key] = out.get(key, 0) + c1 * c2
+    prod = _with_terms(SymFun(work), out)
+    return prod if basis == work else convert(prod, basis)
 
 
 def omega(f: SymFun) -> SymFun:
     """The involution with omega(p_k) = (-1)^(k-1) p_k, returned in f's basis."""
     g = to_p(f)
     out = {lam: c * sgn_of_type(lam) for lam, c in g.terms.items()}
-    return convert(SymFun("p", out), f.basis)
+    return convert(_with_terms(SymFun("p"), out), f.basis)
 
 
 def equals(f: SymFun, g: SymFun) -> bool:
@@ -430,23 +421,19 @@ def littlewood_richardson(lam, mu, nu) -> int:
 class TwoAlphabetSymFun:
     """Element of Sym(z) (x) Sym(y) in the p(z) (x) p(y) normal form.
 
-    Terms map (zpartition, ypartition) to a Fraction.
+    Terms map (zpartition, ypartition) to an int or Fraction.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict = {}
-        if terms:
-            for (zl, yl), c in terms.items():
-                zl, yl = tuple(zl), tuple(yl)
-                if not (is_partition(zl) and is_partition(yl)):
-                    raise ValueError("keys must be pairs of partitions")
-                c = _as_coeff(c)
-                if c:
-                    key = (zl, yl)
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + c
-            self.terms = {k: c for k, c in self.terms.items() if c}
+        merged: dict = {}
+        for (zl, yl), c in (terms or {}).items():
+            key = (tuple(zl), tuple(yl))
+            if not (is_partition(key[0]) and is_partition(key[1])):
+                raise ValueError("keys must be pairs of partitions")
+            merged[key] = merged.get(key, 0) + _as_coeff(c)
+        _with_terms(self, merged)
 
     @classmethod
     def zero(cls) -> "TwoAlphabetSymFun":
@@ -454,61 +441,57 @@ class TwoAlphabetSymFun:
 
     @classmethod
     def from_z(cls, f: SymFun) -> "TwoAlphabetSymFun":
-        fp = to_p(f)
-        return cls({(lam, ()): c for lam, c in fp.terms.items()})
+        return _with_terms(cls(), {(lam, ()): c for lam, c in to_p(f).terms.items()})
 
     @classmethod
     def from_y(cls, f: SymFun) -> "TwoAlphabetSymFun":
-        fp = to_p(f)
-        return cls({((), lam): c for lam, c in fp.terms.items()})
+        return _with_terms(cls(), {((), lam): c for lam, c in to_p(f).terms.items()})
 
     @classmethod
     def joint_p(cls, lam) -> "TwoAlphabetSymFun":
         """p_lam over the union alphabet: product of (p_k(z) + p_k(y))."""
-        terms = {((), ()): Fraction(1)}
+        terms = {((), ()): 1}
         for k in lam:
             nxt: dict = {}
             for (zl, yl), c in terms.items():
                 for key in ((_merge(zl + (k,)), yl), (zl, _merge(yl + (k,)))):
-                    nxt[key] = nxt.get(key, Fraction(0)) + c
+                    nxt[key] = nxt.get(key, 0) + c
             terms = nxt
-        return cls(terms)
+        return _with_terms(cls(), terms)
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TwoAlphabetSymFun(out)
+            out[k] = out.get(k, 0) + c
+        return _with_terms(TwoAlphabetSymFun(), out)
 
     def __neg__(self):
-        return TwoAlphabetSymFun({k: -c for k, c in self.terms.items()})
+        return _with_terms(TwoAlphabetSymFun(), {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            return TwoAlphabetSymFun({k: v * c for k, v in self.terms.items()})
-        out: dict = {}
-        for (z1, y1), c1 in self.terms.items():
-            for (z2, y2), c2 in other.terms.items():
-                key = (_merge(z1 + z2), _merge(y1 + y2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TwoAlphabetSymFun(out)
+            out = {k: v * other for k, v in self.terms.items()}
+        else:
+            out = {}
+            for (z1, y1), c1 in self.terms.items():
+                for (z2, y2), c2 in other.terms.items():
+                    key = (_merge(z1 + z2), _merge(y1 + y2))
+                    out[key] = out.get(key, 0) + c1 * c2
+        return _with_terms(TwoAlphabetSymFun(), out)
 
     __rmul__ = __mul__
 
     def omega_z(self) -> "TwoAlphabetSymFun":
-        return TwoAlphabetSymFun(
-            {k: c * sgn_of_type(k[0]) for k, c in self.terms.items()}
-        )
+        out = {k: c * sgn_of_type(k[0]) for k, c in self.terms.items()}
+        return _with_terms(TwoAlphabetSymFun(), out)
 
     def negate_y(self) -> "TwoAlphabetSymFun":
         """Substitute y -> -y, so p_k(y) picks up (-1)^k."""
-        return TwoAlphabetSymFun(
-            {k: c * (-1) ** sum(k[1]) for k, c in self.terms.items()}
-        )
+        out = {k: c * (-1) ** sum(k[1]) for k, c in self.terms.items()}
+        return _with_terms(TwoAlphabetSymFun(), out)
 
     def z_to_zy(self) -> "TwoAlphabetSymFun":
         """Substitute the union alphabet for z: p_k(z) -> p_k(z) + p_k(y)."""
@@ -516,19 +499,18 @@ class TwoAlphabetSymFun:
         for (zl, yl), c in self.terms.items():
             for (z2, y2), d in TwoAlphabetSymFun.joint_p(zl).terms.items():
                 key = (z2, _merge(y2 + yl))
-                out[key] = out.get(key, Fraction(0)) + c * d
-        return TwoAlphabetSymFun(out)
+                out[key] = out.get(key, 0) + c * d
+        return _with_terms(TwoAlphabetSymFun(), out)
 
     def y_to_zero(self) -> "TwoAlphabetSymFun":
-        return TwoAlphabetSymFun(
-            {k: c for k, c in self.terms.items() if not k[1]}
-        )
+        out = {k: c for k, c in self.terms.items() if not k[1]}
+        return _with_terms(TwoAlphabetSymFun(), out)
 
     def z_part(self) -> SymFun:
         """Read off a pure-z element (requires every ypartition empty)."""
         if any(k[1] for k in self.terms):
             raise ValueError("not a pure z element")
-        return SymFun("p", {k[0]: c for k, c in self.terms.items()})
+        return _with_terms(SymFun("p"), {k[0]: c for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TwoAlphabetSymFun) and self.terms == other.terms

@@ -3,6 +3,7 @@ codes, corpus plumbing, and artifact output."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,7 +111,7 @@ def test_digraph_from_args_requires_exactly_one_source(tmp_path):
 
 # --------------------------------------------------------------- exit codes
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert main(["u", "--gen", "empty:3"]) == 0
     assert main(["u"]) == 2
     assert main(["u", "--gen", "nosuch:3"]) == 2
@@ -122,6 +123,10 @@ def test_exit_codes():
     assert main(["u", "--gen", "empty:3", "--routes", "bogus"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", ","]) == 2
     assert main(["u", "--edges", "/nonexistent/file.dg"]) == 2
+    # JSON labels are taken as given, never truncated to ints
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3.7, "edges": [[1.9, 2], [true, 3]]}')
+    assert main(["u", "--edges", str(bad)]) == 2
     assert main(["u", "--gen", "complete:9"]) == 3
     assert main(["u", "--gen", "complete:9", "--routes", "all"]) == 3
     assert main(["u", "--gen", "empty:7", "--routes", "matrix-det"]) == 3
@@ -435,3 +440,21 @@ def test_worked_example_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "ham paths: 1 " in done.stdout
+
+
+def test_readme_library_block_runs_and_its_reprs_hold():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    checked = 0
+    for line in block.splitlines():
+        # `[name = ]expression   # repr of the expression's value`
+        m = re.fullmatch(r"(?:\w+ = )?(.+?)\s+# (.+)", line)
+        if m:
+            assert repr(eval(m[1], namespace)) == m[2], line
+            checked += 1
+    assert checked == 3
+    assert namespace["ok"] is True

@@ -1,3 +1,4 @@
+import importlib
 import json
 from math import factorial
 
@@ -57,6 +58,23 @@ def test_constructor_validates_edges():
     assert D.has_edge(1, 2) and not D.has_edge(2, 1)
     assert D.out_neighbors(1) == [2]
     assert D.adjacency() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+
+
+def test_labels_must_be_ints_not_floats_bools_or_strings():
+    # int() would truncate 3.7 to 3 and 1.9 to 1, and True passes as 1
+    for bad in (3.7, True, "3"):
+        with pytest.raises(ValueError):
+            digraph(bad, [])
+        with pytest.raises(ValueError):
+            digraph_from_json_dict({"n": bad, "edges": []})
+    for bad in (1.9, 1.0, True, "1"):
+        with pytest.raises(ValueError):
+            digraph(3, [(bad, 2)])
+        with pytest.raises(ValueError):
+            digraph_from_json_dict({"n": 3, "edges": [[2, bad]]})
+    with pytest.raises(ValueError):
+        digraph_from_json_dict({"n": 3.7, "edges": [[1.9, 2], [True, 3]]})
+    assert digraph_from_json_dict({"n": 3, "edges": [[1, 2]]}) == digraph(3, [(1, 2)])
 
 
 def test_zero_vertex_digraph():
@@ -206,6 +224,28 @@ def test_cycle_covers_are_the_pathless_covers_in_order(D, data):
         assert enumerate_cycle_covers(D, verts) == [
             c for c in enumerate_path_cycle_covers(D, verts) if not c.paths
         ]
+
+
+@given(digraphs(max_n=5), st.data())
+def test_path_covers_are_the_cycleless_covers_in_order(D, data):
+    keep = data.draw(st.lists(st.booleans(), min_size=D.n, max_size=D.n))
+    subset = [v for v, k in zip(D.vertices(), keep) if k]
+    for verts in (None, subset):
+        assert enumerate_path_covers(D, verts) == [
+            c for c in enumerate_path_cycle_covers(D, verts) if not c.cycles
+        ]
+
+
+def test_path_covers_never_close_a_cycle(monkeypatch):
+    def no_cycle(cyc):
+        raise AssertionError(f"path cover enumeration closed the cycle {cyc}")
+
+    # the package re-exports the function digraph under the module's name
+    module = importlib.import_module("redeiberge.digraph")
+    monkeypatch.setattr(module, "_canonical_cycle", no_cycle)
+    D = complete_digraph(4, loops=True)
+    # partitions of [4] into blocks, each block ordered into a path
+    assert len(enumerate_path_covers(D)) == 73
 
 
 def test_cover_filters():

@@ -53,6 +53,7 @@ from redeiberge.redei import (
     verify_chow_identities,
 )
 from redeiberge.ringmat import MultilinearPoly, det_ring, matrix_series
+from redeiberge import symfun
 from redeiberge.symfun import (
     SymFun,
     TwoAlphabetSymFun,
@@ -549,6 +550,29 @@ def test_chow_unknown_route_and_guard():
 
 
 # ------------------------------------------------- kernel extraction values
+
+def test_matrix_route_determinants_stay_in_h_and_e(monkeypatch):
+    # det H(X Abar) is taken in h and det E(X A) in e, where every product
+    # concatenates; only the final full-support products go through p
+    def no_basis_change(*args):
+        raise AssertionError("det_ring went through a basis change")
+
+    real_det_ring = redei.det_ring
+    bases = []
+
+    def det_ring_in_place(M, one):
+        with monkeypatch.context() as m:
+            m.setattr(symfun, "to_p", no_basis_change)
+            m.setattr(symfun, "convert", no_basis_change)
+            det = real_det_ring(M, one)
+        bases.append({c.basis for c in det.terms.values()})
+        return det
+
+    monkeypatch.setattr(redei, "det_ring", det_ring_in_place)
+    D = random_digraph(5, 0.5, seed=7)
+    assert to_p(redei.u_via_matrix_route(D)) == redei.u_via_powersum_GS(D)
+    assert bases == [{"h"}, {"e"}]
+
 
 def test_subset_extraction_from_h_series_det():
     # Coefficient of x2*x3 in det H(X Abar) for EXAMPLE3: the only cycle cover

@@ -261,6 +261,13 @@ def test_matrix_series_small():
     assert equals(entry.coeff({1}), SymFun.element("h", (1,)))
     E = matrix_series([[1]], "E")
     assert equals(E[0][0].coeff({1}), SymFun.element("e", (1,)))
+    # entries carry h (or e) basis coefficients with int values
+    A = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    for kind in ("H", "E"):
+        entries = [e for row in matrix_series(A, kind) for e in row]
+        coeffs = [c for e in entries for c in e.terms.values()]
+        assert coeffs and {c.basis for c in coeffs} == {kind.lower()}
+        assert all(type(v) is int for c in coeffs for v in c.terms.values())
     with pytest.raises(ValueError):
         matrix_series([[1]], "Q")
     with pytest.raises(GuardError):

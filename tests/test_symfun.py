@@ -190,17 +190,36 @@ def test_multiply_guard():
 
 
 def test_p_times_p_stays_in_the_p_basis(monkeypatch):
+    # likewise h x h in h and e x e in e: in each of these bases a product
+    # of basis elements is the element of the concatenated partition
     def no_basis_change(*args):
-        raise AssertionError("a p x p product went through a basis change")
+        raise AssertionError("a product went through a basis change")
 
     monkeypatch.setattr(symfun, "to_p", no_basis_change)
     monkeypatch.setattr(symfun, "convert", no_basis_change)
-    f = SymFun("p", {(1,): 1, (2,): 2})
-    g = SymFun("p", {(1,): 3, (): Fraction(1, 2)})
-    want = SymFun("p", {(1, 1): 3, (2, 1): 6, (1,): Fraction(1, 2), (2,): 1})
-    assert multiply(f, g) == want
-    assert multiply(f, g, "p") == want
-    assert f * g == want
+    for b in ("p", "h", "e"):
+        f = SymFun(b, {(1,): 1, (2,): 2})
+        g = SymFun(b, {(1,): 3, (): Fraction(1, 2)})
+        want = SymFun(b, {(1, 1): 3, (2, 1): 6, (1,): Fraction(1, 2), (2,): 1})
+        assert multiply(f, g) == want
+        assert multiply(f, g, b) == want
+        assert f * g == want
+
+
+def test_integer_coefficients_stay_int():
+    f = SymFun("s", {(2, 1): 2, (3,): -1})
+    g = SymFun("s", {(2, 1): 1, (1, 1, 1): 4})
+    mt = SymFun("mtilde", {(2, 1): 3, (1, 1, 1): -1})
+    # s_2 + s_11 = p_1^2 is integral, though s_2 alone has halves in p
+    s2_s11 = SymFun("s", {(2,): 1, (1, 1): 1})
+    for out in (f + g, f - g, 3 * f, f * -2, f + 1, 1 - f, to_p(mt), to_p(s2_s11)):
+        assert out and all(type(c) is int for c in out.terms.values()), out
+    assert to_p(s2_s11).terms == {(1, 1): 1}
+    # a Fraction only where the value is not an integer
+    assert to_p(SymFun.element("h", (2,))).terms == {
+        (2,): Fraction(1, 2),
+        (1, 1): Fraction(1, 2),
+    }
 
 
 # ------------------------------------------------------------ inner product
@@ -298,6 +317,9 @@ def test_lr_pieri_row():
 def test_lr_guard():
     with pytest.raises(GuardError):
         littlewood_richardson((7,), (6,), (13,))
+    # the public constructors still validate the partitions they are given
+    with pytest.raises(ValueError):
+        littlewood_richardson((1, 2), (1,), (2, 1, 1))
 
 
 # ------------------------------------------------------- two-alphabet algebra
