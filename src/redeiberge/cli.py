@@ -27,6 +27,7 @@ from .digraph import (
     complement,
     complete_digraph,
     digraph_from_json_dict,
+    digraph_from_text,
     digraph_hash,
     digraph_to_json_dict,
     digraph_to_text,
@@ -106,20 +107,10 @@ def parse_generator(spec: str, seed) -> Digraph:
 
 
 def _poset_from_file(path: str) -> Digraph:
+    """Poset on the `n` line's [n], from `a b` lines meaning a < b."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            ln.split("#", 1)[0].strip()
-            for ln in fh.read().splitlines()
-        ]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError("empty poset file")
-    n = int(lines[0])
-    relations = []
-    for ln in lines[1:]:
-        a, b = ln.split()
-        relations.append((int(a), int(b)))
-    return poset_digraph(n, relations)
+        relations = digraph_from_text(fh.read())
+    return poset_digraph(relations.n, relations.sorted_edges())
 
 
 def digraph_from_args(args) -> Digraph:

@@ -68,7 +68,11 @@ class Digraph:
 
 def digraph(n: int, edges) -> Digraph:
     """Digraph on [n] from (u, v) pairs; n and every vertex must be ints."""
-    return Digraph(n, frozenset((u, v) for u, v in edges))
+    try:
+        pairs = frozenset((u, v) for u, v in edges)
+    except TypeError as exc:
+        raise ValueError(f"edges must be (u, v) pairs: {exc}") from exc
+    return Digraph(n, pairs)
 
 
 # ------------------------------------------------------------------ operations

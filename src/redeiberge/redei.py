@@ -10,8 +10,8 @@ other:
 - "path-cover"     augmented monomials over path covers of the complement
 - "powersum-GS"    signed power sums over permutations whose nontrivial
                    cycles lie in D or its complement
-- "subset-formula" cycle covers of complementary vertex sets, signed on
-                   the D side
+- "subset-formula" exponential formula over set partitions: a block is a
+                   cycle of the complement or a signed cycle of D
 - "matrix-det"     coefficient extraction from det H(X Abar) det E(X A)
 - "schur-JT"       Schur coefficients from path-polynomial determinants
                    (Jacobi-Trudi style, both transposed forms)
@@ -26,6 +26,7 @@ Xi_hat_D together with their complementation identities.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations as _it_permutations
@@ -38,7 +39,6 @@ from .combinat import (
     multiplicity_factorial,
     partitions_of,
     record_partition,
-    sgn_of_type,
 )
 from .digraph import (
     Digraph,
@@ -57,9 +57,12 @@ from .digraph import (
 from .guards import DisagreementError, guard
 from .ringmat import (
     MultilinearPoly,
+    _anchored_cycle_weights,
+    _signed_cycles,
     det_ring,
     immanant,
     matrix_series,
+    subset_exp,
     submatrix,
 )
 from .symfun import (
@@ -165,40 +168,17 @@ def _type_and_twist(sigma: dict, edges) -> tuple:
     return tuple(parts), -1 if phi & 1 else 1
 
 
-def _cycle_cover_pvec(D: Digraph, verts, signed: bool) -> dict:
-    """Power sum vector of cycle covers of D restricted to verts.
-
-    Maps the cycle-type partition to a count, multiplied by the sign
-    (-1)^(weight - length) when signed.
-    """
-    out: dict = {}
-    for cover in enumerate_cycle_covers(D, verts):
-        lam = cover.cycle_partition()
-        c = sgn_of_type(lam) if signed else 1
-        out[lam] = out.get(lam, 0) + c
-    return out
-
-
 def u_via_subset_formula(D: Digraph) -> SymFun:
-    """Bilinear sum over complementary vertex subsets: unsigned cycle
-    covers of the complement against signed cycle covers of D."""
-    n = D.n
+    """Exponential formula over the set partitions of [n]: a block B of
+    size k weighs (cyc_Dbar(B) + (-1)^(k-1) cyc_D(B)) p_k, where cyc
+    counts the directed cycles on exactly B.  Grouped by vertex sets,
+    these are unsigned cycle covers of the complement against signed
+    cycle covers of D."""
     _admit("subset-formula", D)
-    Dbar = complement(D)
-    verts = list(D.vertices())
-    out: dict = {}
-    for k in range(n + 1):
-        for I in combinations(verts, k):
-            Ic = [v for v in verts if v not in I]
-            signed = _cycle_cover_pvec(D, I, signed=True)
-            if not signed:
-                continue
-            unsigned = _cycle_cover_pvec(Dbar, Ic, signed=False)
-            for lam1, c1 in unsigned.items():
-                for lam2, c2 in signed.items():
-                    key = tuple(sorted(lam1 + lam2, reverse=True))
-                    out[key] = out.get(key, 0) + c1 * c2
-    return SymFun("p", out)
+    cyc = _signed_cycles(_anchored_cycle_weights(D.adjacency()))
+    cyc_bar = _anchored_cycle_weights(complement(D).adjacency())
+    w = [a + b for a, b in zip(cyc_bar, cyc)]
+    return SymFun("p", {lam: c for (lam,), c in subset_exp(w).items()})
 
 
 # --------------------------------------------------------------- matrix route
@@ -257,7 +237,7 @@ def _jt_coefficient(D: Digraph, lam: tuple) -> int:
 
     def xival(k: int) -> MultilinearPoly:
         if k not in cache:
-            cache[k] = xi(D, k).value
+            cache[k] = xi(D, k)
         return cache[k]
 
     M = [
@@ -320,7 +300,8 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
     n = D.n
     _admit(f"acyclic-{flavor}", D)
     if flavor == "powersum":
-        return SymFun("p", _cycle_cover_pvec(complement(D), None, signed=False))
+        covers = enumerate_cycle_covers(complement(D))
+        return SymFun("p", Counter(c.cycle_partition() for c in covers))
     if flavor == "schur":
         Abar = complement(D).adjacency()
         terms = {}
@@ -397,21 +378,25 @@ def chow_xi(D: Digraph, route: str = "direct") -> TwoAlphabetSymFun:
     times power sums in y on cycle partitions, over path-cycle covers."""
     guard("chow", D.n, CHOW_BOUND)
     if route == "direct":
-        return _chow_cover_tally(D, 1)
+        return _chow_weigh(_chow_covers(D), 1)
     if route == "powersum":
         return _chow_xi_powersum(D)
     raise ValueError(f"unknown route {route!r}")
 
 
-def _chow_cover_tally(D: Digraph, w: int) -> TwoAlphabetSymFun:
-    """Sum over D's path-cycle covers of w^(number of cycles) times
+def _chow_covers(D: Digraph) -> Counter:
+    """D's path-cycle covers tallied by (path partition, cycle partition)."""
+    return Counter(
+        (c.path_partition(), c.cycle_partition())
+        for c in enumerate_path_cycle_covers(D)
+    )
+
+
+def _chow_weigh(tally: Counter, w: int) -> TwoAlphabetSymFun:
+    """Sum over the tallied covers of w^(number of cycles) times
     mtilde_(path partition)(z) * p_(cycle partition)(y)."""
-    acc: dict = {}
-    for cover in enumerate_path_cycle_covers(D):
-        key = (cover.path_partition(), cover.cycle_partition())
-        acc[key] = acc.get(key, 0) + 1
     terms: dict = {}
-    for (plam, clam), c in acc.items():
+    for (plam, clam), c in tally.items():
         c *= w ** len(clam)
         for mu, d in to_p(SymFun("mtilde", {plam: 1})).terms.items():
             terms[(mu, clam)] = terms.get((mu, clam), 0) + c * d
@@ -419,25 +404,15 @@ def _chow_cover_tally(D: Digraph, w: int) -> TwoAlphabetSymFun:
 
 
 def _chow_xi_powersum(D: Digraph) -> TwoAlphabetSymFun:
-    """Signed cycle covers of the complement in z against cycle covers of
-    D in the union alphabet, over complementary vertex subsets."""
-    n = D.n
-    Dbar = complement(D)
-    verts = list(D.vertices())
-    terms: dict = {}
-    for k in range(n + 1):
-        for I in combinations(verts, k):
-            signed = _cycle_cover_pvec(Dbar, I, signed=True)
-            if not signed:
-                continue
-            Ic = [v for v in verts if v not in I]
-            for clam, c2 in _cycle_cover_pvec(D, Ic, signed=False).items():
-                joint = TwoAlphabetSymFun.joint_p(clam).terms
-                for lam, c1 in signed.items():
-                    for (zl, yl), d in joint.items():
-                        key = (tuple(sorted(lam + zl, reverse=True)), yl)
-                        terms[key] = terms.get(key, 0) + c1 * c2 * d
-    return TwoAlphabetSymFun(terms)
+    """Exponential formula over the set partitions of [n] in two
+    alphabets: a block B of size k weighs v(B) p_k(z) + cyc_D(B) p_k(y),
+    v(B) = (-1)^(k-1) cyc_Dbar(B) + cyc_D(B).  Grouped by vertex sets,
+    these are signed cycle covers of the complement in z against cycle
+    covers of D in the union alphabet z u y."""
+    cyc = _anchored_cycle_weights(D.adjacency())
+    cyc_bar = _signed_cycles(_anchored_cycle_weights(complement(D).adjacency()))
+    v = [a + b for a, b in zip(cyc_bar, cyc)]
+    return TwoAlphabetSymFun(subset_exp(v, cyc))
 
 
 def chow_xi_hat(D: Digraph) -> TwoAlphabetSymFun:
@@ -449,7 +424,7 @@ def chow_xi_hat(D: Digraph) -> TwoAlphabetSymFun:
     mtilde(z) p(y), with the union alphabet then substituted for z.
     """
     guard("chow", D.n, CHOW_BOUND)
-    return _chow_cover_tally(D, -2).z_to_zy()
+    return _chow_weigh(_chow_covers(D), -2).z_to_zy()
 
 
 def u_from_chow(D: Digraph) -> SymFun:
@@ -479,13 +454,14 @@ def verify_chow_identities(D: Digraph) -> ChowReport:
     """
     guard("chow_identities", D.n, CHOW_IDENTITIES_BOUND)
     report = ChowReport(n=D.n, digraph_hash=digraph_hash(D))
-    Dbar = complement(D)
-    lhs = chow_xi(Dbar, "direct").negate_y().omega_z().z_to_zy()
-    rhs = chow_xi(D, "direct")
+    # Xi and Xi_hat of D and of its complement, from one tally each
+    covers, covers_bar = _chow_covers(D), _chow_covers(complement(D))
+    lhs = _chow_weigh(covers_bar, 1).negate_y().omega_z().z_to_zy()
+    rhs = _chow_weigh(covers, 1)
     if lhs != rhs:
         report.record(_first_difference("full transform", lhs, rhs))
-    lhs_hat = chow_xi_hat(D).negate_y().omega_z()
-    rhs_hat = chow_xi_hat(Dbar)
+    lhs_hat = _chow_weigh(covers, -2).z_to_zy().negate_y().omega_z()
+    rhs_hat = _chow_weigh(covers_bar, -2).z_to_zy()
     if lhs_hat != rhs_hat:
         report.record(_first_difference("hat transform", lhs_hat, rhs_hat))
     via_powersum = chow_xi(D, "powersum")

@@ -15,6 +15,10 @@ Two determinant kernels, one per job:
   minors of an integer matrix at once, by cycle-cover convolution (the
   Hamiltonian formulas and the walk series).
 
+subset_exp runs the same convolution with power sums kept apart by block
+size: fed the anchored cycle weights of D and of its complement, it is
+the subset-formula route of U_D and the powersum route of Chow's Xi_D.
+
 Also here: the Ryser permanent with Gray-code updates, immanants, and
 the matrix series H(XA) and E(XA), whose coefficients stay in the h and
 e bases, so that det_ring's products of them are concatenations.
@@ -284,12 +288,12 @@ def principal_permanents(A) -> list:
 def principal_determinants(A) -> list:
     """det A[S] for every subset S, by signed cycle-cover convolution."""
     guard("principal_minors", len(A), 18)
-    # a cycle on L vertices contributes sign (-1)^(L-1)
-    signed = [
-        c if m.bit_count() & 1 else -c
-        for m, c in enumerate(_anchored_cycle_weights(A))
-    ]
-    return _cycle_cover_sums(signed)
+    return _cycle_cover_sums(_signed_cycles(_anchored_cycle_weights(A)))
+
+
+def _signed_cycles(cyc: list) -> list:
+    """cyc with a cycle on L vertices signed (-1)^(L-1), as in det."""
+    return [c if m.bit_count() & 1 else -c for m, c in enumerate(cyc)]
 
 
 def _cycle_cover_sums(w: list) -> list:
@@ -315,6 +319,36 @@ def _cycle_cover_sums(w: list) -> list:
             T = (T - 1) & rest
         out[S] = acc
     return out
+
+
+def subset_exp(*weights) -> dict:
+    """Sum over the set partitions of [n] of the product of block weights.
+
+    One weight list per alphabet, each indexed by bitmask: block m weighs
+    sum_a weights[a][m] * p_|m| in alphabet a.  Keys hold one partition
+    per alphabet.  Blocks are taken as in _cycle_cover_sums, so every set
+    partition is counted once.
+    """
+    out = [{((),) * len(weights): 1}]
+    for S in range(1, len(weights[0])):
+        a = S & -S
+        rest = S ^ a
+        acc: dict = {}
+        T = rest
+        while True:
+            m = T | a
+            k = m.bit_count()
+            for i, w in enumerate(weights):
+                if w[m]:
+                    for key, c in out[S ^ m].items():
+                        lam = tuple(sorted(key[i] + (k,), reverse=True))
+                        new = key[:i] + (lam,) + key[i + 1:]
+                        acc[new] = acc.get(new, 0) + w[m] * c
+            if T == 0:
+                break
+            T = (T - 1) & rest
+        out.append({key: c for key, c in acc.items() if c})
+    return out[-1]
 
 
 def submatrix(M, rows, cols=None) -> list:

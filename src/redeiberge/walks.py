@@ -25,24 +25,16 @@ from .guards import guard
 from .ringmat import MultilinearPoly, principal_determinants
 
 
-@dataclass(frozen=True)
-class PathPolynomial:
-    """xi_k: multilinear polynomial summing monomials of k-vertex paths."""
-
-    k: int
-    value: MultilinearPoly
-
-
-def xi(D: Digraph, k: int) -> PathPolynomial:
+def xi(D: Digraph, k: int) -> MultilinearPoly:
     """Sum over directed paths on exactly k distinct vertices.
 
     xi(D, 0) is the constant 1; negative k and k > n give 0.
     """
     n = D.n
     if k < 0 or k > n:
-        return PathPolynomial(k, MultilinearPoly.zero(n))
+        return MultilinearPoly.zero(n)
     if k == 0:
-        return PathPolynomial(0, MultilinearPoly.const(n, 1))
+        return MultilinearPoly.const(n, 1)
     # ends[mask][last]: number of paths with vertex set mask ending at last
     ends: list = [None] * (1 << n)
     adj = {v: D.out_neighbors(v) for v in D.vertices()}
@@ -69,7 +61,7 @@ def xi(D: Digraph, k: int) -> PathPolynomial:
                 if d is None:
                     d = ends[mask | bit] = {}
                 d[w] = d.get(w, 0) + cnt
-    return PathPolynomial(k, MultilinearPoly(n, counts))
+    return MultilinearPoly(n, counts)
 
 
 def gamma(D: Digraph, k: int, point) -> int:

@@ -127,6 +127,12 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3.7, "edges": [[1.9, 2], [true, 3]]}')
     assert main(["u", "--edges", str(bad)]) == 2
+    # edges that are not (u, v) pairs are bad input, not a crash
+    for i, edges in enumerate(("[1]", "5")):
+        path = tmp_path / f"not_pairs{i}.json"
+        path.write_text(f'{{"n": 3, "edges": {edges}}}')
+        for cmd in ("u", "ham"):
+            assert main([cmd, "--edges", str(path)]) == 2
     assert main(["u", "--gen", "complete:9"]) == 3
     assert main(["u", "--gen", "complete:9", "--routes", "all"]) == 3
     assert main(["u", "--gen", "empty:7", "--routes", "matrix-det"]) == 3

@@ -77,6 +77,12 @@ def test_labels_must_be_ints_not_floats_bools_or_strings():
     assert digraph_from_json_dict({"n": 3, "edges": [[1, 2]]}) == digraph(3, [(1, 2)])
 
 
+def test_edges_must_be_a_sequence_of_pairs():
+    for bad in ([1], 5, None, [[[1], 2]], [(1, 2, 3)]):
+        with pytest.raises(ValueError):
+            digraph(3, bad)
+
+
 def test_zero_vertex_digraph():
     D = empty_digraph(0)
     assert list(D.vertices()) == []

@@ -1,6 +1,7 @@
 """Descent symmetric function U_D: golden values, route agreement, hooks,
 special-class forms, and the two-alphabet path-cycle functions."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -478,20 +479,53 @@ def test_u_from_chow_matches_u(D):
 
 
 def test_chow_identities_build_each_direct_function_once(monkeypatch):
-    # Xi of the complement and Xi of D, once each: the powersum route is
-    # compared against the same Xi_D the full transform was.
-    routes = []
-    real = redei.chow_xi
+    # Xi and Xi_hat of D and of its complement come from one cover
+    # enumeration each, and the powersum route is built once.
+    routes, enumerated = [], []
+    real_xi, real_enum = redei.chow_xi, redei.enumerate_path_cycle_covers
 
-    def counted(D, route="direct"):
+    def counted_xi(D, route="direct"):
         routes.append(route)
-        return real(D, route)
+        return real_xi(D, route)
 
-    monkeypatch.setattr(redei, "chow_xi", counted)
-    report = verify_chow_identities(random_digraph(4, 0.45, seed=401))
+    def counted_enum(D, *args, **kwargs):
+        enumerated.append(D)
+        return real_enum(D, *args, **kwargs)
+
+    monkeypatch.setattr(redei, "chow_xi", counted_xi)
+    monkeypatch.setattr(redei, "enumerate_path_cycle_covers", counted_enum)
+    D = random_digraph(4, 0.45, seed=401)
+    report = verify_chow_identities(D)
     assert report.ok, report.failures
-    assert routes.count("direct") == 2
-    assert routes.count("powersum") == 1
+    assert len(enumerated) == 2 and set(enumerated) == {D, complement(D)}
+    assert routes == ["powersum"]
+
+
+def test_kernel_routes_enumerate_no_covers(monkeypatch):
+    # subset-formula and the powersum Xi read the subset_exp kernel, so
+    # each cross-check compares two different algorithms
+    cases = [random_digraph(5, p, seed=410 + i) for i, p in enumerate((0.3, 0.6))]
+    want = [
+        (redei.u_via_subset_formula(D), chow_xi(D, "powersum")) for D in cases
+    ]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("cover enumeration called")
+
+    digraph_module = importlib.import_module("redeiberge.digraph")
+    for name in ("enumerate_cycle_covers", "enumerate_path_cycle_covers"):
+        monkeypatch.setattr(redei, name, boom)
+        monkeypatch.setattr(digraph_module, name, boom)
+    for D, (u, xi_p) in zip(cases, want):
+        assert redei.u_via_subset_formula(D) == u
+        assert chow_xi(D, "powersum") == xi_p
+
+
+def test_subset_formula_matches_powersum_gs_at_its_bound():
+    n = ROUTES["subset-formula"].bound
+    for i, p in enumerate((0.25, 0.5, 0.75)):
+        D = random_digraph(n, p, seed=420 + i)
+        assert redei.u_via_subset_formula(D) == redei.u_via_powersum_GS(D)
 
 
 def _two_alphabet_value(f, z, y):
@@ -593,7 +627,7 @@ def test_jacobi_trudi_column_det_extraction():
     lam = (1, 1, 1)
     ell = len(lam)
     M = [
-        [xi(EXAMPLE3, lam[i] - (i + 1) + (j + 1)).value for j in range(ell)]
+        [xi(EXAMPLE3, lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
         for i in range(ell)
     ]
     det = det_ring(M, MultilinearPoly.const(3, 1))

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -14,11 +16,18 @@ from oracles import (
     multilinear_inverse,
     permanent_expansion,
 )
-from redeiberge.combinat import cycles_of, partitions_of, sgn
-from redeiberge.digraph import digraph, enumerate_cycle_covers
+from redeiberge.combinat import cycle_type, cycles_of, partitions_of, sgn
+from redeiberge.digraph import (
+    complete_digraph,
+    digraph,
+    empty_digraph,
+    enumerate_cycle_covers,
+)
 from redeiberge.guards import GuardError, guard
 from redeiberge.ringmat import (
     MultilinearPoly,
+    _anchored_cycle_weights,
+    _cycle_cover_sums,
     det_ring,
     immanant,
     mask_of,
@@ -29,6 +38,7 @@ from redeiberge.ringmat import (
     principal_determinants,
     principal_permanents,
     submatrix,
+    subset_exp,
     xa_matrix,
 )
 from redeiberge.symfun import SymFun, equals, to_p
@@ -137,6 +147,54 @@ def test_principal_families_match_direct_minors(M):
         sub = submatrix(M, verts)
         assert pers[S] == permanent_expansion(sub), verts
         assert dets[S] == bareiss_det(sub), verts
+
+
+# ---------------------------------------------------------------- subset_exp
+
+def _cycles(D):
+    return _anchored_cycle_weights(D.adjacency())
+
+
+def test_subset_exp_edge_cases():
+    # n = 0: the empty partition, once per alphabet
+    assert subset_exp([1]) == {((),): 1}
+    assert subset_exp([1], [0]) == {((), ()): 1}
+    # no cycles at all: no set partition of a nonempty set has a weight
+    assert subset_exp(_cycles(empty_digraph(3))) == {}
+    # loops only: all singletons, each in either alphabet
+    loops = _cycles(digraph(3, [(v, v) for v in (1, 2, 3)]))
+    assert subset_exp(loops) == {((1, 1, 1),): 1}
+    assert subset_exp(loops, loops) == {
+        ((1,) * a, (1,) * (3 - a)): comb(3, a) for a in range(4)
+    }
+    # complete with loops: a block on k vertices carries (k-1)! cycles, so
+    # p_lam counts the permutations of cycle type lam
+    for n in range(5):
+        by_type = Counter(
+            cycle_type(p) for p in permutations(range(1, n + 1))
+        )
+        got = subset_exp(_cycles(complete_digraph(n, loops=True)))
+        assert got == {(lam,): c for lam, c in by_type.items()}
+
+
+@st.composite
+def mask_weights(draw, max_n=6):
+    """Two weight lists indexed by the bitmasks of [n]."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    weights = st.lists(
+        st.integers(min_value=-3, max_value=3), min_size=1 << n, max_size=1 << n
+    )
+    return draw(weights), draw(weights)
+
+
+@given(mask_weights())
+def test_subset_exp_at_unit_power_sums_is_the_cycle_cover_sum(pair):
+    # p_k = 1 in every alphabet forgets block sizes and alphabets, leaving
+    # the scalar convolution of the summed weights
+    w, v = pair
+    assert sum(subset_exp(w).values()) == _cycle_cover_sums(w)[-1]
+    both = [a + b for a, b in zip(w, v)]
+    assert sum(subset_exp(w, v).values()) == _cycle_cover_sums(both)[-1]
 
 
 def test_principal_minors_guard():
