@@ -9,7 +9,8 @@ the edge set.
 Permutations whose nontrivial cycles all follow edges of D, or each
 follow edges of D or of its complement, are built cycle by cycle by one
 backtracking generator, `_perms_with_cycles_along`; no rejected
-permutation is ever built.
+permutation is ever built.  Each comes as one record: its images, its
+cycle lengths and its sign, the last two set as each cycle closes.
 """
 
 from __future__ import annotations
@@ -395,8 +396,8 @@ def enumerate_cycle_covers(D: Digraph, verts=None) -> list:
 def perms_with_all_cycles_in(D: Digraph, verts=None) -> list:
     """Permutations of the vertex set whose nontrivial cycles are cycles of D.
 
-    Fixed points are unconstrained.  Returned as dicts on the vertex set.
-    """
+    Fixed points are unconstrained; one record per permutation, as
+    `_perms_with_cycles_along` builds them."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
     return _perms_with_cycles_along(vs, [D.edges])
@@ -404,59 +405,65 @@ def perms_with_all_cycles_in(D: Digraph, verts=None) -> list:
 
 def perms_with_cycles_in_either(D: Digraph, verts=None) -> list:
     """Permutations whose nontrivial cycles are each a cycle of D or of its
-    complement; fixed points are unconstrained."""
+    complement; fixed points are unconstrained.  One record per
+    permutation; its sign twists only the cycles of D."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
     return _perms_with_cycles_along(vs, [D.edges, complement(D).edges])
 
 
 def _perms_with_cycles_along(vs: list, edge_sets) -> list:
-    """Permutations of vs whose nontrivial cycles each run along the edges
-    of one of edge_sets, built cycle by cycle.
+    """Records (images, lengths, sign) of the permutations of vs whose
+    nontrivial cycles each run along the edges of one of edge_sets.
 
     The smallest unplaced vertex is either fixed or starts a cycle that
     grows through unplaced vertices along one digraph's edges and closes
-    back on it, so only accepted permutations are ever built.
+    back on it, so only accepted permutations are ever built.  images[k]
+    is the image of vs[k]; lengths lists the cycle lengths in the order of
+    each cycle's smallest vertex, a fixed point as 1; sign is (-1)^phi,
+    phi summing length - 1 over the cycles grown along edge_sets[0], and
+    is set as each cycle closes.
     """
     m = len(vs)
+    # per edge set: the sign step per cycle vertex, successors as (bit, index)
     succs = [
-        [[j for j in range(m) if j != i and (vs[i], vs[j]) in edges] for i in range(m)]
-        for edges in edge_sets
+        (-1 if t == 0 else 1,
+         [[(1 << j, j) for j in range(m) if j != i and (vs[i], vs[j]) in edges]
+          for i in range(m)])
+        for t, edges in enumerate(edge_sets)
     ]
     out: list = []
-    _place(0, vs, succs, [None] * m, out)
+    _place(0, 1, (), (1 << m) - 1, vs, succs, list(vs), out)
     return out
 
 
 # The two steps are module functions, not closures: closures that call each
 # other form a reference cycle that would keep `out` alive until the cycle
-# collector runs.  img[i] is the image of vs[i], None while vs[i] is unplaced.
+# collector runs.  used is the bitmask of placed indices; img[k] is the image
+# of vs[k] once k is placed.
 
-def _place(i: int, vs: list, succs: list, img: list, out: list) -> None:
-    m = len(vs)
-    while i < m and img[i] is not None:
-        i += 1
-    if i == m:
-        out.append(dict(zip(vs, img)))
+def _place(used, sign, lens, full, vs, succs, img, out) -> None:
+    if used == full:
+        out.append((tuple(img), lens, sign))
         return
+    low = ~used & (used + 1)
+    i = low.bit_length() - 1
+    used |= low
     img[i] = vs[i]
-    _place(i + 1, vs, succs, img, out)
-    img[i] = None
-    for succ in succs:
-        _grow(i, i, succ, vs, succs, img, out)
+    _place(used, sign, lens + (1,), full, vs, succs, img, out)
+    for step, succ in succs:
+        _grow(i, i, used, 1, sign, step, succ, lens, full, vs, succs, img, out)
 
 
-def _grow(
-    start: int, last: int, succ: list, vs: list, succs: list, img: list, out: list
-) -> None:
-    for w in succ[last]:
-        if w == start:
-            img[last] = vs[start]
-            _place(start + 1, vs, succs, img, out)
-        elif img[w] is None:
+def _grow(start, last, used, length, sign, step, succ, lens, full, vs, succs, img, out):
+    for bit, w in succ[last]:
+        if not used & bit:
             img[last] = vs[w]
-            _grow(start, w, succ, vs, succs, img, out)
-    img[last] = None
+            _grow(start, w, used | bit, length + 1, sign * step, step, succ,
+                  lens, full, vs, succs, img, out)
+        elif w == start:
+            img[last] = vs[start]
+            _place(used, sign, lens + (length,), full, vs, succs, img, out)
 
 
 # ------------------------------------------------------------- serialization

@@ -32,7 +32,8 @@ from .digraph import (
     is_tournament,
 )
 from .guards import DisagreementError, GuardError, guard
-from .ringmat import principal_determinants, principal_permanents, permanent_ryser
+from .ringmat import _anchored_cycle_weights, permanent_ryser
+from .ringmat import principal_determinants, principal_permanents
 
 # Largest n that ham_detper, ham_dp, the cycle formulas, parity_suite
 # and wiseman_check admit.
@@ -45,19 +46,20 @@ WISEMAN_BOUND = 8
 
 @lru_cache(maxsize=3)
 def _minors(D: Digraph, kind: str) -> list:
-    """One principal-minor table of D, indexed by bitmask: per A[S] ("per"),
-    det A[S] ("det") or det Abar[S] ("det_bar").
+    """One table of A, D's adjacency matrix, indexed by bitmask: its
+    anchored cycle weights ("cyc"), per A[S] ("per") or det A[S] ("det"),
+    the last two both built from "cyc".
 
-    ham_detper and both cycle formulas read their tables through
-    _report_minors, so within one ham_report each table is built once.
-    The tables are shared, so callers must not mutate them.
+    ham_detper and both cycle formulas read them through _report_minors,
+    so within one ham_report each table is built once.  The tables are
+    shared, so callers must not mutate them.
     """
+    if kind == "cyc":
+        return _anchored_cycle_weights(D.adjacency())
     if kind == "per":
-        return principal_permanents(D.adjacency())
+        return principal_permanents(D.adjacency(), _minors(D, "cyc"))
     if kind == "det":
-        return principal_determinants(D.adjacency())
-    if kind == "det_bar":
-        return principal_determinants(complement(D).adjacency())
+        return principal_determinants(D.adjacency(), _minors(D, "cyc"))
     raise ValueError(f"unknown minor table {kind!r}")
 
 
@@ -79,7 +81,9 @@ def ham_detper(D: Digraph) -> int:
     n = D.n
     if n == 0:
         return 1
-    per_a, det_abar = _report_minors(D, "per", "det_bar")
+    # only this route reads det Abar, so that table is not kept
+    det_abar = principal_determinants(complement(D).adjacency())
+    (per_a,) = _report_minors(D, "per")
     full = (1 << n) - 1
     total = 0
     for S in range(full + 1):

@@ -34,7 +34,6 @@ from typing import Callable, NamedTuple
 
 from .combinat import (
     conjugate,
-    cycle_type,
     hook_partition,
     multiplicity_factorial,
     partitions_of,
@@ -140,32 +139,21 @@ def u_via_path_covers(D: Digraph) -> SymFun:
 def u_via_powersum_GS(D: Digraph) -> SymFun:
     """Signed power sums over permutations each of whose nontrivial cycles
     is a cycle of D or a cycle of its complement; the sign twists each
-    D-cycle by (-1)^(length-1)."""
+    D-cycle by (-1)^(length-1).  Each enumerated permutation comes with its
+    cycle lengths and that sign, summed per length sequence first."""
     _admit("powersum-GS", D)
-    out: dict = {}
-    for sigma in perms_with_cycles_in_either(D):
-        lam, s = _type_and_twist(sigma, D.edges)
-        out[lam] = out.get(lam, 0) + s
-    return SymFun("p", out)
+    by_lens = Counter()
+    for _, lens, s in perms_with_cycles_in_either(D):
+        by_lens[lens] += s
+    return SymFun("p", _by_cycle_type(by_lens))
 
 
-def _type_and_twist(sigma: dict, edges) -> tuple:
-    """Cycle type of sigma and (-1)^phi, phi summing length - 1 over the
-    cycles of sigma whose every step is in edges; one walk of the cycles."""
-    parts, phi, rest = [], 0, dict(sigma)
-    while rest:
-        start, cur = rest.popitem()
-        length, along = 1, (start, cur) in edges
-        while cur != start:
-            nxt = rest.pop(cur)
-            along = along and (cur, nxt) in edges
-            length += 1
-            cur = nxt
-        parts.append(length)
-        if along:
-            phi += length - 1
-    parts.sort(reverse=True)
-    return tuple(parts), -1 if phi & 1 else 1
+def _by_cycle_type(by_lens: dict) -> Counter:
+    """Weights keyed by sequences of cycle lengths, summed by cycle type."""
+    out = Counter()
+    for lens, w in by_lens.items():
+        out[tuple(sorted(lens, reverse=True))] += w
+    return out
 
 
 def u_via_subset_formula(D: Digraph) -> SymFun:
@@ -321,16 +309,15 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
 
 def u_tournament(D: Digraph) -> SymFun:
     """Odd-cycle power sum form: permutations all of whose cycles are
-    odd cycles of D, weighted by 2^(number of nontrivial cycles)."""
+    odd cycles of D, weighted by 2^(number of nontrivial cycles); the
+    lengths are read off the enumerated records."""
     _admit("tournament", D)
-    out: dict = {}
-    for sigma in perms_with_all_cycles_in(D):
-        lam = cycle_type(sigma)
-        if any(part % 2 == 0 for part in lam):
-            continue
-        nontrivial = sum(1 for part in lam if part >= 2)
-        out[lam] = out.get(lam, 0) + (1 << nontrivial)
-    return SymFun("p", out)
+    counts = _by_cycle_type(Counter(lens for _, lens, _ in perms_with_all_cycles_in(D)))
+    return SymFun("p", {
+        lam: c << sum(1 for part in lam if part >= 2)
+        for lam, c in counts.items()
+        if all(part % 2 for part in lam)
+    })
 
 
 def powersum_to_ones(f: SymFun):

@@ -279,16 +279,18 @@ def _anchored_cycle_weights(A) -> list:
     return cyc
 
 
-def principal_permanents(A) -> list:
-    """per A[S] for every subset S of row/column indices, indexed by bitmask."""
+def principal_permanents(A, cyc=None) -> list:
+    """per A[S] for every subset S of row/column indices, indexed by bitmask;
+    cyc, if given, is _anchored_cycle_weights(A), built once for per and det."""
     guard("principal_minors", len(A), 18)
-    return _cycle_cover_sums(_anchored_cycle_weights(A))
+    return _cycle_cover_sums(_anchored_cycle_weights(A) if cyc is None else cyc)
 
 
-def principal_determinants(A) -> list:
+def principal_determinants(A, cyc=None) -> list:
     """det A[S] for every subset S, by signed cycle-cover convolution."""
     guard("principal_minors", len(A), 18)
-    return _cycle_cover_sums(_signed_cycles(_anchored_cycle_weights(A)))
+    cyc = _anchored_cycle_weights(A) if cyc is None else cyc
+    return _cycle_cover_sums(_signed_cycles(cyc))
 
 
 def _signed_cycles(cyc: list) -> list:

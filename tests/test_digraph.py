@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from gens import digraphs
 from oracles import is_two_cycle_free
+from redeiberge.combinat import cycle_type, cycles_of
 from redeiberge.digraph import (
     Digraph,
     all_digraphs,
@@ -278,16 +279,27 @@ def test_covers_on_vertex_subset():
 
 # ------------------------------------------------- permutations tied to edges
 
+def _perm_dicts(records, D, verts=None) -> list:
+    """The permutations of the records, as dicts on the vertex set."""
+    vs = sorted(D.vertices() if verts is None else set(verts))
+    return [dict(zip(vs, images)) for images, _, _ in records]
+
+
 def test_perms_with_cycles_in_digraph():
     D = digraph(3, [(1, 2), (2, 1)])
-    sigmas = perms_with_all_cycles_in(D)
+    sigmas = _perm_dicts(perms_with_all_cycles_in(D), D)
     images = sorted(tuple(s[v] for v in (1, 2, 3)) for s in sigmas)
     # identity always allowed (fixed points unconstrained); swap 1,2 allowed
     assert images == [(1, 2, 3), (2, 1, 3)]
     # transpositions (13), (23) live in the complement; the 3-cycles mix
-    # edges of D and Dbar and are excluded
-    both = perms_with_cycles_in_either(D)
-    assert len(both) == 4
+    # edges of D and Dbar and are excluded.  Records are (images, cycle
+    # lengths by smallest vertex, sign), and only the D-cycle (1 2) is twisted.
+    assert sorted(perms_with_cycles_in_either(D)) == [
+        ((1, 2, 3), (1, 1, 1), 1),
+        ((1, 3, 2), (1, 2), 1),
+        ((2, 1, 3), (2, 1), -1),
+        ((3, 2, 1), (2, 1), 1),
+    ]
 
 
 def _as_set_without_duplicates(sigmas) -> set:
@@ -296,18 +308,46 @@ def _as_set_without_duplicates(sigmas) -> set:
     return set(keys)
 
 
+def _vertex_subsets(D):
+    return st.one_of(st.none(), st.sets(st.integers(1, D.n)) if D.n else st.none())
+
+
 @given(digraphs(max_n=6), st.data())
 def test_perm_families_match_filtering_oracle(D, data):
-    verts = data.draw(
-        st.one_of(st.none(), st.sets(st.integers(1, D.n)) if D.n else st.none())
-    )
+    verts = data.draw(_vertex_subsets(D))
     for family, either in (
         (perms_with_all_cycles_in, False),
         (perms_with_cycles_in_either, True),
     ):
-        got = _as_set_without_duplicates(family(D, verts))
+        got = _as_set_without_duplicates(_perm_dicts(family(D, verts), D, verts))
         want = oracles.perms_with_cycles_oracle(D, verts, either)
         assert got == _as_set_without_duplicates(want)
+
+
+def _check_records(D, verts=None):
+    """Each record's lengths are its cycle lengths, ordered by smallest
+    vertex, and its sign is (-1)^phi."""
+    for family in (perms_with_all_cycles_in, perms_with_cycles_in_either):
+        records = family(D, verts)
+        assert records
+        for (_, lengths, sign), sigma in zip(records, _perm_dicts(records, D, verts)):
+            assert lengths == tuple(len(c) for c in cycles_of(sigma))
+            assert tuple(sorted(lengths, reverse=True)) == cycle_type(sigma)
+            one_line = tuple(sigma.get(v, v) for v in D.vertices())
+            assert sign == (-1) ** oracles.phi(one_line, D)
+
+
+@given(digraphs(max_n=6), st.data())
+def test_perm_records_carry_cycle_lengths_and_sign(D, data):
+    _check_records(D, data.draw(_vertex_subsets(D)))
+
+
+def test_perm_records_at_zero_vertices():
+    D = digraph(3, [(1, 2), (2, 3), (3, 1)])
+    for G, verts in ((empty_digraph(0), None), (D, ())):
+        _check_records(G, verts)
+        for family in (perms_with_all_cycles_in, perms_with_cycles_in_either):
+            assert family(G, verts) == [((), (), 1)]
 
 
 def test_perm_families_keep_the_guard():
@@ -334,8 +374,10 @@ def test_vertex_subsets_out_of_range_raise():
 
 @given(digraphs(max_n=4))
 def test_perm_families_nest(D):
-    inner = {tuple(sorted(s.items())) for s in perms_with_all_cycles_in(D)}
-    outer = {tuple(sorted(s.items())) for s in perms_with_cycles_in_either(D)}
+    inner, outer = (
+        {tuple(sorted(s.items())) for s in _perm_dicts(family(D), D)}
+        for family in (perms_with_all_cycles_in, perms_with_cycles_in_either)
+    )
     assert inner <= outer
 
 

@@ -128,30 +128,46 @@ def test_ham_report_structure():
 
 
 def test_ham_report_builds_each_minor_table_once(monkeypatch):
-    # per A, det A and det Abar: one table each, shared by detper and both
-    # cycle formulas, and none held once the report returns.
+    # per A, det A and det Abar are each built once: per A is shared by
+    # detper and both cycle formulas, det A by the formulas, and both come
+    # from one list of A's cycle weights; none is held once the report returns.
     D = random_digraph(8, 0.6, 4)
     hamilton._minors.cache_clear()
     calls = Counter()
     for module, name in (
         (hamilton, "principal_permanents"),
         (hamilton, "principal_determinants"),
+        (hamilton, "_anchored_cycle_weights"),
         (ringmat, "_anchored_cycle_weights"),
     ):
-        def counted(A, _real=getattr(module, name), _name=name):
+        def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
-            return _real(A)
+            return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
     report = ham_report(D, cycles=True)
     assert calls == {
         "principal_permanents": 1,
         "principal_determinants": 2,
-        "_anchored_cycle_weights": 3,
+        "_anchored_cycle_weights": 2,
     }
     assert report.ham_paths == ham_dp(D) > 0
     assert report.ham_cycles == ham_cycles_bruteforce(D) > 0
     assert hamilton._minors.cache_info().currsize == 0
+
+
+def test_shared_cycle_weights_give_the_same_minors():
+    # a caller's precomputed cycle weights change nothing, and the guard
+    # still applies before any work
+    for seed in range(4):
+        A = random_digraph(6, 0.5, seed).adjacency()
+        cyc = ringmat._anchored_cycle_weights(A)
+        assert ringmat.principal_permanents(A, cyc) == ringmat.principal_permanents(A)
+        assert ringmat.principal_determinants(A, cyc) == ringmat.principal_determinants(A)
+    big = [[0] * 19 for _ in range(19)]
+    for fn in (ringmat.principal_permanents, ringmat.principal_determinants):
+        with pytest.raises(GuardError):
+            fn(big, [1])
 
 
 def test_ham_report_empties_the_minor_cache_when_routes_disagree(monkeypatch):
@@ -165,7 +181,7 @@ def test_ham_report_empties_the_minor_cache_when_routes_disagree(monkeypatch):
     hamilton._minors.cache_clear()
     with pytest.raises(DisagreementError):
         ham_report(complete_digraph(5), cycles=True)
-    assert held == [2]  # detper's two tables, before dp ran
+    assert held == [2]  # per A and A's cycle weights, before dp ran
     assert hamilton._minors.cache_info().currsize == 0
 
 

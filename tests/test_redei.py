@@ -8,14 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from redeiberge.combinat import (
     conjugate,
-    cycle_type,
     hook_partition,
     partitions_of,
-    perm_to_dict,
 )
 from redeiberge.digraph import (
     all_digraphs,
@@ -65,7 +63,7 @@ from redeiberge.symfun import (
 from redeiberge.walks import xi
 
 import oracles
-from gens import digraphs, perms
+from gens import digraphs
 from oracles import (
     MultivarPoly,
     is_two_cycle_free,
@@ -189,15 +187,6 @@ def test_powersum_gs_matches_other_routes_up_to_its_bound():
     assert u_tournament(T) == redei.u_via_powersum_GS(T)
     A = random_acyclic_digraph(8, 0.5, seed=42)
     assert to_p(u_acyclic(A, "powersum")) == redei.u_via_powersum_GS(A)
-
-
-@given(st.data())
-def test_type_and_twist_match_cycle_type_and_phi(data):
-    sigma = data.draw(perms(max_n=6))
-    D = data.draw(digraphs(min_n=len(sigma), max_n=len(sigma)))
-    lam, sign = redei._type_and_twist(perm_to_dict(sigma), D.edges)
-    assert lam == cycle_type(sigma)
-    assert sign == (-1) ** oracles.phi(sigma, D)
 
 
 def test_powersum_to_ones_counts_complement_ham_paths():
