@@ -15,7 +15,6 @@ from .combinat import (
     character,
     conjugate,
     cycle_type,
-    foata_linearize,
     partitions_of,
     record_partition,
     z_lambda,

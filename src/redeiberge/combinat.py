@@ -140,16 +140,7 @@ def cycle_type(sigma) -> Partition:
     return tuple(sorted((len(c) for c in cycles_of(sigma)), reverse=True))
 
 
-def sgn(sigma) -> int:
-    return sgn_of_type(cycle_type(sigma))
-
-
-def psi(sigma) -> int:
-    """Number of nontrivial (length >= 2) cycles."""
-    return sum(1 for c in cycles_of(sigma) if len(c) >= 2)
-
-
-# ------------------------------------------------- records and Foata's map
+# -------------------------------------------------------------------- records
 
 def record_positions(word) -> list:
     """Positions r (1-based) with word[r-1] greater than everything before it."""
@@ -167,26 +158,6 @@ def record_partition(word) -> Partition:
     recs.append(len(word) + 1)
     gaps = [recs[t + 1] - recs[t] for t in range(len(recs) - 1)]
     return tuple(sorted(gaps, reverse=True))
-
-
-def foata_linearize(sigma: Permutation) -> Permutation:
-    """One-line word listing each cycle as (max, preimage of max, ...),
-    cycles concatenated in increasing order of their maxima.
-
-    Bijection on permutations of [n] with record_partition(foata(sigma))
-    equal to cycle_type(sigma).
-    """
-    n = len(sigma)
-    inv = [0] * (n + 1)
-    for i, v in enumerate(sigma, start=1):
-        inv[v] = i
-    word = []
-    for cyc in sorted(cycles_of(sigma), key=max):
-        cur = max(cyc)
-        for _ in cyc:
-            word.append(cur)
-            cur = inv[cur]
-    return tuple(word)
 
 
 # ----------------------------------------------------------------- characters

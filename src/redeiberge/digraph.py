@@ -6,10 +6,14 @@ edges are not.  Vertices are labelled 1..n everywhere, including in
 induced subgraphs, which keep their original labels and simply restrict
 the edge set.
 
+Path-cycle covers and permutations tied to edges are both built one
+component at a time from the smallest unplaced vertex v, so no finished
+cover or permutation is built twice or rejected.  A cover's component at
+v is a path, grown forward from v and then backward from v, or a cycle,
+grown through unplaced vertices and closed back on v (a loop is (v,)).
 Permutations whose nontrivial cycles all follow edges of D, or each
-follow edges of D or of its complement, are built cycle by cycle by one
-backtracking generator, `_perms_with_cycles_along`; no rejected
-permutation is ever built.  Each comes as one record: its images, its
+follow edges of D or of its complement, fix v or grow a cycle from it
+(`_perms_with_cycles_along`).  Each comes as one record: its images, its
 cycle lengths and its sign, the last two set as each cycle closes.
 """
 
@@ -250,40 +254,12 @@ def random_tournament(n: int, seed) -> Digraph:
     return Digraph(n, frozenset(edges))
 
 
-def random_acyclic_digraph(n: int, p: float, seed) -> Digraph:
-    """Random digraph whose edges all descend through a random vertex order."""
-    _check_probability(p)
-    rng = random.Random(seed)
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    rank = {v: i for i, v in enumerate(order)}
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(1, n + 1)
-        if u != v and rank[u] > rank[v] and rng.random() < p
-    ]
-    return Digraph(n, frozenset(edges))
-
-
 def all_digraphs(n: int):
     """All 2^(n^2) digraphs on [n], loops included; lexicographic edge masks."""
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield Digraph(
             n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        )
-
-
-def all_tournaments(n: int):
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    for mask in range(1 << len(pairs)):
-        yield Digraph(
-            n,
-            frozenset(
-                (u, v) if mask >> i & 1 else (v, u)
-                for i, (u, v) in enumerate(pairs)
-            ),
         )
 
 
@@ -308,11 +284,6 @@ class PathCycleCover:
         return tuple(sorted((len(c) for c in self.cycles), reverse=True))
 
 
-def _canonical_cycle(cyc: tuple) -> tuple:
-    k = cyc.index(min(cyc))
-    return cyc[k:] + cyc[:k]
-
-
 def enumerate_path_cycle_covers(
     D: Digraph, verts=None, allow_paths: bool = True, allow_cycles: bool = True
 ) -> list:
@@ -320,67 +291,63 @@ def enumerate_path_cycle_covers(
 
     Every vertex lies in exactly one component; singleton paths need no
     edges, so the all-singletons cover is always present when paths are
-    allowed.
+    allowed.  Each cover is built once, one component at a time (see
+    the module docstring); the flags drop the path or the cycle branch.
     """
     vs = _vertex_subset(D, verts)
     guard("covers", len(vs), 8)
-    vset = set(vs)
-    nbrs = {v: [w for w in D.out_neighbors(v) if w in vset] for v in vs}
-    succ: dict = {}
-    has_pred: set = set()
-    out = []
-
-    def harvest():
-        starts = [v for v in vs if v not in has_pred]
-        paths, cycles, on_path = [], [], set()
-        for s in starts:
-            path = [s]
-            while path[-1] in succ:
-                path.append(succ[path[-1]])
-            on_path.update(path)
-            paths.append(tuple(path))
-        seen = set(on_path)
-        for v in vs:
-            if v in seen:
-                continue
-            cyc = [v]
-            seen.add(v)
-            cur = succ[v]
-            while cur != v:
-                cyc.append(cur)
-                seen.add(cur)
-                cur = succ[cur]
-            cycles.append(_canonical_cycle(tuple(cyc)))
-        out.append(
-            PathCycleCover(tuple(sorted(paths)), tuple(sorted(cycles)))
-        )
-
-    def closes_cycle(v: int, w: int) -> bool:
-        # w heads a chain of assigned successors; v -> w closes it into a
-        # cycle exactly when that chain ends at v
-        while w in succ:
-            w = succ[w]
-        return w == v
-
-    def rec(idx: int):
-        if idx == len(vs):
-            harvest()
-            return
-        v = vs[idx]
-        # v ends a path; with every vertex given a successor, the cover
-        # is all cycles
-        if allow_paths:
-            rec(idx + 1)
-        for w in nbrs[v]:
-            if w not in has_pred and (allow_cycles or not closes_cycle(v, w)):
-                succ[v] = w
-                has_pred.add(w)
-                rec(idx + 1)
-                del succ[v]
-                has_pred.discard(w)
-
-    rec(0)
+    bit = {v: 1 << k for k, v in enumerate(vs)}
+    # per vertex: out- and in-neighbours inside vs, as (bit, vertex)
+    succ = {v: [(bit[w], w) for w in D.out_neighbors(v) if w in bit] for v in vs}
+    pred = {v: [(bit[u], u) for u in vs if (u, v) in D.edges] for v in vs}
+    out: list = []
+    ctx = ((1 << len(vs)) - 1, vs, succ, pred, allow_paths, allow_cycles, out)
+    _cover(0, (), (), ctx)
     return out
+
+
+# The steps of both generators are module functions, not closures: closures
+# that call each other form a reference cycle that would keep `out` alive
+# until the cycle collector runs.  Here ctx is (full, vs, succ, pred,
+# allow_paths, allow_cycles, out); used is the bitmask of placed positions
+# in vs; paths and cycles hold the finished components in the order of
+# their smallest vertex, so the cycles, each starting there, come sorted.
+
+def _cover(used, paths, cycles, ctx) -> None:
+    full, vs, succ, pred, allow_paths, allow_cycles, out = ctx
+    if used == full:
+        out.append(PathCycleCover(tuple(sorted(paths)), cycles))
+        return
+    low = ~used & (used + 1)
+    v = vs[low.bit_length() - 1]
+    if allow_paths:
+        _forward(v, (v,), v, used | low, paths, cycles, ctx)
+    if allow_cycles:
+        _cycle(v, (v,), v, used | low, paths, cycles, ctx)
+
+
+def _forward(first, path, last, used, paths, cycles, ctx) -> None:
+    """Stop the path at last and grow it backward, or extend it past last."""
+    _backward(first, path, used, paths, cycles, ctx)
+    for b, w in ctx[2][last]:
+        if not used & b:
+            _forward(first, path + (w,), w, used | b, paths, cycles, ctx)
+
+
+def _backward(first, path, used, paths, cycles, ctx) -> None:
+    """Finish the path at first, or extend it before first."""
+    _cover(used, paths + (path,), cycles, ctx)
+    for b, u in ctx[3][first]:
+        if not used & b:
+            _backward(u, (u,) + path, used | b, paths, cycles, ctx)
+
+
+def _cycle(start, cyc, last, used, paths, cycles, ctx) -> None:
+    for b, w in ctx[2][last]:
+        if not used & b:
+            _cycle(start, cyc + (w,), w, used | b, paths, cycles, ctx)
+        elif w == start:
+            _cover(used, paths, cycles + (cyc,), ctx)
 
 
 def enumerate_path_covers(D: Digraph, verts=None) -> list:
@@ -437,10 +404,8 @@ def _perms_with_cycles_along(vs: list, edge_sets) -> list:
     return out
 
 
-# The two steps are module functions, not closures: closures that call each
-# other form a reference cycle that would keep `out` alive until the cycle
-# collector runs.  used is the bitmask of placed indices; img[k] is the image
-# of vs[k] once k is placed.
+# used is the bitmask of placed indices; img[k] is the image of vs[k] once k
+# is placed.
 
 def _place(used, sign, lens, full, vs, succs, img, out) -> None:
     if used == full:

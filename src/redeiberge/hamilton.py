@@ -103,7 +103,8 @@ def ham_dp(D: Digraph) -> int:
     for (u, v) in D.edges:
         if u != v:
             succ_mask[u] |= 1 << (v - 1)
-    # f[mask] maps last vertex to the number of paths covering mask
+    # f[mask] maps last vertex to the number of paths covering mask; masks
+    # are read once each, in increasing order, and dropped when read
     f: list = [None] * (1 << n)
     for v in range(1, n + 1):
         f[1 << (v - 1)] = {v: 1}
@@ -111,6 +112,7 @@ def ham_dp(D: Digraph) -> int:
     total = 0
     for mask in range(1, full + 1):
         fm = f[mask]
+        f[mask] = None
         if not fm:
             continue
         if mask == full:

@@ -326,11 +326,6 @@ def powersum_to_ones(f: SymFun):
     return sum(fp.terms.values(), Fraction(0))
 
 
-def is_p_positive(f: SymFun) -> bool:
-    fp = to_p(f)
-    return all(c > 0 for c in fp.terms.values())
-
-
 # -------------------------------------------------------------------- hooks
 
 def hook_descent_count(D: Digraph, i: int) -> int:

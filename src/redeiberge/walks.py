@@ -22,14 +22,17 @@ from dataclasses import dataclass, field
 
 from .digraph import Digraph, complement, is_acyclic
 from .guards import guard
+from .hamilton import DP_BOUND
 from .ringmat import MultilinearPoly, principal_determinants
 
 
 def xi(D: Digraph, k: int) -> MultilinearPoly:
     """Sum over directed paths on exactly k distinct vertices.
 
-    xi(D, 0) is the constant 1; negative k and k > n give 0.
+    xi(D, 0) is the constant 1; negative k and k > n give 0.  The
+    endpoint DP is the one ham_dp runs and shares its size bound.
     """
+    guard("xi", D.n, DP_BOUND)
     n = D.n
     if k < 0 or k > n:
         return MultilinearPoly.zero(n)

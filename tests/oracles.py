@@ -10,12 +10,21 @@ SymFun through the library's basis conversion.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import prod
 
-from redeiberge.combinat import character, multiplicity_factorial, z_lambda
+from redeiberge.combinat import (
+    character,
+    cycle_type,
+    cycles_of,
+    multiplicity_factorial,
+    sgn_of_type,
+    z_lambda,
+)
+from redeiberge.digraph import Digraph
 from redeiberge.ringmat import MultilinearPoly
 from redeiberge.symfun import SymFun, _as_coeff, convert, to_p
 
@@ -703,7 +712,8 @@ def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
 #
 # Small conveniences the package itself never calls.  character_degree and
 # inner_product read the package's character table and p-basis conversion,
-# so they test those, not stand in for them.
+# sgn, psi and foata_linearize its cycle decomposition, and is_p_positive
+# its p-basis conversion, so they test those, not stand in for them.
 
 def permutations_of(n: int):
     """All permutations of [n] in one-line notation, lexicographic."""
@@ -742,6 +752,69 @@ def phi(sigma: tuple, D) -> int:
         if is_digraph_cycle(cyc, D):
             total += len(cyc) - 1
     return total
+
+
+def sgn(sigma) -> int:
+    return sgn_of_type(cycle_type(sigma))
+
+
+def psi(sigma) -> int:
+    """Number of nontrivial (length >= 2) cycles."""
+    return sum(1 for c in cycles_of(sigma) if len(c) >= 2)
+
+
+def foata_linearize(sigma: tuple) -> tuple:
+    """One-line word listing each cycle as (max, preimage of max, ...),
+    cycles concatenated in increasing order of their maxima.
+
+    Bijection on permutations of [n] with record_partition(foata(sigma))
+    equal to cycle_type(sigma).
+    """
+    n = len(sigma)
+    inv = [0] * (n + 1)
+    for i, v in enumerate(sigma, start=1):
+        inv[v] = i
+    word = []
+    for cyc in sorted(cycles_of(sigma), key=max):
+        cur = max(cyc)
+        for _ in cyc:
+            word.append(cur)
+            cur = inv[cur]
+    return tuple(word)
+
+
+def random_acyclic_digraph(n: int, p: float, seed) -> Digraph:
+    """Random digraph whose edges all descend through a random vertex order."""
+    if not 0 <= p <= 1:  # also rejects NaN
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    rng = random.Random(seed)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    rank = {v: i for i, v in enumerate(order)}
+    edges = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(1, n + 1)
+        if u != v and rank[u] > rank[v] and rng.random() < p
+    ]
+    return Digraph(n, frozenset(edges))
+
+
+def all_tournaments(n: int):
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    for mask in range(1 << len(pairs)):
+        yield Digraph(
+            n,
+            frozenset(
+                (u, v) if mask >> i & 1 else (v, u)
+                for i, (u, v) in enumerate(pairs)
+            ),
+        )
+
+
+def is_p_positive(f) -> bool:
+    fp = to_p(f)
+    return all(c > 0 for c in fp.terms.values())
 
 
 def is_two_cycle_free(D) -> bool:

@@ -8,29 +8,30 @@ from fractions import Fraction
 from functools import wraps
 
 from oracles import (
+    all_tournaments,
     bareiss_det,
     identity_minus_xa,
     identity_plus_xa,
+    is_p_positive,
     multilinear_inverse,
     permanent_expansion,
     perms_with_cycles_oracle,
+    psi,
+    random_acyclic_digraph,
+    sgn,
 )
 from redeiberge.cli import build_corpus, run_corpus
 from redeiberge.combinat import (
     character,
     cycle_type,
     partitions_of,
-    psi,
-    sgn,
     z_lambda,
 )
 from redeiberge.digraph import (
     all_digraphs,
-    all_tournaments,
     complement,
     digraph,
     enumerate_cycle_covers,
-    random_acyclic_digraph,
     random_digraph,
     random_tournament,
 )
@@ -45,7 +46,6 @@ from redeiberge.hamilton import (
 from redeiberge.redei import (
     hook_coefficient,
     hook_descent_count,
-    is_p_positive,
     powersum_to_ones,
     schur_coeff_JT,
     u_all_routes,

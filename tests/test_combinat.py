@@ -11,10 +11,13 @@ from oracles import (
     character_degree,
     composition_descents,
     descent_composition,
+    foata_linearize,
     is_digraph_cycle,
     perm_from_cycles,
     permutations_of,
     phi,
+    psi,
+    sgn,
 )
 from redeiberge.combinat import (
     character,
@@ -22,16 +25,13 @@ from redeiberge.combinat import (
     cycle_type,
     cycles_of,
     dominates,
-    foata_linearize,
     hook_partition,
     is_partition,
     multiplicity_factorial,
     partition_key,
     partitions_of,
-    psi,
     record_partition,
     record_positions,
-    sgn,
     sgn_of_type,
     z_lambda,
 )

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import digraphs
-from oracles import is_two_cycle_free
+from oracles import all_tournaments, is_two_cycle_free, random_acyclic_digraph
 from redeiberge.combinat import cycle_type, cycles_of
 from redeiberge.digraph import (
     Digraph,
     all_digraphs,
-    all_tournaments,
     complement,
     complete_digraph,
     d_descent_set,
@@ -37,7 +36,6 @@ from redeiberge.digraph import (
     perms_with_all_cycles_in,
     perms_with_cycles_in_either,
     poset_digraph,
-    random_acyclic_digraph,
     random_digraph,
     random_tournament,
     star_partition_digraph,
@@ -214,13 +212,18 @@ def test_covers_match_edge_subset_enumeration(D):
 
 @given(digraphs(max_n=4))
 def test_cover_components_partition_vertices(D):
-    for cover in enumerate_path_cycle_covers(D):
+    covers = enumerate_path_cycle_covers(D)
+    for cover in covers:
         elements = [v for p in cover.paths for v in p] + [
             v for c in cover.cycles for v in c
         ]
         assert sorted(elements) == list(D.vertices())
+        for p in cover.paths:
+            assert all((p[t], p[t + 1]) in D.edges for t in range(len(p) - 1))
         for c in cover.cycles:
             assert c[0] == min(c)
+            assert oracles.is_digraph_cycle(c, D)
+    assert len(set(covers)) == len(covers)
 
 
 @given(digraphs(max_n=5), st.data())
@@ -244,15 +247,17 @@ def test_path_covers_are_the_cycleless_covers_in_order(D, data):
 
 
 def test_path_covers_never_close_a_cycle(monkeypatch):
-    def no_cycle(cyc):
-        raise AssertionError(f"path cover enumeration closed the cycle {cyc}")
+    def no_cycle(start, *args):
+        raise AssertionError(f"path cover enumeration grew a cycle at {start}")
 
     # the package re-exports the function digraph under the module's name
     module = importlib.import_module("redeiberge.digraph")
-    monkeypatch.setattr(module, "_canonical_cycle", no_cycle)
+    monkeypatch.setattr(module, "_cycle", no_cycle)
     D = complete_digraph(4, loops=True)
     # partitions of [4] into blocks, each block ordered into a path
     assert len(enumerate_path_covers(D)) == 73
+    with pytest.raises(AssertionError, match="grew a cycle"):
+        enumerate_path_cycle_covers(D)
 
 
 def test_cover_filters():

@@ -9,13 +9,13 @@ import oracles
 import redeiberge.hamilton as hamilton
 import redeiberge.ringmat as ringmat
 from gens import digraphs
+from oracles import random_acyclic_digraph
 from redeiberge.digraph import (
     complement,
     complete_digraph,
     digraph,
     directed_path_digraph,
     empty_digraph,
-    random_acyclic_digraph,
     random_digraph,
     random_tournament,
 )

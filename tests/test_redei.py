@@ -23,7 +23,6 @@ from redeiberge.digraph import (
     empty_digraph,
     is_acyclic,
     opposite,
-    random_acyclic_digraph,
     random_digraph,
     random_tournament,
 )
@@ -38,7 +37,6 @@ from redeiberge.redei import (
     compute_route,
     hook_coefficient,
     hook_descent_count,
-    is_p_positive,
     powersum_to_ones,
     routes_agree,
     schur_coeff_JT,
@@ -66,8 +64,10 @@ import oracles
 from gens import digraphs
 from oracles import (
     MultivarPoly,
+    is_p_positive,
     is_two_cycle_free,
     lift_to_mtilde,
+    random_acyclic_digraph,
     specialize,
     u_poly_bruteforce,
 )

@@ -15,8 +15,9 @@ from oracles import (
     identity_plus_xa,
     multilinear_inverse,
     permanent_expansion,
+    sgn,
 )
-from redeiberge.combinat import cycle_type, cycles_of, partitions_of, sgn
+from redeiberge.combinat import cycle_type, cycles_of, partitions_of
 from redeiberge.digraph import (
     complete_digraph,
     digraph,

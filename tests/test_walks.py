@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import digraphs
+from oracles import random_acyclic_digraph
 from redeiberge.digraph import (
     digraph,
     directed_path_digraph,
     empty_digraph,
-    random_acyclic_digraph,
 )
 from redeiberge.guards import GuardError
 from redeiberge.hamilton import ham_dp
@@ -50,6 +50,12 @@ def test_xi_examples():
 @given(digraphs(min_n=1, max_n=5))
 def test_xi_full_support_counts_hamiltonian_paths(D):
     assert xi(D, D.n).coeff(range(1, D.n + 1)) == ham_dp(D)
+
+
+def test_xi_is_guarded_before_it_allocates():
+    # the endpoint DP's table has 2^n entries; ham_dp stops at the same n
+    with pytest.raises(GuardError, match="xi"):
+        xi(empty_digraph(23), 1)
 
 
 # ------------------------------------------------------------------- gamma
