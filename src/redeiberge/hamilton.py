@@ -11,10 +11,12 @@ companion expressions: for any fixed vertex i,
     (a)  sum over S avoiding i of (-1)^|S| det A[S] * per A[S^c]
     (b)  (1/n) sum over all S of (-1)^|S| |S^c| det A[S] * per A[S^c]
 
-where (b) must divide exactly.  An independent bitmask dynamic program
-and explicit DFS enumeration cross-check everything; parity utilities
-package Berge's congruence ham(D) = ham(Dbar) mod 2 and the fact (Redei)
-that tournaments have an odd number of Hamiltonian paths.
+where (b) must divide exactly.  The path sum, grouped by vertex sets, is
+one sum over set partitions of cycle weights, with no minor table; the
+cycle formulas share per A and det A.  A bitmask dynamic program and DFS
+enumeration cross-check everything; parity utilities package Berge's
+congruence ham(D) = ham(Dbar) mod 2 and the fact (Redei) that
+tournaments have an odd number of Hamiltonian paths.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .digraph import (
     is_tournament,
 )
 from .guards import DisagreementError, GuardError, guard
-from .ringmat import _anchored_cycle_weights, permanent_ryser
-from .ringmat import principal_determinants, principal_permanents
+from .ringmat import _anchored_cycle_weights, _signed_cycles, partition_sum
+from .ringmat import permanent_ryser, principal_determinants, principal_permanents
 
 # Largest n that ham_detper, ham_dp, the cycle formulas, parity_suite
 # and wiseman_check admit.
@@ -50,9 +52,9 @@ def _minors(D: Digraph, kind: str) -> list:
     anchored cycle weights ("cyc"), per A[S] ("per") or det A[S] ("det"),
     the last two both built from "cyc".
 
-    ham_detper and both cycle formulas read them through _report_minors,
-    so within one ham_report each table is built once.  The tables are
-    shared, so callers must not mutate them.
+    ham_detper reads "cyc" and both cycle formulas read "det" and "per"
+    through _report_minors, so within one ham_report each table is built
+    once.  The tables are shared, so callers must not mutate them.
     """
     if kind == "cyc":
         return _anchored_cycle_weights(D.adjacency())
@@ -76,21 +78,14 @@ def _report_minors(D: Digraph, *kinds: str) -> list:
 
 
 def ham_detper(D: Digraph) -> int:
-    """Hamiltonian paths by the determinant-permanent subset formula."""
+    """Hamiltonian paths by the determinant-permanent subset formula, read
+    off ringmat.partition_sum with a block B weighing cyc_A(B) +
+    (-1)^(|B|-1) cyc_Abar(B), the cycles on exactly B: no det Abar table."""
     guard("ham_detper", D.n, DETPER_BOUND)
-    n = D.n
-    if n == 0:
-        return 1
-    # only this route reads det Abar, so that table is not kept
-    det_abar = principal_determinants(complement(D).adjacency())
-    (per_a,) = _report_minors(D, "per")
-    full = (1 << n) - 1
-    total = 0
-    for S in range(full + 1):
-        d = det_abar[S]
-        if d:
-            total += d * per_a[full ^ S]
-    return total
+    (cyc,) = _report_minors(D, "cyc")
+    # only this route reads Abar's cycle weights, so they are not kept
+    bar = _signed_cycles(_anchored_cycle_weights(complement(D).adjacency()))
+    return partition_sum([a + b for a, b in zip(cyc, bar)])
 
 
 def ham_dp(D: Digraph) -> int:
@@ -203,24 +198,15 @@ def ham_cycles(D: Digraph, route: str = "formula_a", i: int = 1) -> int:
     if route == "formula_a" and not 1 <= i <= n:
         raise ValueError("excluded vertex out of range")
     det_a, per_a = _report_minors(D, "det", "per")
-    full = (1 << n) - 1
+    # (-1)^|S| det A[S] * per A[S^c] by S; per_a reversed is read at S^c
+    terms = {
+        S: (-d if S.bit_count() & 1 else d) * p
+        for S, (d, p) in enumerate(zip(det_a, reversed(per_a)))
+        if d
+    }
     if route == "formula_a":
-        forbidden = 1 << (i - 1)
-        total = 0
-        for S in range(full + 1):
-            if S & forbidden:
-                continue
-            d = det_a[S]
-            if d:
-                term = d * per_a[full ^ S]
-                total += -term if S.bit_count() & 1 else term
-        return total
-    total = 0
-    for S in range(full + 1):
-        d = det_a[S]
-        if d:
-            term = d * per_a[full ^ S] * (n - S.bit_count())
-            total += -term if S.bit_count() & 1 else term
+        return sum(t for S, t in terms.items() if not S >> (i - 1) & 1)
+    total = sum(t * (n - S.bit_count()) for S, t in terms.items())
     if total % n:
         raise DisagreementError(
             f"cycle formula (b) does not divide exactly: {total} / {n}"

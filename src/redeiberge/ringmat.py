@@ -13,11 +13,12 @@ Two determinant kernels, one per job:
   schur-JT routes of U_D), by column-subset minors;
 - principal_determinants and principal_permanents, for all principal
   minors of an integer matrix at once, by cycle-cover convolution (the
-  Hamiltonian formulas and the walk series).
+  Hamiltonian cycle formulas and the walk series).
 
-subset_exp runs the same convolution with power sums kept apart by block
-size: fed the anchored cycle weights of D and of its complement, it is
-the subset-formula route of U_D and the powersum route of Chow's Xi_D.
+partition_sum reads only the convolution's full-set value, in 3^(n-1)
+steps (ham_detper).  subset_exp keeps power sums apart by block size:
+fed the anchored cycle weights of D and of its complement, it is the
+subset-formula route of U_D and the powersum route of Chow's Xi_D.
 
 Also here: the Ryser permanent with Gray-code updates, immanants, and
 the matrix series H(XA) and E(XA), whose coefficients stay in the h and
@@ -27,6 +28,7 @@ e bases, so that det_ring's products of them are concatenations.
 from __future__ import annotations
 
 from itertools import permutations as _it_permutations
+from operator import mul
 
 from .combinat import character, cycle_type, partitions_of
 from .guards import guard
@@ -244,10 +246,13 @@ def _anchored_cycle_weights(A) -> list:
     """cyc[mask]: weighted count of directed cycles with vertex set = mask.
 
     Each cycle is counted once, anchored at its minimum vertex; a
-    singleton mask counts the loop weight A[v][v].
+    singleton mask counts the loop weight A[v][v].  A path from the
+    anchor only steps to unplaced successors past it (one successor
+    bitmask per vertex), and each mask's paths are dropped once read.
     """
     n = len(A)
     size = 1 << n
+    succ = [sum(1 << u for u, x in enumerate(row) if x) for row in A]
     paths: list = [None] * size
     cyc = [0] * size
     for v in range(n):
@@ -256,26 +261,23 @@ def _anchored_cycle_weights(A) -> list:
         pm = paths[mask]
         if not pm:
             continue
+        paths[mask] = None
         a = (mask & -mask).bit_length() - 1
+        past = ~mask & -(2 << a)
         closing = 0
         for v, w in pm.items():
-            back = A[v][a]
-            if back:
-                closing += w * back
-        cyc[mask] = closing
-        for v, w in pm.items():
             row = A[v]
-            for u in range(a + 1, n):
-                bit = 1 << u
-                if mask & bit:
-                    continue
-                step = row[u]
-                if not step:
-                    continue
+            closing += w * row[a]
+            avail = succ[v] & past
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                u = bit.bit_length() - 1
                 d = paths[mask | bit]
                 if d is None:
                     d = paths[mask | bit] = {}
-                d[u] = d.get(u, 0) + w * step
+                d[u] = d.get(u, 0) + w * row[u]
+        cyc[mask] = closing
     return cyc
 
 
@@ -323,16 +325,27 @@ def _cycle_cover_sums(w: list) -> list:
     return out
 
 
+def partition_sum(w: list):
+    """_cycle_cover_sums(w)[-1] in 3^(n-1) steps: the table covers only the
+    masks avoiding vertex 1 (even, halved), and vertex 1's block closes
+    each partition against that table read in reverse."""
+    if len(w) == 1:
+        return 1
+    return sum(map(mul, w[1::2], reversed(_cycle_cover_sums(w[0::2]))))
+
+
 def subset_exp(*weights) -> dict:
     """Sum over the set partitions of [n] of the product of block weights.
 
     One weight list per alphabet, each indexed by bitmask: block m weighs
     sum_a weights[a][m] * p_|m| in alphabet a.  Keys hold one partition
     per alphabet.  Blocks are taken as in _cycle_cover_sums, so every set
-    partition is counted once.
+    partition is counted once, and as in partition_sum, only masks
+    avoiding vertex 1 are tabled before the full set.
     """
-    out = [{((),) * len(weights): 1}]
-    for S in range(1, len(weights[0])):
+    full = len(weights[0]) - 1
+    out = {0: {((),) * len(weights): 1}}
+    for S in [*range(2, full, 2), full] if full else ():
         a = S & -S
         rest = S ^ a
         acc: dict = {}
@@ -349,8 +362,8 @@ def subset_exp(*weights) -> dict:
             if T == 0:
                 break
             T = (T - 1) & rest
-        out.append({key: c for key, c in acc.items() if c})
-    return out[-1]
+        out[S] = {key: c for key, c in acc.items() if c}
+    return out[full]
 
 
 def submatrix(M, rows, cols=None) -> list:

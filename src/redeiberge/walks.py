@@ -49,6 +49,7 @@ def xi(D: Digraph, k: int) -> MultilinearPoly:
         em = ends[mask]
         if not em:
             continue
+        ends[mask] = None  # each mask is read once, after all its writers
         size = mask.bit_count()
         if size == k:
             counts[mask] = counts.get(mask, 0) + sum(em.values())

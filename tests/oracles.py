@@ -612,6 +612,22 @@ def permanent_expansion(M) -> int:
     return rec(0, 0)
 
 
+def anchored_cycle_weights_oracle(A) -> list:
+    """Weighted directed cycles on each vertex set (indexed by bitmask),
+    listed as the orderings of the set that start at its smallest vertex."""
+    n = len(A)
+    out = []
+    for mask in range(1 << n):
+        verts = [v for v in range(n) if mask >> v & 1]
+        total = 0
+        if verts:
+            for order in permutations(verts[1:]):
+                cycle = (verts[0], *order, verts[0])
+                total += prod(A[u][v] for u, v in zip(cycle, cycle[1:]))
+        out.append(total)
+    return out
+
+
 def coeff_extract(f: MultilinearPoly, verts):
     """The coefficient functional: read off the monomial over the vertex set."""
     return f.coeff(sum(1 << (v - 1) for v in set(verts)))

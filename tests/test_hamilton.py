@@ -42,6 +42,13 @@ def test_path_routes_match_permutation_oracle(D):
     assert ham_paths_bruteforce(D) == expected
 
 
+def test_detper_matches_dp_at_larger_n():
+    # ham_detper's partition sum, beyond the sizes the oracle reaches
+    for seed in range(20):
+        D = random_digraph(9 + seed % 6, (0.4, 0.5, 0.7)[seed % 3], 900 + seed)
+        assert ham_detper(D) == ham_dp(D) > 0
+
+
 def test_path_conventions():
     assert ham_detper(empty_digraph(0)) == 1
     assert ham_dp(empty_digraph(0)) == 1
@@ -128,12 +135,14 @@ def test_ham_report_structure():
 
 
 def test_ham_report_builds_each_minor_table_once(monkeypatch):
-    # per A, det A and det Abar are each built once: per A is shared by
-    # detper and both cycle formulas, det A by the formulas, and both come
-    # from one list of A's cycle weights; none is held once the report returns.
+    # per A and det A are each built once, for the cycle formulas, from the
+    # one list of A's cycle weights that detper also reads; detper adds
+    # Abar's cycle weights and builds no det Abar table.  None is held once
+    # the report returns.
     D = random_digraph(8, 0.6, 4)
     hamilton._minors.cache_clear()
     calls = Counter()
+    args_of = {}
     for module, name in (
         (hamilton, "principal_permanents"),
         (hamilton, "principal_determinants"),
@@ -142,15 +151,17 @@ def test_ham_report_builds_each_minor_table_once(monkeypatch):
     ):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
+            args_of.setdefault(_name, []).append(args)
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
     report = ham_report(D, cycles=True)
     assert calls == {
         "principal_permanents": 1,
-        "principal_determinants": 2,
+        "principal_determinants": 1,
         "_anchored_cycle_weights": 2,
     }
+    assert args_of["principal_determinants"][0][0] == D.adjacency()
     assert report.ham_paths == ham_dp(D) > 0
     assert report.ham_cycles == ham_cycles_bruteforce(D) > 0
     assert hamilton._minors.cache_info().currsize == 0
@@ -181,7 +192,7 @@ def test_ham_report_empties_the_minor_cache_when_routes_disagree(monkeypatch):
     hamilton._minors.cache_clear()
     with pytest.raises(DisagreementError):
         ham_report(complete_digraph(5), cycles=True)
-    assert held == [2]  # per A and A's cycle weights, before dp ran
+    assert held == [1]  # A's cycle weights only, before dp ran
     assert hamilton._minors.cache_info().currsize == 0
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gens import int_matrices
 from oracles import (
+    anchored_cycle_weights_oracle,
     bareiss_det,
     coeff_extract,
     identity_minus_xa,
@@ -35,6 +36,7 @@ from redeiberge.ringmat import (
     matrix_series,
     mlp_identity,
     mlp_mat_mul,
+    partition_sum,
     permanent_ryser,
     principal_determinants,
     principal_permanents,
@@ -196,6 +198,42 @@ def test_subset_exp_at_unit_power_sums_is_the_cycle_cover_sum(pair):
     assert sum(subset_exp(w).values()) == _cycle_cover_sums(w)[-1]
     both = [a + b for a, b in zip(w, v)]
     assert sum(subset_exp(w, v).values()) == _cycle_cover_sums(both)[-1]
+
+
+def test_subset_exp_on_one_vertex():
+    # the only partition of {1} is one block: the loop, if there is one
+    lonely, looped = _cycles(empty_digraph(1)), _cycles(digraph(1, [(1, 1)]))
+    assert subset_exp(lonely) == {}
+    assert subset_exp(lonely, lonely) == {}
+    assert subset_exp(looped) == {((1,),): 1}
+    assert subset_exp(looped, lonely) == {((1,), ()): 1}
+    assert subset_exp([0, 2], [0, -3]) == {((1,), ()): 2, ((), (1,)): -3}
+
+
+@given(mask_weights())
+def test_partition_sum_is_the_last_cycle_cover_sum(pair):
+    w, _ = pair
+    assert partition_sum(w) == _cycle_cover_sums(w)[-1]
+
+
+def test_partition_sum_small_n():
+    assert partition_sum([0]) == partition_sum([5]) == 1  # the empty partition
+    assert partition_sum([7, -2]) == -2
+    # {1,2} splits as {1}{2} or stays whole
+    assert partition_sum([0, 2, 3, 5]) == 2 * 3 + 5
+
+
+@st.composite
+def weighted_matrices(draw, max_n=6):
+    """Integer matrices with negative entries and loops, some rows zeroed."""
+    M = draw(int_matrices(min_n=0, max_n=max_n, lo=-3, hi=3))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=max(len(M) - 1, 0))))
+    return [[0] * len(row) if i in zero_rows else row for i, row in enumerate(M)]
+
+
+@given(weighted_matrices())
+def test_anchored_cycle_weights_match_the_permutation_oracle(M):
+    assert _anchored_cycle_weights(M) == anchored_cycle_weights_oracle(M)
 
 
 def test_principal_minors_guard():
