@@ -53,6 +53,7 @@ from .hamilton import (
 from .redei import (
     CHOW_BOUND,
     CHOW_IDENTITIES_BOUND,
+    _first_difference,
     applicable_routes,
     hook_coefficient,
     powersum_to_ones,
@@ -152,10 +153,14 @@ def identity_suite(D: Digraph) -> dict:
         route_results = u_all_routes(D)
         ok, ref = routes_agree(route_results)
         if not ok:
-            values = {
-                r.route: repr(to_p(r.value)) for r in route_results
-            }
-            raise DisagreementError(f"routes disagree: {values}")
+            first, *rest = route_results
+            want = to_p(first.value)
+            for r in rest:
+                got = to_p(r.value)
+                if got.terms != want.terms:
+                    break
+            label = f"routes disagree: {r.route} differs from {first.route}"
+            raise DisagreementError(_first_difference(label, got, want))
         u_ref = ref
 
     if len(routes) >= 2:

@@ -61,6 +61,7 @@ from .ringmat import (
     det_ring,
     immanant,
     matrix_series,
+    series_coefficients,
     subset_exp,
     submatrix,
 )
@@ -173,19 +174,25 @@ def u_via_subset_formula(D: Digraph) -> SymFun:
 
 def u_via_matrix_route(D: Digraph) -> SymFun:
     """Extract the squarefree full-support coefficient of
-    det H(X Abar) * det E(X A) over the multilinear ring."""
+    det H(X Abar) * det E(X A) over the multilinear ring.
+
+    Both determinants are taken over integer coefficients, the h and e
+    degrees packed into each term's key (ringmat.matrix_series); they
+    are read back as h- and e-basis coefficients per vertex set, and
+    complementary sets multiply in p."""
     n = D.n
     _admit("matrix-det", D)
     if n == 0:
         return SymFun.const(1)
+    one = MultilinearPoly.const(n, 1)
     H = matrix_series(complement(D).adjacency(), "H")
     E = matrix_series(D.adjacency(), "E")
-    det_h = det_ring(H, MultilinearPoly.const(n, SymFun.const(1, "h")))
-    det_e = det_ring(E, MultilinearPoly.const(n, SymFun.const(1, "e")))
+    det_h = series_coefficients(det_ring(H, one), "H")
+    det_e = series_coefficients(det_ring(E, one), "E")
     full = (1 << n) - 1
     terms: dict = {}
-    for mask, ch in det_h.terms.items():
-        ce = det_e.terms.get(full ^ mask)
+    for mask, ch in det_h.items():
+        ce = det_e.get(full ^ mask)
         if ce:
             for lam, c in (ch * ce).terms.items():
                 terms[lam] = terms.get(lam, 0) + c
@@ -452,9 +459,9 @@ def verify_chow_identities(D: Digraph) -> ChowReport:
     return report
 
 
-def _first_difference(
-    label: str, a: TwoAlphabetSymFun, b: TwoAlphabetSymFun
-) -> str:
+def _first_difference(label: str, a, b) -> str:
+    """Where two values with .terms (SymFun in one basis, or
+    TwoAlphabetSymFun) first differ, by sorted key."""
     keys = sorted(set(a.terms) | set(b.terms))
     for key in keys:
         ca = a.terms.get(key, 0)

@@ -21,8 +21,22 @@ fed the anchored cycle weights of D and of its complement, it is the
 subset-formula route of U_D and the powersum route of Chow's Xi_D.
 
 Also here: the Ryser permanent with Gray-code updates, immanants, and
-the matrix series H(XA) and E(XA), whose coefficients stay in the h and
-e bases, so that det_ring's products of them are concatenations.
+the matrix series H(XA) and E(XA) with integer coefficients.  A term of
+(XA)^k is a squarefree monomial on exactly k vertices, so the h_k (or
+e_k) it carries is known from its support, and a product of series
+terms carries the multiset of its factors' degrees.  matrix_series
+packs that multiset into the term's key:
+
+- bits 0..n-1 hold the support mask;
+- above them, one field of n.bit_length() bits per degree k = 1..n
+  counts the factors h_k (or e_k).
+
+A product of series terms covers at most n vertices, so a field counts
+at most n factors and never carries into the next; two terms multiply
+when their supports are disjoint, and the product's key is the sum of
+the two keys, which on plain masks is their union.  det_ring over these
+entries thus multiplies integers only, and series_coefficients reads
+the fields back as partitions in the h or e basis.
 """
 
 from __future__ import annotations
@@ -40,7 +54,9 @@ from .symfun import SymFun
 class MultilinearPoly:
     """Square-free polynomial over an arbitrary coefficient ring.
 
-    Bit i-1 of a term's mask marks the variable x_i.
+    Bit i-1 of a term's mask marks the variable x_i.  Keys built inside
+    this module (matrix_series) may also carry degree fields above bit
+    n-1; products test overlap on the low n bits only and add keys.
     """
 
     __slots__ = ("n", "terms")
@@ -84,42 +100,18 @@ class MultilinearPoly:
                 out[mask] = cur
             else:
                 out.pop(mask, None)
-        res = MultilinearPoly(self.n)
-        res.terms = out
-        return res
+        return _poly(self.n, out)
 
     def __neg__(self) -> "MultilinearPoly":
-        res = MultilinearPoly(self.n)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _poly(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                key = m1 | m2
-                c = c1 * c2
-                cur = out.get(key)
-                cur = c if cur is None else cur + c
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-        res = MultilinearPoly(self.n)
-        res.terms = out
-        return res
-
-    def scale(self, c) -> "MultilinearPoly":
-        if not c:
-            return MultilinearPoly(self.n)
-        res = MultilinearPoly(self.n)
-        res.terms = {m: v * c for m, v in self.terms.items()}
-        return res
+        _add_products(out, self.terms, other.terms, (1 << self.n) - 1)
+        return _poly(self.n, out)
 
     def coeff(self, mask_or_verts):
         """Coefficient of the squarefree monomial over a mask or vertex set."""
@@ -152,6 +144,31 @@ class MultilinearPoly:
             c = self.terms[mask]
             bits.append(f"({c})*{mono}" if mono else f"({c})")
         return " + ".join(bits)
+
+
+def _poly(n: int, terms: dict) -> MultilinearPoly:
+    """The trusted construction: terms already merged, zero-free and
+    keyed as this module keys them."""
+    res = MultilinearPoly(n)
+    res.terms = terms
+    return res
+
+
+def _add_products(out: dict, t1: dict, t2: dict, low: int) -> None:
+    """Add the products of the terms t1 by the terms t2 into out.  Terms
+    whose supports (key & low) meet vanish; the others' keys add."""
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            if m1 & m2 & low:
+                continue
+            key = m1 + m2
+            c = c1 * c2
+            cur = out.get(key)
+            cur = c if cur is None else cur + c
+            if cur:
+                out[key] = cur
+            else:
+                out.pop(key, None)
 
 
 def mask_of(verts) -> int:
@@ -422,17 +439,21 @@ def mlp_identity(n: int, c=1) -> list:
 
 
 def mlp_mat_mul(M1, M2) -> list:
+    """Product of two n x n matrices over the ring in n variables; each
+    entry is summed in one dict."""
     n = len(M1)
+    low = (1 << n) - 1
     out = []
-    for i in range(n):
-        row = []
+    for row in M1:
+        new = []
         for j in range(n):
-            acc = MultilinearPoly.zero(n)
-            for k in range(n):
-                if M1[i][k] and M2[k][j]:
-                    acc = acc + M1[i][k] * M2[k][j]
-            row.append(acc)
-        out.append(row)
+            acc: dict = {}
+            for a, brow in zip(row, M2):
+                b = brow[j].terms
+                if a.terms and b:
+                    _add_products(acc, a.terms, b, low)
+            new.append(_poly(n, acc))
+        out.append(new)
     return out
 
 
@@ -440,27 +461,51 @@ def matrix_series(A, kind: str) -> list:
     """The matrix H_z(XA) = sum_k h_k (XA)^k, or E_z(XA) with e_k.
 
     X A is nilpotent in the multilinear ring, so the sum over k <= n is
-    exact.  Entries are MultilinearPoly with SymFun coefficients in the
-    h basis (kind "H") or the e basis (kind "E").
+    exact.  Entries are MultilinearPoly with int coefficients; the term
+    x_S of (XA)^k, k = |S|, is keyed S plus one count in degree k's
+    field (module docstring).  H and E pack alike and differ only in how
+    series_coefficients reads the fields: as h (kind "H") or e ("E").
     """
     n = len(A)
     guard("matrix_series", n, 6)
+    _series_basis(kind)
+    width = n.bit_length()
+    power = mlp_identity(n)
+    out = [[dict(entry.terms) for entry in row] for row in power]
+    xa = xa_matrix(A)
+    for k in range(1, n + 1):
+        power = mlp_mat_mul(power, xa)
+        field = 1 << (n + (k - 1) * width)
+        for orow, prow in zip(out, power):
+            for terms, entry in zip(orow, prow):
+                for mask, c in entry.terms.items():
+                    terms[mask + field] = c
+    return [[_poly(n, terms) for terms in row] for row in out]
+
+
+def series_coefficients(det: MultilinearPoly, kind: str) -> dict:
+    """{mask: SymFun} of a product of matrix_series entries, such as their
+    det_ring: each key's degree fields read back as the partition of its
+    h factors (kind "H") or e factors (kind "E")."""
+    n = det.n
+    low = (1 << n) - 1
+    width = n.bit_length()
+    count = (1 << width) - 1
+    by_mask: dict = {}
+    for key, c in det.terms.items():
+        lam: list = []
+        fields = key >> n
+        k = 1
+        while fields:
+            lam[:0] = [k] * (fields & count)
+            fields >>= width
+            k += 1
+        by_mask.setdefault(key & low, {})[tuple(lam)] = c
+    basis = _series_basis(kind)
+    return {mask: SymFun(basis, terms) for mask, terms in by_mask.items()}
+
+
+def _series_basis(kind: str) -> str:
     if kind not in ("H", "E"):
         raise ValueError("kind must be 'H' or 'E'")
-    basis = kind.lower()
-    coeffs = [SymFun.element(basis, (k,) if k else ()) for k in range(n + 1)]
-    powers = [mlp_identity(n)]
-    xa = xa_matrix(A)
-    for _ in range(n):
-        powers.append(mlp_mat_mul(powers[-1], xa))
-    out = [
-        [MultilinearPoly.zero(n) for _ in range(n)] for _ in range(n)
-    ]
-    for k, ck in enumerate(coeffs):
-        mat = powers[k]
-        for i in range(n):
-            for j in range(n):
-                entry = mat[i][j]
-                if entry:
-                    out[i][j] = out[i][j] + entry.scale(ck)
-    return out
+    return kind.lower()

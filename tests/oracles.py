@@ -643,6 +643,36 @@ def identity_plus_xa(A) -> list:
     return _identity_plus_signed_xa(A, 1)
 
 
+def matrix_series_oracle(A, kind: str) -> list:
+    """H_z(XA) = sum_k h_k (XA)^k (kind "H"), or E_z(XA) with e_k, over
+    the multilinear ring with SymFun coefficients.  The x_S coefficient
+    of (XA)^k at (i, j), k = |S|, sums the walks i = v_0 -> ... -> v_k = j
+    whose first k vertices are S, listed as orderings of S from i."""
+    n = len(A)
+    basis = kind.lower()
+    out = []
+    for i in range(n):
+        others = [v for v in range(n) if v != i]
+        row = []
+        for j in range(n):
+            by_mask: dict = {}
+            for k in range(1, n + 1):
+                for rest in permutations(others, k - 1):
+                    walk = (i, *rest, j)
+                    w = prod(A[u][v] for u, v in zip(walk, walk[1:]))
+                    mask = sum(1 << v for v in walk[:-1])
+                    by_mask[mask] = by_mask.get(mask, 0) + w
+            terms = {
+                mask: SymFun.element(basis, (mask.bit_count(),)) * c
+                for mask, c in by_mask.items()
+            }
+            if i == j:
+                terms[0] = SymFun.const(1, basis)
+            row.append(MultilinearPoly(n, terms))
+        out.append(row)
+    return out
+
+
 def _identity_plus_signed_xa(A, sign: int) -> list:
     n = len(A)
     return [
@@ -694,7 +724,7 @@ def multilinear_inverse(f: MultilinearPoly) -> MultilinearPoly:
         if not power.terms:
             break
         acc = acc + power
-    return acc.scale(inv0)
+    return acc * MultilinearPoly.const(f.n, inv0)
 
 
 # ------------------------------------------------ permutations tied to edges

@@ -13,6 +13,7 @@ import pytest
 
 import redeiberge.cli as cli
 import redeiberge.hamilton as hamilton
+import redeiberge.redei as redei
 from redeiberge.cli import (
     build_corpus,
     digraph_from_args,
@@ -35,7 +36,7 @@ from redeiberge.digraph import (
 )
 from redeiberge.guards import GuardError
 from redeiberge.redei import applicable_routes, hook_coefficient, u_digraph
-from redeiberge.symfun import convert
+from redeiberge.symfun import SymFun, convert
 
 EXAMPLE3 = digraph(3, [(1, 1), (1, 3), (3, 2)])
 
@@ -322,6 +323,24 @@ def test_run_corpus_records_an_identity_that_raises(monkeypatch):
     for row in summary["failures"]:
         assert list(row["failures"]) == ["walk-identity"]
         assert row["failures"]["walk-identity"].startswith("ZeroDivisionError")
+
+
+def test_routes_agree_failure_names_the_first_differing_route(monkeypatch):
+    # matrix-det returns U_D plus p_(2,1); the failure names it against the
+    # first route and the first partition, in sorted order, that differs
+    real = redei._ROUTE_FUNCTIONS["matrix-det"]
+    monkeypatch.setitem(
+        redei._ROUTE_FUNCTIONS,
+        "matrix-det",
+        lambda D: real(D) + SymFun("p", {(2, 1): 1}),
+    )
+    routes = applicable_routes(EXAMPLE3)
+    assert routes[0] == "F-definition" and "matrix-det" in routes
+    c = u_digraph(EXAMPLE3).coefficient((2, 1))
+    assert identity_suite(EXAMPLE3)["routes-agree"] == (
+        "DisagreementError: routes disagree: matrix-det differs from"
+        f" F-definition: coefficient at (2, 1) differs, {c + 1} vs {c}"
+    )
 
 
 def test_verify_skips_route_agreement_without_two_routes(capsys):

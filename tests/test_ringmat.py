@@ -4,7 +4,7 @@ from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gens import int_matrices
@@ -14,6 +14,7 @@ from oracles import (
     coeff_extract,
     identity_minus_xa,
     identity_plus_xa,
+    matrix_series_oracle,
     multilinear_inverse,
     permanent_expansion,
     sgn,
@@ -40,6 +41,7 @@ from redeiberge.ringmat import (
     permanent_ryser,
     principal_determinants,
     principal_permanents,
+    series_coefficients,
     submatrix,
     subset_exp,
     xa_matrix,
@@ -353,22 +355,63 @@ def test_sylvester_rank_one():
 def test_matrix_series_small():
     assert matrix_series([], "H") == []
     H = matrix_series([[1]], "H")
-    entry = H[0][0]
-    assert equals(entry.coeff(0), SymFun.const(1))
-    assert equals(entry.coeff({1}), SymFun.element("h", (1,)))
+    entry = series_coefficients(H[0][0], "H")
+    assert equals(entry[0], SymFun.const(1))
+    assert equals(entry[mask_of({1})], SymFun.element("h", (1,)))
     E = matrix_series([[1]], "E")
-    assert equals(E[0][0].coeff({1}), SymFun.element("e", (1,)))
+    assert equals(series_coefficients(E[0][0], "E")[1], SymFun.element("e", (1,)))
     # entries carry h (or e) basis coefficients with int values
     A = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     for kind in ("H", "E"):
         entries = [e for row in matrix_series(A, kind) for e in row]
-        coeffs = [c for e in entries for c in e.terms.values()]
+        assert all(type(v) is int for e in entries for v in e.terms.values())
+        coeffs = [
+            c for e in entries for c in series_coefficients(e, kind).values()
+        ]
         assert coeffs and {c.basis for c in coeffs} == {kind.lower()}
         assert all(type(v) is int for c in coeffs for v in c.terms.values())
     with pytest.raises(ValueError):
         matrix_series([[1]], "Q")
+    with pytest.raises(ValueError):
+        series_coefficients(MultilinearPoly.const(1, 1), "Q")
     with pytest.raises(GuardError):
         matrix_series([[0] * 7 for _ in range(7)], "H")
+
+
+def _p_terms(c) -> dict:
+    return to_p(c).terms if c else {}
+
+
+@given(int_matrices(max_n=5, lo=-2, hi=2))
+@example([[-2]])
+@example([[2, -1, 0], [1, -2, 1], [0, -1, 1]])
+def test_packed_series_det_matches_symfun_oracle(A):
+    # det_ring of the packed integer series, decoded, against det_ring of
+    # the series built with SymFun coefficients, at every vertex set
+    n = len(A)
+    for kind in ("H", "E"):
+        basis = kind.lower()
+        got = series_coefficients(
+            det_ring(matrix_series(A, kind), MultilinearPoly.const(n, 1)), kind
+        )
+        one = MultilinearPoly.const(n, SymFun.const(1, basis))
+        want = det_ring(matrix_series_oracle(A, kind), one)
+        for mask in range(1 << n):
+            assert _p_terms(got.get(mask)) == _p_terms(want.coeff(mask))
+
+
+def test_packed_series_det_small_n():
+    for kind in ("H", "E"):
+        det0 = det_ring(matrix_series([], kind), MultilinearPoly.const(0, 1))
+        assert series_coefficients(det0, kind) == {0: SymFun.const(1, kind.lower())}
+    # one vertex with a loop of weight -3: det = 1 - 3 h_1 x1; no loop: 1
+    got = series_coefficients(
+        det_ring(matrix_series([[-3]], "H"), MultilinearPoly.const(1, 1)), "H"
+    )
+    assert got == {0: SymFun.const(1, "h"), 1: SymFun("h", {(1,): -3})}
+    assert not series_coefficients(
+        det_ring(matrix_series([[0]], "E"), MultilinearPoly.const(1, 1)), "E"
+    ).get(1)
 
 
 def test_series_extraction_is_cycle_cover_sum():
@@ -376,8 +419,8 @@ def test_series_extraction_is_cycle_cover_sum():
     # covers; checked directly against the cover enumeration
     D = digraph(3, [(1, 2), (2, 1), (3, 3), (1, 1), (2, 3)])
     A = D.adjacency()
-    f = det_ring(matrix_series(A, "H"), MultilinearPoly.const(3, SymFun.const(1)))
-    got = to_p(f.coeff({1, 2, 3}))
+    f = det_ring(matrix_series(A, "H"), MultilinearPoly.const(3, 1))
+    got = to_p(series_coefficients(f, "H")[0b111])
     expect: dict = {}
     for cover in enumerate_cycle_covers(D):
         lam = cover.cycle_partition()
