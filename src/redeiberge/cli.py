@@ -53,11 +53,10 @@ from .hamilton import (
 from .redei import (
     CHOW_BOUND,
     CHOW_IDENTITIES_BOUND,
-    _first_difference,
     applicable_routes,
+    compare_routes,
     hook_coefficient,
     powersum_to_ones,
-    routes_agree,
     u_all_routes,
     u_from_chow,
     u_tournament,
@@ -150,18 +149,9 @@ def identity_suite(D: Digraph) -> dict:
 
     def check_routes():
         nonlocal u_ref
-        route_results = u_all_routes(D)
-        ok, ref = routes_agree(route_results)
-        if not ok:
-            first, *rest = route_results
-            want = to_p(first.value)
-            for r in rest:
-                got = to_p(r.value)
-                if got.terms != want.terms:
-                    break
-            label = f"routes disagree: {r.route} differs from {first.route}"
-            raise DisagreementError(_first_difference(label, got, want))
-        u_ref = ref
+        u_ref, why = compare_routes(u_all_routes(D))
+        if why:
+            raise DisagreementError(why)
 
     if len(routes) >= 2:
         run("routes-agree", check_routes)
@@ -341,7 +331,8 @@ def cmd_u(args) -> int:
     else:
         routes = [r.strip() for r in args.routes.split(",") if r.strip()]
     results = u_all_routes(D, routes)
-    ok, ref = routes_agree(results)
+    ref, why = compare_routes(results)
+    ok = why is None
     value = convert(ref, args.basis) if ok else None
     payload = {
         "command": "u",
@@ -365,6 +356,7 @@ def cmd_u(args) -> int:
             print(f"U_D ({args.basis}): {value!r}")
         print(f"agree: {'yes' if ok else 'NO'}")
     if not ok:
+        print(f"disagreement: {why}", file=sys.stderr)
         return 4
     return 0
 

@@ -13,10 +13,11 @@ companion expressions: for any fixed vertex i,
 
 where (b) must divide exactly.  The path sum, grouped by vertex sets, is
 one sum over set partitions of cycle weights, with no minor table; the
-cycle formulas share per A and det A.  A bitmask dynamic program and DFS
-enumeration cross-check everything; parity utilities package Berge's
-congruence ham(D) = ham(Dbar) mod 2 and the fact (Redei) that
-tournaments have an odd number of Hamiltonian paths.
+cycle formulas share per A and det A.  ham_dp, the full-set value of
+the endpoint DP ringmat.path_counts, and DFS enumeration cross-check
+everything; parity utilities package Berge's congruence
+ham(D) = ham(Dbar) mod 2 and the fact (Redei) that tournaments have an
+odd number of Hamiltonian paths.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .digraph import (
 )
 from .guards import DisagreementError, GuardError, guard
 from .ringmat import _anchored_cycle_weights, _signed_cycles, partition_sum
-from .ringmat import permanent_ryser, principal_determinants, principal_permanents
+from .ringmat import path_counts, permanent_ryser
+from .ringmat import principal_determinants, principal_permanents
 
 # Largest n that ham_detper, ham_dp, the cycle formulas, parity_suite
 # and wiseman_check admit.
@@ -89,41 +91,10 @@ def ham_detper(D: Digraph) -> int:
 
 
 def ham_dp(D: Digraph) -> int:
-    """Hamiltonian paths by the subset dynamic program over endpoints."""
+    """Hamiltonian paths: the full-set total of ringmat.path_counts, the
+    subset dynamic program over endpoints."""
     guard("ham_dp", D.n, DP_BOUND)
-    n = D.n
-    if n == 0:
-        return 1
-    succ_mask = [0] * (n + 1)
-    for (u, v) in D.edges:
-        if u != v:
-            succ_mask[u] |= 1 << (v - 1)
-    # f[mask] maps last vertex to the number of paths covering mask; masks
-    # are read once each, in increasing order, and dropped when read
-    f: list = [None] * (1 << n)
-    for v in range(1, n + 1):
-        f[1 << (v - 1)] = {v: 1}
-    full = (1 << n) - 1
-    total = 0
-    for mask in range(1, full + 1):
-        fm = f[mask]
-        f[mask] = None
-        if not fm:
-            continue
-        if mask == full:
-            total = sum(fm.values())
-            break
-        for last, cnt in fm.items():
-            avail = succ_mask[last] & ~mask
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                w = bit.bit_length()
-                d = f[mask | bit]
-                if d is None:
-                    d = f[mask | bit] = {}
-                d[w] = d.get(w, 0) + cnt
-    return total
+    return path_counts(D.adjacency())[-1]
 
 
 def ham_paths_bruteforce(D: Digraph) -> int:

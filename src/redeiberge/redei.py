@@ -209,47 +209,44 @@ def schur_coeff_JT(D: Digraph, lam) -> int:
     and insists they agree.
     """
     lam = tuple(lam)
-    n = D.n
-    guard("u_schur_jt", n, ROUTES["schur-JT"].bound)
-    if sum(lam) != n:
+    guard("u_schur_jt", D.n, ROUTES["schur-JT"].bound)
+    if sum(lam) != D.n:
         raise ValueError("lam must be a partition of n")
-    a = _jt_coefficient(complement(D), lam)
-    b = _jt_coefficient(D, conjugate(lam))
-    if a != b:
-        raise DisagreementError(
-            f"Jacobi-Trudi forms disagree for {lam}: {a} vs {b}"
-        )
-    return a
+    return _schur_JT(D, [lam])[lam]
 
 
-def _jt_coefficient(D: Digraph, lam: tuple) -> int:
-    """Full-support coefficient of det [xi_{lam_i - i + j}] over D."""
-    n = D.n
-    ell = len(lam)
-    if ell == 0:
-        return 1 if n == 0 else 0
-    cache: dict = {}
+def _schur_JT(D: Digraph, lams) -> dict:
+    """{lam: schur_coeff_JT(D, lam)} for the given partitions of n, with
+    the path polynomials of D and of its complement built once."""
+    xis_bar, xis = xi(complement(D)), xi(D)
+    out = {}
+    for lam in lams:
+        a = _jt_coefficient(xis_bar, lam)
+        b = _jt_coefficient(xis, conjugate(lam))
+        if a != b:
+            raise DisagreementError(
+                f"Jacobi-Trudi forms disagree for {lam}: {a} vs {b}"
+            )
+        out[lam] = a
+    return out
 
-    def xival(k: int) -> MultilinearPoly:
-        if k not in cache:
-            cache[k] = xi(D, k)
-        return cache[k]
 
+def _jt_coefficient(xis: list, lam: tuple) -> int:
+    """Full-support coefficient of det [xi_{lam_i - i + j}], xis = xi(D);
+    an index outside 0..n reads as 0."""
+    n = len(xis) - 1
+    zero = MultilinearPoly.zero(n)
     M = [
-        [xival(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
-        for i in range(ell)
+        [xis[k] if 0 <= k <= n else zero for k in range(part - i, part - i + len(lam))]
+        for i, part in enumerate(lam)
     ]
     return det_ring(M, MultilinearPoly.const(n, 1)).coeff((1 << n) - 1)
 
 
 def u_via_schur_JT(D: Digraph) -> SymFun:
     _admit("schur-JT", D)
-    terms = {}
-    for lam in partitions_of(D.n):
-        c = schur_coeff_JT(D, lam)
-        if c:
-            terms[lam] = c
-    return SymFun("s", terms)
+    coeffs = _schur_JT(D, partitions_of(D.n))
+    return SymFun("s", {lam: c for lam, c in coeffs.items() if c})
 
 
 def u_via_immanant_LR(D: Digraph) -> SymFun:
@@ -579,6 +576,20 @@ def routes_agree(results) -> tuple:
         if to_p(res.value).terms != reference.terms:
             return False, None
     return True, reference
+
+
+def compare_routes(results) -> tuple:
+    """(common p form, None) when routes_agree, else (None, a message
+    naming the first route that differs from the first one and the first
+    partition where they differ)."""
+    ok, reference = routes_agree(results)
+    if ok:
+        return reference, None
+    first, *rest = results
+    want = to_p(first.value)
+    got, res = next((g, r) for r in rest if (g := to_p(r.value)) != want)
+    label = f"routes disagree: {res.route} differs from {first.route}"
+    return None, _first_difference(label, got, want)
 
 
 def u_digraph(D: Digraph, basis: str = "p") -> SymFun:

@@ -19,6 +19,9 @@ partition_sum reads only the convolution's full-set value, in 3^(n-1)
 steps (ham_detper).  subset_exp keeps power sums apart by block size:
 fed the anchored cycle weights of D and of its complement, it is the
 subset-formula route of U_D and the powersum route of Chow's Xi_D.
+path_counts is the one endpoint DP over vertex sets: it counts the
+directed paths on each set, for ham_dp (the full set) and the path
+polynomials of walks.xi.
 
 Also here: the Ryser permanent with Gray-code updates, immanants, and
 the matrix series H(XA) and E(XA) with integer coefficients.  A term of
@@ -56,7 +59,8 @@ class MultilinearPoly:
 
     Bit i-1 of a term's mask marks the variable x_i.  Keys built inside
     this module (matrix_series) may also carry degree fields above bit
-    n-1; products test overlap on the low n bits only and add keys.
+    n-1; products test overlap on the low n bits only and add keys, and
+    repr prints such a key's partition after its monomial, x1*x2[2,1].
     """
 
     __slots__ = ("n", "terms")
@@ -139,9 +143,11 @@ class MultilinearPoly:
         if not self.terms:
             return "0"
         bits = []
-        for mask in sorted(self.terms):
-            mono = "*".join(f"x{i+1}" for i in range(self.n) if mask >> i & 1)
-            c = self.terms[mask]
+        for key in sorted(self.terms):
+            mono = "*".join(f"x{i+1}" for i in range(self.n) if key >> i & 1)
+            lam = _degrees(key, self.n)
+            mono += f"[{','.join(map(str, lam))}]" if lam else ""
+            c = self.terms[key]
             bits.append(f"({c})*{mono}" if mono else f"({c})")
         return " + ".join(bits)
 
@@ -296,6 +302,43 @@ def _anchored_cycle_weights(A) -> list:
                 d[u] = d.get(u, 0) + w * row[u]
         cyc[mask] = closing
     return cyc
+
+
+def path_counts(A) -> list:
+    """h[mask]: number of directed paths with vertex set = mask.
+
+    h[0] = 1 and a singleton counts its one-vertex path; loops are
+    ignored.  A path steps to any unplaced successor, and each mask's
+    endpoint dict is replaced by its total once read, masks going up.
+    """
+    n = len(A)
+    # endpoints are numbered from 1, as bit.bit_length() gives them
+    succ = [0] + [
+        sum(1 << u for u, x in enumerate(row) if x and u != v)
+        for v, row in enumerate(A)
+    ]
+    h: list = [None] * (1 << n)
+    h[0] = 1
+    for v in range(n):
+        h[1 << v] = {v + 1: 1}
+    for mask in range(1, 1 << n):
+        pm = h[mask]
+        if not pm:
+            h[mask] = 0
+            continue
+        h[mask] = sum(pm.values())
+        free = ~mask
+        for v, c in pm.items():
+            avail = succ[v] & free
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                d = h[mask | bit]
+                if d is None:
+                    d = h[mask | bit] = {}
+                u = bit.bit_length()
+                d[u] = d.get(u, 0) + c
+    return h
 
 
 def principal_permanents(A, cyc=None) -> list:
@@ -489,20 +532,24 @@ def series_coefficients(det: MultilinearPoly, kind: str) -> dict:
     h factors (kind "H") or e factors (kind "E")."""
     n = det.n
     low = (1 << n) - 1
-    width = n.bit_length()
-    count = (1 << width) - 1
     by_mask: dict = {}
     for key, c in det.terms.items():
-        lam: list = []
-        fields = key >> n
-        k = 1
-        while fields:
-            lam[:0] = [k] * (fields & count)
-            fields >>= width
-            k += 1
-        by_mask.setdefault(key & low, {})[tuple(lam)] = c
+        by_mask.setdefault(key & low, {})[_degrees(key, n)] = c
     basis = _series_basis(kind)
     return {mask: SymFun(basis, terms) for mask, terms in by_mask.items()}
+
+
+def _degrees(key: int, n: int) -> tuple:
+    """The partition that the degree fields of a key count; () for a mask."""
+    width = n.bit_length()
+    lam: list = []
+    fields = key >> n
+    k = 1
+    while fields:
+        lam[:0] = [k] * (fields & ((1 << width) - 1))
+        fields >>= width
+        k += 1
+    return tuple(lam)
 
 
 def _series_basis(kind: str) -> str:

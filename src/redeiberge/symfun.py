@@ -285,14 +285,18 @@ def _ek_in_p(k: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _he_to_p(basis: str, lam: Partition) -> tuple:
+    """h_lam (basis "h") or e_lam ("e") expanded in p."""
+    return tuple(_fold_parts(lam, _hk_in_p if basis == "h" else _ek_in_p).items())
+
+
 def _term_to_p(basis: str, lam: Partition) -> dict:
     """Expansion of one basis element in p."""
     if basis == "p":
         return {lam: 1}
-    if basis == "h":
-        return _fold_parts(lam, _hk_in_p)
-    if basis == "e":
-        return _fold_parts(lam, _ek_in_p)
+    if basis in ("h", "e"):
+        return dict(_he_to_p(basis, lam))
     if basis == "s":
         n = sum(lam)
         return {

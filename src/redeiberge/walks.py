@@ -1,7 +1,8 @@
 """Path polynomials and the walk generating function of a digraph.
 
-xi(D, k) is the sum of x_{i_0} ... x_{i_{k-1}} over directed paths on k
-distinct vertices (k = 0 gives 1, k > n gives 0).  gamma counts walks
+xi(D) lists the path polynomials xi_0..xi_n: xi_k is the sum of
+x_{i_0} ... x_{i_{k-1}} over directed paths on k distinct vertices, all
+read off ringmat.path_counts, the table ham_dp reads.  gamma counts walks
 with repetition allowed, evaluated at a point.  The generating function
 of the gamma sequence is the rational function
 
@@ -23,49 +24,19 @@ from dataclasses import dataclass, field
 from .digraph import Digraph, complement, is_acyclic
 from .guards import guard
 from .hamilton import DP_BOUND
-from .ringmat import MultilinearPoly, principal_determinants
+from .ringmat import MultilinearPoly, path_counts, principal_determinants
 
 
-def xi(D: Digraph, k: int) -> MultilinearPoly:
-    """Sum over directed paths on exactly k distinct vertices.
-
-    xi(D, 0) is the constant 1; negative k and k > n give 0.  The
-    endpoint DP is the one ham_dp runs and shares its size bound.
-    """
+def xi(D: Digraph) -> list:
+    """The path polynomials [xi_0, ..., xi_n] of D, from one path_counts
+    table: xi_k sums x_S over the directed paths on k vertices, S their
+    vertex set, so xi_0 = 1.  Shares ham_dp's size bound."""
     guard("xi", D.n, DP_BOUND)
-    n = D.n
-    if k < 0 or k > n:
-        return MultilinearPoly.zero(n)
-    if k == 0:
-        return MultilinearPoly.const(n, 1)
-    # ends[mask][last]: number of paths with vertex set mask ending at last
-    ends: list = [None] * (1 << n)
-    adj = {v: D.out_neighbors(v) for v in D.vertices()}
-    for v in D.vertices():
-        ends[1 << (v - 1)] = {v: 1}
-    order = sorted(range(1, 1 << n), key=int.bit_count)
-    counts: dict = {}
-    for mask in order:
-        em = ends[mask]
-        if not em:
-            continue
-        ends[mask] = None  # each mask is read once, after all its writers
-        size = mask.bit_count()
-        if size == k:
-            counts[mask] = counts.get(mask, 0) + sum(em.values())
-            continue
-        if size > k:
-            continue
-        for last, cnt in em.items():
-            for w in adj[last]:
-                bit = 1 << (w - 1)
-                if mask & bit:
-                    continue
-                d = ends[mask | bit]
-                if d is None:
-                    d = ends[mask | bit] = {}
-                d[w] = d.get(w, 0) + cnt
-    return MultilinearPoly(n, counts)
+    out: list = [{} for _ in range(D.n + 1)]
+    for mask, c in enumerate(path_counts(D.adjacency())):
+        if c:
+            out[mask.bit_count()][mask] = c
+    return [MultilinearPoly(D.n, terms) for terms in out]
 
 
 def gamma(D: Digraph, k: int, point) -> int:

@@ -198,12 +198,41 @@ def test_u_table_format(capsys):
 
 
 def test_u_disagreement_exit(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "routes_agree", lambda results: (False, None))
+    monkeypatch.setattr(cli, "compare_routes", lambda results: (None, "stub"))
     code = main(["u", "--gen", "empty:2"])
-    payload = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
     assert code == 4
     assert payload["agree"] is False
     assert "value" not in payload
+    assert err == "disagreement: stub\n"
+
+
+def test_u_disagreement_names_the_first_differing_route(
+    monkeypatch, capsys, tmp_path
+):
+    # as in the identity suite: matrix-det returns U_D plus p_(2,1), and
+    # stderr names it against the first route at the first differing
+    # partition, while stdout keeps the payload it prints on agreement
+    real = redei._ROUTE_FUNCTIONS["matrix-det"]
+    monkeypatch.setitem(
+        redei._ROUTE_FUNCTIONS,
+        "matrix-det",
+        lambda D: real(D) + SymFun("p", {(2, 1): 1}),
+    )
+    path = tmp_path / "example3.dg"
+    path.write_text(digraph_to_text(EXAMPLE3))
+    code = main(["u", "--routes", "all", "--edges", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["agree"] is False and "value" not in payload
+    assert [r["route"] for r in payload["routes"]] == applicable_routes(EXAMPLE3)
+    c = u_digraph(EXAMPLE3).coefficient((2, 1))
+    assert err == (
+        "disagreement: routes disagree: matrix-det differs from"
+        f" F-definition: coefficient at (2, 1) differs, {c + 1} vs {c}\n"
+    )
 
 
 # ----------------------------------------------------------- ham subcommand

@@ -618,15 +618,25 @@ def test_jacobi_trudi_column_det_extraction():
     # Shape (1,1,1) on EXAMPLE3's own path polynomials: full-support
     # coefficient of det [xi_{1-i+j}] equals the s_3 coefficient, 3.
     lam = (1, 1, 1)
-    ell = len(lam)
-    M = [
-        [xi(EXAMPLE3, lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
-        for i in range(ell)
-    ]
+    xis = xi(EXAMPLE3)
+    x0, x1, x2, x3 = xis
+    M = [[x1, x2, x3], [x0, x1, x2], [MultilinearPoly.zero(3), x0, x1]]
     det = det_ring(M, MultilinearPoly.const(3, 1))
     assert det.coeff(0b111) == 3
+    # _jt_coefficient reads the index -1 above, and any index past n, as 0
+    assert redei._jt_coefficient(xis, lam) == 3
+    assert redei._jt_coefficient(xis, (4,)) == 0
     assert schur_coeff_JT(EXAMPLE3, (3,)) == 3
     assert conjugate((3,)) == lam
+
+
+def test_schur_jt_route_builds_each_path_polynomial_list_once(monkeypatch):
+    # xi of D and of its complement, once each for all seven partitions
+    calls = []
+    monkeypatch.setattr(redei, "xi", lambda D: calls.append(D) or xi(D))
+    D = random_digraph(5, 0.5, 3)
+    assert u_via_schur_JT(D) == convert(u_digraph(D), "s")
+    assert calls == [complement(D), D]
 
 
 def test_hook_disagreement_is_guarded():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gens import int_matrices
+from gens import digraphs, int_matrices
 from oracles import (
     anchored_cycle_weights_oracle,
     bareiss_det,
@@ -16,6 +16,7 @@ from oracles import (
     identity_plus_xa,
     matrix_series_oracle,
     multilinear_inverse,
+    path_sets_oracle,
     permanent_expansion,
     sgn,
 )
@@ -38,6 +39,7 @@ from redeiberge.ringmat import (
     mlp_identity,
     mlp_mat_mul,
     partition_sum,
+    path_counts,
     permanent_ryser,
     principal_determinants,
     principal_permanents,
@@ -81,6 +83,14 @@ def test_multilinear_validation_and_const():
     c = MultilinearPoly.const(2, 7)
     assert c.coeff(0) == 7
     assert c.coeff(()) == 7
+
+
+def test_repr_prints_packed_degree_partitions():
+    # det H(XA) of a 2-cycle is 1 + (2 h_2 - h_1^2) x1 x2: two terms on the
+    # support x1 x2 that differ only in their packed h partition
+    det = det_ring(matrix_series([[0, 1], [1, 0]], "H"), MultilinearPoly.const(2, 1))
+    assert repr(det) == "(1) + (-1)*x1*x2[1,1] + (2)*x1*x2[2]"
+    assert repr(MultilinearPoly(2, {0: 1, 0b11: 2})) == "(1) + (2)*x1*x2"
 
 
 def test_multilinear_inverse_is_geometric():
@@ -236,6 +246,20 @@ def weighted_matrices(draw, max_n=6):
 @given(weighted_matrices())
 def test_anchored_cycle_weights_match_the_permutation_oracle(M):
     assert _anchored_cycle_weights(M) == anchored_cycle_weights_oracle(M)
+
+
+@given(digraphs(max_n=5))
+@example(digraph(0, []))
+@example(digraph(2, [(1, 1), (1, 2), (2, 1)]))
+def test_path_counts_match_the_path_set_oracle(D):
+    # h[0] = 1 for the empty path, and loops never extend a path
+    n = D.n
+    h = path_counts(D.adjacency())
+    assert len(h) == 1 << n
+    by_size = [path_sets_oracle(D, k) for k in range(n + 1)]
+    for S, c in enumerate(h):
+        verts = frozenset(v + 1 for v in range(n) if S >> v & 1)
+        assert c == by_size[len(verts)].get(verts, 0), S
 
 
 def test_principal_minors_guard():
