@@ -51,8 +51,8 @@ def main() -> int:
     show_u(complement(D), "U of the complement", config)
 
     print("hook Schur coefficients [s_(i,1^(n-i))] U_D:")
-    for i in range(1, D.n + 1):
-        print(f"  i={i}: {hook_coefficient(D, i)}")
+    for i, value in enumerate(hook_coefficient(D), start=1):
+        print(f"  i={i}: {value}")
     print("  (i=1 counts Hamiltonian paths of D, i=n those of the complement)")
 
     print(f"Xi_D      = {chow_xi(D)!r}")

@@ -186,7 +186,7 @@ def identity_suite(D: Digraph) -> dict:
         run("berge-parity", check_parity)
     if "schur-JT" in routes and n >= 1:
         def check_hooks():
-            hooks = [hook_coefficient(D, i) for i in range(1, n + 1)]
+            hooks = hook_coefficient(D)
             lo, hi = hooks[0], hooks[-1]
             if lo != ham_dp(D) or hi != ham_dp(complement(D)):
                 raise DisagreementError(f"hook read-off mismatch: {lo}, {hi}")
@@ -334,11 +334,13 @@ def cmd_u(args) -> int:
     ref, why = compare_routes(results)
     ok = why is None
     value = convert(ref, args.basis) if ok else None
+    # one route has nothing to agree with: null, not a vacuous true
+    agree = None if ok and len(results) == 1 else ok
     payload = {
         "command": "u",
         "digraph": {**digraph_to_json_dict(D), "hash": digraph_hash(D)},
         "seed": args.seed,
-        "agree": ok,
+        "agree": agree,
         "routes": [
             r.to_json_dict(include_timings=args.timings) for r in results
         ],
@@ -354,7 +356,8 @@ def cmd_u(args) -> int:
             print(f"route {r.route}: {r.value!r}{stamp}")
         if ok:
             print(f"U_D ({args.basis}): {value!r}")
-        print(f"agree: {'yes' if ok else 'NO'}")
+        verdict = "n/a (one route)" if agree is None else "yes" if ok else "NO"
+        print(f"agree: {verdict}")
     if not ok:
         print(f"disagreement: {why}", file=sys.stderr)
         return 4

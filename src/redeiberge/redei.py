@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations as _it_permutations
+from itertools import combinations, permutations as _it_permutations, product
 from typing import Callable, NamedTuple
 
 from .combinat import (
@@ -68,6 +68,8 @@ from .ringmat import (
 from .symfun import (
     SymFun,
     TwoAlphabetSymFun,
+    _mtilde_to_p,
+    _with_terms,
     convert,
     littlewood_richardson,
     to_p,
@@ -251,31 +253,30 @@ def u_via_schur_JT(D: Digraph) -> SymFun:
 
 def u_via_immanant_LR(D: Digraph) -> SymFun:
     """Immanants of complementary principal submatrices paired through
-    Littlewood-Richardson coefficients."""
+    Littlewood-Richardson coefficients: imm_lam(Abar[I^c]) imm_mu'(A[I])
+    is summed per pair (lam, mu) over the vertex sets I, one immanant
+    call per nonempty submatrix, and each sum is expanded by c^nu_{lam mu}."""
     n = D.n
     _admit("immanant-LR", D)
     A = D.adjacency()
     Abar = complement(D).adjacency()
     verts = list(D.vertices())
-    out: dict = {}
+    pairs: dict = {}
     for k in range(n + 1):
         for I in combinations(verts, k):
             Ic = [v for v in verts if v not in I]
-            sub_a = submatrix(A, I)
-            sub_abar = submatrix(Abar, Ic)
-            for mu in partitions_of(k):
-                imm_a = immanant(sub_a, conjugate(mu)) if k else 1
-                if not imm_a:
-                    continue
-                for lam in partitions_of(n - k):
-                    imm_abar = immanant(sub_abar, lam) if n - k else 1
-                    if not imm_abar:
-                        continue
-                    weight = imm_abar * imm_a
-                    for nu in partitions_of(n):
-                        c = littlewood_richardson(lam, mu, nu)
-                        if c:
-                            out[nu] = out.get(nu, 0) + weight * c
+            imm_a = immanant(submatrix(A, I)) if k else {(): 1}
+            imm_abar = immanant(submatrix(Abar, Ic)) if n - k else {(): 1}
+            for (rho, a), (lam, b) in product(imm_a.items(), imm_abar.items()):
+                if a and b:
+                    key = (lam, conjugate(rho))
+                    pairs[key] = pairs.get(key, 0) + a * b
+    out: dict = {}
+    for (lam, mu), weight in pairs.items():
+        for nu in partitions_of(n):
+            c = littlewood_richardson(lam, mu, nu)
+            if c:
+                out[nu] = out.get(nu, 0) + weight * c
     return SymFun("s", out)
 
 
@@ -295,13 +296,8 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
         covers = enumerate_cycle_covers(complement(D))
         return SymFun("p", Counter(c.cycle_partition() for c in covers))
     if flavor == "schur":
-        Abar = complement(D).adjacency()
-        terms = {}
-        for lam in partitions_of(n):
-            c = immanant(Abar, lam) if n else 1
-            if c:
-                terms[lam] = c
-        return SymFun("s", terms)
+        imms = immanant(complement(D).adjacency())
+        return SymFun("s", {lam: c for lam, c in imms.items() if c})
     # records: _admit has rejected every other flavor
     out: dict = {}
     for pi in _it_permutations(range(1, n + 1)):
@@ -332,29 +328,22 @@ def powersum_to_ones(f: SymFun):
 
 # -------------------------------------------------------------------- hooks
 
-def hook_descent_count(D: Digraph, i: int) -> int:
-    """Number of permutations whose D-descent set is exactly {i, ..., n-1}."""
+def hook_coefficient(D: Digraph) -> list:
+    """[s_(i,1^(n-i))] U_D for i = 1..n, from one Jacobi-Trudi table, each
+    checked against the number of permutations whose D-descent set is
+    exactly {i, ..., n-1} (one tally over S_n); DisagreementError names
+    the first hook that differs."""
     n = D.n
     guard("u_hooks", n, ROUTES["schur-JT"].bound)
-    target = frozenset(range(i, n))
-    return sum(
-        1
-        for pi in _it_permutations(range(1, n + 1))
-        if d_descent_set(D, pi) == target
-    )
-
-
-def hook_coefficient(D: Digraph, i: int) -> int:
-    """Schur coefficient of the hook (i, 1^(n-i)), checked against the
-    descent-set count it must equal."""
-    n = D.n
-    value = schur_coeff_JT(D, hook_partition(i, n))
-    count = hook_descent_count(D, i)
-    if value != count:
-        raise DisagreementError(
-            f"hook {i}: determinant {value} != descent count {count}"
-        )
-    return value
+    values = _schur_JT(D, [hook_partition(i, n) for i in range(1, n + 1)])
+    counts = Counter(d_descent_set(D, pi) for pi in _it_permutations(range(1, n + 1)))
+    for i, value in enumerate(values.values(), start=1):
+        count = counts[frozenset(range(i, n))]
+        if value != count:
+            raise DisagreementError(
+                f"hook {i}: determinant {value} != descent count {count}"
+            )
+    return list(values.values())
 
 
 # ------------------------------------------------------------- Chow functions
@@ -384,9 +373,9 @@ def _chow_weigh(tally: Counter, w: int) -> TwoAlphabetSymFun:
     terms: dict = {}
     for (plam, clam), c in tally.items():
         c *= w ** len(clam)
-        for mu, d in to_p(SymFun("mtilde", {plam: 1})).terms.items():
+        for mu, d in _mtilde_to_p(plam):
             terms[(mu, clam)] = terms.get((mu, clam), 0) + c * d
-    return TwoAlphabetSymFun(terms)
+    return _with_terms(TwoAlphabetSymFun(), terms)
 
 
 def _chow_xi_powersum(D: Digraph) -> TwoAlphabetSymFun:
@@ -398,7 +387,7 @@ def _chow_xi_powersum(D: Digraph) -> TwoAlphabetSymFun:
     cyc = _anchored_cycle_weights(D.adjacency())
     cyc_bar = _signed_cycles(_anchored_cycle_weights(complement(D).adjacency()))
     v = [a + b for a, b in zip(cyc_bar, cyc)]
-    return TwoAlphabetSymFun(subset_exp(v, cyc))
+    return _with_terms(TwoAlphabetSymFun(), subset_exp(v, cyc))
 
 
 def chow_xi_hat(D: Digraph) -> TwoAlphabetSymFun:
@@ -415,8 +404,10 @@ def chow_xi_hat(D: Digraph) -> TwoAlphabetSymFun:
 
 def u_from_chow(D: Digraph) -> SymFun:
     """U_D as the y = 0 specialization of the complement's path-cycle
-    function."""
-    return chow_xi(complement(D), "direct").y_to_zero().z_part()
+    function, read off the two-alphabet kernel chow_xi(Dbar, "powersum").
+    Against the U_D the routes agreed on, this checks that kernel at
+    y = 0, not path-cover: no cover is enumerated."""
+    return chow_xi(complement(D), "powersum").y_to_zero().z_part()
 
 
 @dataclass

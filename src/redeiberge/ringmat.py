@@ -436,27 +436,26 @@ def submatrix(M, rows, cols=None) -> list:
 # --------------------------------------------------------------------- immanants
 
 
-def immanant(M, lam) -> int:
-    """Sum over permutations of chi^lam(cycle type) times the diagonal product."""
+def immanant(M) -> dict:
+    """{lam: imm_lam(M)} for every partition lam of len(M) (imm_() = 1 at
+    n = 0): one permutation walk tallies the diagonal products by cycle
+    type, and imm_lam sums that tally against chi^lam."""
     n = len(M)
-    lam = tuple(lam)
-    if sum(lam) != n:
-        raise ValueError("lam must be a partition of the matrix size")
     guard("immanant", n, 9)
-    chi = {mu: character(lam, mu) for mu in partitions_of(n)}
-    total = 0
+    by_type: dict = {}
     for images in _it_permutations(range(n)):
         prod = 1
         for i, j in enumerate(images):
-            entry = M[i][j]
-            if not entry:
-                prod = 0
+            prod *= M[i][j]
+            if not prod:
                 break
-            prod *= entry
-        if prod:
-            sigma = tuple(j + 1 for j in images)
-            total += chi[cycle_type(sigma)] * prod
-    return total
+        else:
+            mu = cycle_type(tuple(j + 1 for j in images))
+            by_type[mu] = by_type.get(mu, 0) + prod
+    return {
+        lam: sum(character(lam, mu) * c for mu, c in by_type.items())
+        for lam in partitions_of(n)
+    }
 
 
 # ----------------------------------------------------------- matrix series

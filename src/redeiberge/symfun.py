@@ -422,6 +422,19 @@ def littlewood_richardson(lam, mu, nu) -> int:
 
 # ------------------------------------------------------- two-alphabet algebra
 
+@lru_cache(maxsize=None)
+def _joint_p(lam: Partition) -> tuple:
+    """p_lam(z u y) as ((zpartition, ypartition), coefficient) pairs."""
+    terms = {((), ()): 1}
+    for k in lam:
+        nxt: dict = {}
+        for (zl, yl), c in terms.items():
+            for key in ((_merge(zl + (k,)), yl), (zl, _merge(yl + (k,)))):
+                nxt[key] = nxt.get(key, 0) + c
+        terms = nxt
+    return tuple(terms.items())
+
+
 class TwoAlphabetSymFun:
     """Element of Sym(z) (x) Sym(y) in the p(z) (x) p(y) normal form.
 
@@ -454,14 +467,7 @@ class TwoAlphabetSymFun:
     @classmethod
     def joint_p(cls, lam) -> "TwoAlphabetSymFun":
         """p_lam over the union alphabet: product of (p_k(z) + p_k(y))."""
-        terms = {((), ()): 1}
-        for k in lam:
-            nxt: dict = {}
-            for (zl, yl), c in terms.items():
-                for key in ((_merge(zl + (k,)), yl), (zl, _merge(yl + (k,)))):
-                    nxt[key] = nxt.get(key, 0) + c
-            terms = nxt
-        return _with_terms(cls(), terms)
+        return _with_terms(cls(), dict(_joint_p(tuple(lam))))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -501,7 +507,7 @@ class TwoAlphabetSymFun:
         """Substitute the union alphabet for z: p_k(z) -> p_k(z) + p_k(y)."""
         out: dict = {}
         for (zl, yl), c in self.terms.items():
-            for (z2, y2), d in TwoAlphabetSymFun.joint_p(zl).terms.items():
+            for (z2, y2), d in _joint_p(zl):
                 key = (z2, _merge(y2 + yl))
                 out[key] = out.get(key, 0) + c * d
         return _with_terms(TwoAlphabetSymFun(), out)

@@ -471,6 +471,19 @@ def ham_cycles_oracle(D) -> int:
     return count
 
 
+def hook_descent_count(D, i: int) -> int:
+    """Permutations whose D-descent set (positions j with
+    (pi_j, pi_{j+1}) an edge of D) is exactly {i, ..., n-1}: the hook
+    Schur coefficient [s_(i,1^(n-i))] U_D, by filtering S_n."""
+    n = D.n
+    target = set(range(i, n))
+    return sum(
+        1
+        for pi in permutations(range(1, n + 1))
+        if {j for j in range(1, n) if (pi[j - 1], pi[j]) in D.edges} == target
+    )
+
+
 def path_sets_oracle(D, k: int) -> dict:
     """Directed paths on exactly k distinct vertices, counted per vertex
     set (frozenset -> count), by explicit enumeration."""

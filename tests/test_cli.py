@@ -194,7 +194,26 @@ def test_u_table_format(capsys):
     assert "digraph n=3" in out
     assert "route powersum-GS:" in out
     assert "U_D (p):" in out
-    assert "agree: yes" in out
+    assert "agree: n/a (one route)" in out
+
+
+def test_u_with_one_route_does_not_claim_agreement(capsys):
+    # one route has nothing to agree with: null, not a vacuous true
+    for routes in ("default", "matrix-det"):
+        code, payload = run_json(
+            capsys, ["u", "--gen", "random:4,0.5", "--seed", "2", "--routes", routes]
+        )
+        assert code == 0
+        assert payload["agree"] is None
+        assert len(payload["routes"]) == 1
+        assert "value" in payload
+    code, payload = run_json(
+        capsys,
+        ["u", "--gen", "random:4,0.5", "--seed", "2", "--routes", "matrix-det,schur-JT"],
+    )
+    assert code == 0 and payload["agree"] is True
+    assert main(["u", "--gen", "path:3", "--routes", "all", "--format", "table"]) == 0
+    assert "agree: yes" in capsys.readouterr().out
 
 
 def test_u_disagreement_exit(monkeypatch, capsys):
@@ -296,16 +315,63 @@ def test_build_corpus_shapes():
 def test_hooks_readoff_computes_each_hook_once(monkeypatch):
     calls = []
 
-    def counted(D, i):
-        calls.append(i)
-        return hook_coefficient(D, i)
+    def counted(D):
+        calls.append(hook_coefficient(D))
+        return calls[-1]
 
     monkeypatch.setattr(cli, "hook_coefficient", counted)
     results = identity_suite(random_digraph(5, 0.5, seed=3))
     assert results["hooks-readoff"] is None
-    assert calls == [1, 2, 3, 4, 5]
+    assert len(calls) == 1 and len(calls[0]) == 5
     # at n = 0 there is no hook to read off
     assert "hooks-readoff" not in identity_suite(empty_digraph(0))
+
+
+def test_identity_suite_builds_each_table_once(monkeypatch):
+    # One xi pair for the schur-JT route and one for all five hooks; the
+    # two path-cycle cover tallies of verify_chow_identities and none for
+    # u-from-path-cycle.
+    counts = {"xi": 0, "enumerate_path_cycle_covers": 0}
+    for name in counts:
+        original = getattr(redei, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(redei, name, counted)
+    results = identity_suite(random_digraph(5, 0.5, seed=3))
+    assert all(v is None for v in results.values())
+    assert counts == {"xi": 4, "enumerate_path_cycle_covers": 2}
+
+
+def test_immanant_lr_calls_immanant_once_per_submatrix(monkeypatch):
+    # 31 nonempty principal submatrices of A and 31 of its complement
+    calls = []
+    immanant = redei.immanant
+    monkeypatch.setattr(redei, "immanant", lambda M: calls.append(M) or immanant(M))
+    D = random_digraph(5, 0.5, seed=3)
+    assert redei.u_via_immanant_LR(D) == convert(u_digraph(D), "s")
+    assert len(calls) <= 62
+
+
+def test_hooks_readoff_names_a_perturbed_hook(monkeypatch):
+    # Perturbing one Jacobi-Trudi hook value (and no other Schur
+    # coefficient, so routes-agree still passes) fails hooks-readoff.
+    D = random_digraph(5, 0.5, seed=3)
+    hooks = [(i,) + (1,) * (5 - i) for i in range(1, 6)]
+    schur_jt = redei._schur_JT
+
+    def perturbed(D, lams):
+        out = schur_jt(D, lams)
+        if lams == hooks:
+            out[(3, 1, 1)] += 1
+        return out
+
+    monkeypatch.setattr(redei, "_schur_JT", perturbed)
+    results = identity_suite(D)
+    assert results["routes-agree"] is None
+    assert results["hooks-readoff"].startswith("DisagreementError: hook 3: ")
 
 
 def test_identity_suite_keys_and_passes():

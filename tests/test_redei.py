@@ -36,7 +36,6 @@ from redeiberge.redei import (
     chow_xi_hat,
     compute_route,
     hook_coefficient,
-    hook_descent_count,
     powersum_to_ones,
     routes_agree,
     schur_coeff_JT,
@@ -205,25 +204,26 @@ def test_powersum_to_ones_counts_complement_ham_paths():
 
 def test_path4_hook_coefficients():
     P4 = directed_path_digraph(4)
-    values = [hook_coefficient(P4, i) for i in (1, 2, 3, 4)]
-    assert values == [1, 1, 3, 11]
+    assert hook_coefficient(P4) == [1, 1, 3, 11]
 
 
 def test_hook_readoffs_are_ham_counts():
     for seed in range(8):
         D = random_digraph(4, 0.5, seed=100 + seed)
-        n = D.n
-        assert hook_coefficient(D, 1) == ham_dp(D)
-        assert hook_coefficient(D, n) == ham_dp(complement(D))
+        hooks = hook_coefficient(D)
+        assert len(hooks) == D.n
+        assert hooks[0] == ham_dp(D)
+        assert hooks[-1] == ham_dp(complement(D))
 
 
 def test_hook_descent_count_on_example3():
     # Descent sets over S_3: three permutations have {}, (3,2,1) has {1},
     # (2,1,3) has {2} via the edge (1,3), and (1,3,2) has {1,2}.
-    assert hook_descent_count(EXAMPLE3, 3) == 3
-    assert hook_descent_count(EXAMPLE3, 2) == 1
-    assert hook_coefficient(EXAMPLE3, 3) == 3
-    assert hook_coefficient(EXAMPLE3, 1) == 1
+    assert oracles.hook_descent_count(EXAMPLE3, 3) == 3
+    assert oracles.hook_descent_count(EXAMPLE3, 2) == 1
+    assert oracles.hook_descent_count(EXAMPLE3, 1) == 1
+    assert hook_coefficient(EXAMPLE3) == [1, 1, 3]
+    assert hook_coefficient(empty_digraph(0)) == []
 
 
 def test_hook_partition_consistency():
@@ -639,12 +639,21 @@ def test_schur_jt_route_builds_each_path_polynomial_list_once(monkeypatch):
     assert calls == [complement(D), D]
 
 
-def test_hook_disagreement_is_guarded():
-    # hook_coefficient cross-checks the determinant against the direct
-    # count; on honest inputs it never trips, so exercise the check by
-    # confirming both sides independently on the path digraph.
+def test_hook_disagreement_is_guarded(monkeypatch):
+    # hook_coefficient checks each Jacobi-Trudi hook against its descent
+    # count: both sides agree with the oracle on honest input, and one
+    # perturbed determinant fails the check, naming that hook.
     P4 = directed_path_digraph(4)
-    for i in (1, 2, 3, 4):
-        assert hook_descent_count(P4, i) == schur_coeff_JT(
-            P4, hook_partition(i, 4)
-        )
+    assert hook_coefficient(P4) == [
+        oracles.hook_descent_count(P4, i) for i in (1, 2, 3, 4)
+    ]
+
+    def perturbed(D, lams):
+        out = _schur_JT(D, lams)
+        out[hook_partition(3, 4)] += 1
+        return out
+
+    _schur_JT = redei._schur_JT
+    monkeypatch.setattr(redei, "_schur_JT", perturbed)
+    with pytest.raises(DisagreementError, match=r"^hook 3: determinant 4 != descent count 3$"):
+        hook_coefficient(P4)

@@ -288,12 +288,15 @@ def test_submatrix_rectangular():
 
 def test_immanant_extremes_and_example():
     M = [[1, 2], [3, 4]]
-    assert immanant(M, (1, 1)) == bareiss_det(M)
-    assert immanant(M, (2,)) == permanent_expansion(M)
+    assert immanant(M) == {(2,): permanent_expansion(M), (1, 1): bareiss_det(M)}
     ones = [[1] * 3 for _ in range(3)]
-    assert immanant(ones, (2, 1)) == 0
-    with pytest.raises(ValueError):
-        immanant(M, (3,))
+    assert immanant(ones) == {(3,): 6, (2, 1): 0, (1, 1, 1): 0}
+    # keys are exactly the partitions of n, also at n = 0 and n = 1
+    assert immanant([]) == {(): 1}
+    assert immanant([[7]]) == {(1,): 7}
+    assert immanant([[0]]) == {(1,): 0}
+    zero = [[0] * 4 for _ in range(4)]
+    assert immanant(zero) == dict.fromkeys(partitions_of(4), 0)
 
 
 @given(int_matrices(max_n=4))
@@ -310,11 +313,10 @@ def test_immanant_vs_class_sum_oracle(M):
     import oracles
 
     table = oracles.irreducible_characters_oracle(n) if n else {(): {(): 1}}
-    for lam in partitions_of(n):
-        expected = sum(
-            table[lam][mu] * by_type.get(mu, 0) for mu in partitions_of(n)
-        )
-        assert immanant(M, lam) == expected
+    assert immanant(M) == {
+        lam: sum(table[lam][mu] * by_type.get(mu, 0) for mu in partitions_of(n))
+        for lam in partitions_of(n)
+    }
 
 
 # ----------------------------------------------------------- matrix series
