@@ -75,7 +75,6 @@ from .symfun import (
     SymFun,
     TwoAlphabetSymFun,
     convert,
-    equals,
     littlewood_richardson,
     multiply,
     omega,

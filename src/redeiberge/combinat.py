@@ -89,17 +89,6 @@ def sgn_of_type(lam: Partition) -> int:
     return -1 if (sum(lam) - len(lam)) % 2 else 1
 
 
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """True iff lam >= mu in dominance order (equal weights assumed)."""
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
-
-
 def hook_partition(i: int, n: int) -> Partition:
     """The hook (i, 1^{n-i})."""
     if not 1 <= i <= n:

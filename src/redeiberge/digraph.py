@@ -60,9 +60,6 @@ class Digraph:
             A[u - 1][v - 1] = 1
         return A
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 

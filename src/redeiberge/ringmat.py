@@ -15,10 +15,11 @@ Two determinant kernels, one per job:
   minors of an integer matrix at once, by cycle-cover convolution (the
   Hamiltonian cycle formulas and the walk series).
 
-partition_sum reads only the convolution's full-set value, in 3^(n-1)
-steps (ham_detper).  subset_exp keeps power sums apart by block size:
-fed the anchored cycle weights of D and of its complement, it is the
-subset-formula route of U_D and the powersum route of Chow's Xi_D.
+partition_sum reads only the convolution's full-set value, in
+3^(n-2)/2 steps (ham_detper).  subset_exp keeps power sums apart by
+block size: fed the anchored cycle weights of D and of its complement,
+it is the subset-formula route of U_D and the powersum route of Chow's
+Xi_D.
 path_counts is the one endpoint DP over vertex sets: it counts the
 directed paths on each set, for ham_dp (the full set) and the path
 polynomials of walks.xi.
@@ -40,11 +41,21 @@ when their supports are disjoint, and the product's key is the sum of
 the two keys, which on plain masks is their union.  det_ring over these
 entries thus multiplies integers only, and series_coefficients reads
 the fields back as partitions in the h or e basis.
+
+The cycle-cover convolution packs its table: it is subset convolution
+over Z[t]/(t^2) at t = 2^K (Bjorklund, Husfeldt, Kaski and Koivisto,
+STOC 2007).  It walks only the masks X avoiding vertex n, with out[X]
+and out[X | {n}] in the t^0 and t^1 fields of one integer, and block
+weights w[m] + t w[m | {n}].  Each mask's sum is decoded as two signed
+fields, its t^2 part dropped, and repacked.  With M_k the largest |w[m]|
+over |m| = k, e_0 = 1 and e_s = sum_k C(s-1, k-1) M_k e_(s-k) bound
+|out[S]| for |S| = s, so K = max(e).bit_length() + 2 bits hold a field.
 """
 
 from __future__ import annotations
 
 from itertools import permutations as _it_permutations
+from math import comb
 from operator import mul
 
 from .combinat import character, cycle_type, partitions_of
@@ -363,31 +374,60 @@ def _signed_cycles(cyc: list) -> list:
 def _cycle_cover_sums(w: list) -> list:
     """out[S]: sum over partitions of S into blocks m of the product of w[m].
 
-    w is indexed by bitmask; each block is taken with the lowest vertex
-    of what remains, so every partition is counted once (3^n steps).
+    w is indexed by integer bitmask; each block is taken with the lowest
+    vertex of what remains, so every partition is counted once, in
+    3^(n-1)/2 packed steps (module docstring).
     """
-    out = [0] * len(w)
-    out[0] = 1
-    for S in range(1, len(w)):
-        a = S & -S
-        rest = S ^ a
+    half = len(w) >> 1
+    if not half:
+        return [1]
+    K = _field_bits(w)
+    sign, field = 1 << (K - 1), (1 << K) - 1
+    wt = [c + (d << K) for c, d in zip(w[:half], w[half:])]
+    # out[X] holds the packed pair of X until the last loop reads its t^0 field
+    out = [1 + (w[half] << K)] + [0] * (len(w) - 1)
+    out[half] = w[half]
+    for X in range(1, half):
+        a = X & -X
+        rest = X ^ a
         acc = 0
         T = rest
         while True:
-            m = T | a
-            c = w[m]
+            c = wt[T | a]
             if c:
-                acc += c * out[S ^ m]
+                acc += c * out[rest ^ T]
             if T == 0:
                 break
             T = (T - 1) & rest
-        out[S] = acc
+        lo = ((acc + sign) & field) - sign
+        hi = ((((acc - lo) >> K) + sign) & field) - sign
+        out[X], out[X | half] = lo + (hi << K), hi
+    for X in range(half):
+        out[X] = ((out[X] + sign) & field) - sign
     return out
 
 
+def _field_bits(w: list) -> int:
+    """K of _cycle_cover_sums, from the bounds e_s (module docstring)."""
+    M = [0] * len(w).bit_length()
+    for m, c in enumerate(w):
+        if c:
+            c, k = abs(c), m.bit_count()
+            if c > M[k]:
+                M[k] = c
+    e = [1]
+    for s in range(1, len(M)):
+        bound = 0
+        for k in range(1, s + 1):
+            if M[k]:
+                bound += comb(s - 1, k - 1) * M[k] * e[s - k]
+        e.append(bound)
+    return max(e).bit_length() + 2
+
+
 def partition_sum(w: list):
-    """_cycle_cover_sums(w)[-1] in 3^(n-1) steps: the table covers only the
-    masks avoiding vertex 1 (even, halved), and vertex 1's block closes
+    """_cycle_cover_sums(w)[-1] in 3^(n-2)/2 steps: the table covers only
+    the masks avoiding vertex 1 (even, halved), and vertex 1's block closes
     each partition against that table read in reverse."""
     if len(w) == 1:
         return 1
@@ -399,9 +439,9 @@ def subset_exp(*weights) -> dict:
 
     One weight list per alphabet, each indexed by bitmask: block m weighs
     sum_a weights[a][m] * p_|m| in alphabet a.  Keys hold one partition
-    per alphabet.  Blocks are taken as in _cycle_cover_sums, so every set
-    partition is counted once, and as in partition_sum, only masks
-    avoiding vertex 1 are tabled before the full set.
+    per alphabet.  Blocks are taken as in _cycle_cover_sums and, as in
+    partition_sum, only masks avoiding vertex 1 are tabled before the full
+    set: about 3^(n-1)/2 block steps, each a dict merge, left unpacked.
     """
     full = len(weights[0]) - 1
     out = {0: {((),) * len(weights): 1}}

@@ -393,11 +393,6 @@ def omega(f: SymFun) -> SymFun:
     return convert(_with_terms(SymFun("p"), out), f.basis)
 
 
-def equals(f: SymFun, g: SymFun) -> bool:
-    """Basis-independent equality."""
-    return to_p(f).terms == to_p(g).terms
-
-
 # ------------------------------------------------------ Littlewood-Richardson
 
 @lru_cache(maxsize=None)
@@ -455,19 +450,6 @@ class TwoAlphabetSymFun:
     @classmethod
     def zero(cls) -> "TwoAlphabetSymFun":
         return cls()
-
-    @classmethod
-    def from_z(cls, f: SymFun) -> "TwoAlphabetSymFun":
-        return _with_terms(cls(), {(lam, ()): c for lam, c in to_p(f).terms.items()})
-
-    @classmethod
-    def from_y(cls, f: SymFun) -> "TwoAlphabetSymFun":
-        return _with_terms(cls(), {((), lam): c for lam, c in to_p(f).terms.items()})
-
-    @classmethod
-    def joint_p(cls, lam) -> "TwoAlphabetSymFun":
-        """p_lam over the union alphabet: product of (p_k(z) + p_k(y))."""
-        return _with_terms(cls(), dict(_joint_p(tuple(lam))))
 
     def __add__(self, other):
         out = dict(self.terms)

@@ -26,7 +26,7 @@ from redeiberge.combinat import (
 )
 from redeiberge.digraph import Digraph
 from redeiberge.ringmat import MultilinearPoly
-from redeiberge.symfun import SymFun, _as_coeff, convert, to_p
+from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, convert, to_p
 
 
 # ---------------------------------------------------- fundamental / U oracle
@@ -641,6 +641,24 @@ def anchored_cycle_weights_oracle(A) -> list:
     return out
 
 
+def cycle_cover_sums(w: list) -> list:
+    """out[S]: the sum over the set partitions of S (as bitmasks) of the
+    product of the block weights w[m], one scalar step per pair of a mask
+    and a block holding its lowest vertex (3^n steps)."""
+    out = [0] * len(w)
+    out[0] = 1
+    for S in range(1, len(w)):
+        a = S & -S
+        rest = S ^ a
+        T = rest
+        while True:
+            out[S] += w[T | a] * out[rest ^ T]
+            if T == 0:
+                break
+            T = (T - 1) & rest
+    return out
+
+
 def coeff_extract(f: MultilinearPoly, verts):
     """The coefficient functional: read off the monomial over the vertex set."""
     return f.coeff(sum(1 << (v - 1) for v in set(verts)))
@@ -869,6 +887,40 @@ def all_tournaments(n: int):
                 for i, (u, v) in enumerate(pairs)
             ),
         )
+
+
+def z_alphabet(f: SymFun) -> TwoAlphabetSymFun:
+    """f in the z alphabet alone, read off its p expansion."""
+    return TwoAlphabetSymFun({(lam, ()): c for lam, c in to_p(f).terms.items()})
+
+
+def y_alphabet(f: SymFun) -> TwoAlphabetSymFun:
+    """f in the y alphabet alone, read off its p expansion."""
+    return TwoAlphabetSymFun({((), lam): c for lam, c in to_p(f).terms.items()})
+
+
+def joint_p(lam) -> TwoAlphabetSymFun:
+    """p_lam over the union alphabet: the product of p_k(z) + p_k(y)."""
+    out = TwoAlphabetSymFun({((), ()): 1})
+    for k in lam:
+        out = out * TwoAlphabetSymFun({((k,), ()): 1, ((), (k,)): 1})
+    return out
+
+
+def equals(f: SymFun, g: SymFun) -> bool:
+    """Basis-independent equality, through the p expansions."""
+    return to_p(f).terms == to_p(g).terms
+
+
+def dominates(lam, mu) -> bool:
+    """True iff lam >= mu in dominance order (equal weights assumed)."""
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
 
 
 def is_p_positive(f) -> bool:

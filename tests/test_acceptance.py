@@ -20,6 +20,7 @@ from oracles import (
     psi,
     random_acyclic_digraph,
     sgn,
+    z_alphabet,
 )
 from redeiberge.cli import build_corpus, run_corpus
 from redeiberge.combinat import (
@@ -145,7 +146,7 @@ def test_criterion_03_path_cycle_goldens():
     def build(pairs):
         out = TwoAlphabetSymFun.zero()
         for (zlam, ylam), c in pairs.items():
-            zpart = TwoAlphabetSymFun.from_z(SymFun("mtilde", {zlam: c}))
+            zpart = z_alphabet(SymFun("mtilde", {zlam: c}))
             out = out + zpart * TwoAlphabetSymFun({((), ylam): 1})
         return out
 

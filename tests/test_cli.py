@@ -56,7 +56,7 @@ def test_parse_generator_fixed_families():
     assert parse_generator("path:4", 0) == directed_path_digraph(4)
     star = parse_generator("star:2,1", 0)
     assert star.n == 3
-    assert star.edge_count() > 0
+    assert len(star.edges) > 0
 
 
 def test_parse_generator_seeded_families():

@@ -11,6 +11,7 @@ from oracles import (
     character_degree,
     composition_descents,
     descent_composition,
+    dominates,
     foata_linearize,
     is_digraph_cycle,
     perm_from_cycles,
@@ -24,7 +25,6 @@ from redeiberge.combinat import (
     conjugate,
     cycle_type,
     cycles_of,
-    dominates,
     hook_partition,
     is_partition,
     multiplicity_factorial,

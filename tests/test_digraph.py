@@ -53,7 +53,7 @@ def test_constructor_validates_edges():
     with pytest.raises(ValueError):
         Digraph(-1, frozenset())
     D = digraph(3, [(1, 2), (1, 2)])
-    assert D.edge_count() == 1
+    assert len(D.edges) == 1
     assert D.has_edge(1, 2) and not D.has_edge(2, 1)
     assert D.out_neighbors(1) == [2]
     assert D.adjacency() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
@@ -152,8 +152,8 @@ def test_descent_set():
 # ----------------------------------------------------------------- generators
 
 def test_generator_shapes():
-    assert complete_digraph(3).edge_count() == 6
-    assert complete_digraph(3, loops=True).edge_count() == 9
+    assert len(complete_digraph(3).edges) == 6
+    assert len(complete_digraph(3, loops=True).edges) == 9
     assert directed_path_digraph(4).edges == frozenset({(2, 1), (3, 2), (4, 3)})
     star = star_partition_digraph([1, 2], [3])
     assert star.edges == frozenset({(3, 1), (3, 2)})
@@ -178,8 +178,8 @@ def test_random_generators_are_seeded_and_in_family():
     for seed in range(10):
         assert is_tournament(random_tournament(5, seed))
         assert is_acyclic(random_acyclic_digraph(6, 0.5, seed))
-    assert random_digraph(4, 0.0, seed=0).edge_count() == 0
-    assert random_digraph(4, 1.0, seed=0).edge_count() == 16
+    assert len(random_digraph(4, 0.0, seed=0).edges) == 0
+    assert len(random_digraph(4, 1.0, seed=0).edges) == 16
 
 
 def test_random_generators_reject_a_probability_outside_0_1():

@@ -409,7 +409,7 @@ def test_empty_digraph_u_is_all_fundamentals():
 def mtilde_z_times_p_y(pairs):
     out = TwoAlphabetSymFun.zero()
     for (zlam, ylam), c in pairs.items():
-        zpart = TwoAlphabetSymFun.from_z(SymFun("mtilde", {zlam: c}))
+        zpart = oracles.z_alphabet(SymFun("mtilde", {zlam: c}))
         out = out + zpart * TwoAlphabetSymFun({((), ylam): 1})
     return out
 

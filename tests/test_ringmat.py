@@ -4,7 +4,7 @@ from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gens import digraphs, int_matrices
@@ -12,6 +12,8 @@ from oracles import (
     anchored_cycle_weights_oracle,
     bareiss_det,
     coeff_extract,
+    cycle_cover_sums,
+    equals,
     identity_minus_xa,
     identity_plus_xa,
     matrix_series_oracle,
@@ -22,16 +24,19 @@ from oracles import (
 )
 from redeiberge.combinat import cycle_type, cycles_of, partitions_of
 from redeiberge.digraph import (
+    complement,
     complete_digraph,
     digraph,
     empty_digraph,
     enumerate_cycle_covers,
+    random_digraph,
 )
 from redeiberge.guards import GuardError, guard
 from redeiberge.ringmat import (
     MultilinearPoly,
     _anchored_cycle_weights,
     _cycle_cover_sums,
+    _signed_cycles,
     det_ring,
     immanant,
     mask_of,
@@ -48,7 +53,7 @@ from redeiberge.ringmat import (
     subset_exp,
     xa_matrix,
 )
-from redeiberge.symfun import SymFun, equals, to_p
+from redeiberge.symfun import SymFun, to_p
 
 
 def leibniz_det(M) -> int:
@@ -164,6 +169,44 @@ def test_principal_families_match_direct_minors(M):
         assert dets[S] == bareiss_det(sub), verts
 
 
+# ------------------------------------------------------ cycle-cover convolution
+
+@given(st.data(), st.integers(0, 8), st.sampled_from([3, 10**15]))
+def test_cycle_cover_sums_match_the_scalar_oracle(data, n, bound):
+    w = data.draw(
+        st.lists(st.integers(-bound, bound), min_size=1 << n, max_size=1 << n)
+    )
+    assert _cycle_cover_sums(w) == cycle_cover_sums(w)
+
+
+@pytest.mark.parametrize("M", [1, 3, 10**15, -1, -3, -(10**15)])
+def test_cycle_cover_sums_at_the_field_bound(M):
+    # With every weight M, out[S] sums M^(blocks) over the set partitions
+    # of S, so for M > 0 the full set sits exactly at the bound e_n that
+    # sizes the packed fields: sum_k stirling[k] M^k, stirling[k] counting
+    # the partitions of [n] into k blocks.
+    stirling = [1]
+    for n in range(9):
+        w = [M] * (1 << n)
+        got = _cycle_cover_sums(w)
+        assert got == cycle_cover_sums(w)
+        assert got[-1] == sum(s * M**k for k, s in enumerate(stirling))
+        stirling = [
+            k * s + t for k, (s, t) in enumerate(zip(stirling + [0], [0] + stirling))
+        ]
+
+
+@settings(max_examples=8)
+@given(st.integers(9, 10), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 999))
+def test_cycle_cover_sums_on_anchored_cycle_weights(n, p, seed):
+    # per and det tables of D and of its complement, as ham --cycles builds
+    D = random_digraph(n, p, seed)
+    for A in (D.adjacency(), complement(D).adjacency()):
+        cyc = _anchored_cycle_weights(A)
+        for w in (cyc, _signed_cycles(cyc)):
+            assert _cycle_cover_sums(w) == cycle_cover_sums(w)
+
+
 # ---------------------------------------------------------------- subset_exp
 
 def _cycles(D):
@@ -207,9 +250,9 @@ def test_subset_exp_at_unit_power_sums_is_the_cycle_cover_sum(pair):
     # p_k = 1 in every alphabet forgets block sizes and alphabets, leaving
     # the scalar convolution of the summed weights
     w, v = pair
-    assert sum(subset_exp(w).values()) == _cycle_cover_sums(w)[-1]
+    assert sum(subset_exp(w).values()) == cycle_cover_sums(w)[-1]
     both = [a + b for a, b in zip(w, v)]
-    assert sum(subset_exp(w, v).values()) == _cycle_cover_sums(both)[-1]
+    assert sum(subset_exp(w, v).values()) == cycle_cover_sums(both)[-1]
 
 
 def test_subset_exp_on_one_vertex():
@@ -225,7 +268,7 @@ def test_subset_exp_on_one_vertex():
 @given(mask_weights())
 def test_partition_sum_is_the_last_cycle_cover_sum(pair):
     w, _ = pair
-    assert partition_sum(w) == _cycle_cover_sums(w)[-1]
+    assert partition_sum(w) == cycle_cover_sums(w)[-1]
 
 
 def test_partition_sum_small_n():
