@@ -26,7 +26,6 @@ from .digraph import (
     digraph,
     directed_path_digraph,
     empty_digraph,
-    induced,
     is_acyclic,
     is_tournament,
     opposite,
@@ -79,7 +78,7 @@ from .symfun import (
     multiply,
     omega,
 )
-from .walks import gamma, verify_walk_identity, xi
+from .walks import verify_walk_identity, xi
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

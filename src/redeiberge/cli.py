@@ -54,8 +54,8 @@ from .redei import (
     CHOW_BOUND,
     CHOW_IDENTITIES_BOUND,
     applicable_routes,
+    check_hooks,
     compare_routes,
-    hook_coefficient,
     powersum_to_ones,
     u_all_routes,
     u_from_chow,
@@ -129,7 +129,8 @@ def identity_suite(D: Digraph) -> dict:
     """Run every identity the guards allow; map name -> None (pass) or detail.
 
     routes-agree runs only when at least two routes admit D, and the
-    identities that use its U_D only when it passed.  An identity that
+    identities that use its U_D (hooks-readoff: the schur-JT result) only
+    when it passed.  An identity that
     raises is recorded as failed, its detail starting with the exception's
     type name, so one bad digraph never aborts a corpus run.  Raises
     GuardError when no identity admits D.
@@ -146,12 +147,15 @@ def identity_suite(D: Digraph) -> dict:
     n = D.n
     routes = applicable_routes(D)
     u_ref = None  # U_D in the p basis, once routes-agree has passed
+    by_route: dict = {}  # route name -> U_D, likewise
 
     def check_routes():
         nonlocal u_ref
-        u_ref, why = compare_routes(u_all_routes(D))
+        computed = u_all_routes(D)
+        u_ref, why = compare_routes(computed)
         if why:
             raise DisagreementError(why)
+        by_route.update((r.route, r.value) for r in computed)
 
     if len(routes) >= 2:
         run("routes-agree", check_routes)
@@ -184,14 +188,14 @@ def identity_suite(D: Digraph) -> dict:
                 raise DisagreementError(f"tournament with even count: {par}")
 
         run("berge-parity", check_parity)
-    if "schur-JT" in routes and n >= 1:
-        def check_hooks():
-            hooks = hook_coefficient(D)
+    if "schur-JT" in by_route and n >= 1:
+        def check_hook_readoffs():
+            hooks = check_hooks(D, by_route["schur-JT"])
             lo, hi = hooks[0], hooks[-1]
             if lo != ham_dp(D) or hi != ham_dp(complement(D)):
                 raise DisagreementError(f"hook read-off mismatch: {lo}, {hi}")
 
-        run("hooks-readoff", check_hooks)
+        run("hooks-readoff", check_hook_readoffs)
     if u_ref is not None and n <= CHOW_BOUND:
         run(
             "u-from-path-cycle",

@@ -3,8 +3,7 @@
 A digraph is a vertex count n together with a set of directed edges in
 [n] x [n]; loops are allowed, antiparallel pairs are allowed, multiple
 edges are not.  Vertices are labelled 1..n everywhere, including in
-induced subgraphs, which keep their original labels and simply restrict
-the edge set.
+vertex subsets, which keep their original labels.
 
 Path-cycle covers and permutations tied to edges are both built one
 component at a time from the smallest unplaced vertex v, so no finished
@@ -104,16 +103,6 @@ def _vertex_subset(D: Digraph, verts) -> list:
     if not all(v in D.vertices() for v in vs):
         raise ValueError("vertex subset out of range")
     return vs
-
-
-def induced(D: Digraph, verts) -> Digraph:
-    """Restrict the edge set to verts x verts; labels are kept."""
-    vs = set(verts)
-    if not vs <= set(D.vertices()):
-        raise ValueError("vertex subset out of range")
-    return Digraph(
-        D.n, frozenset(e for e in D.edges if e[0] in vs and e[1] in vs)
-    )
 
 
 def is_acyclic(D: Digraph) -> bool:

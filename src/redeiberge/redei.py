@@ -329,21 +329,27 @@ def powersum_to_ones(f: SymFun):
 # -------------------------------------------------------------------- hooks
 
 def hook_coefficient(D: Digraph) -> list:
-    """[s_(i,1^(n-i))] U_D for i = 1..n, from one Jacobi-Trudi table, each
-    checked against the number of permutations whose D-descent set is
-    exactly {i, ..., n-1} (one tally over S_n); DisagreementError names
-    the first hook that differs."""
+    """[s_(i,1^(n-i))] U_D for i = 1..n, read off the descents: the number
+    of permutations whose D-descent set is exactly {i, ..., n-1}, from one
+    tally over S_n.  Admits the n that schur-JT admits."""
     n = D.n
     guard("u_hooks", n, ROUTES["schur-JT"].bound)
-    values = _schur_JT(D, [hook_partition(i, n) for i in range(1, n + 1)])
     counts = Counter(d_descent_set(D, pi) for pi in _it_permutations(range(1, n + 1)))
-    for i, value in enumerate(values.values(), start=1):
-        count = counts[frozenset(range(i, n))]
+    return [counts[frozenset(range(i, n))] for i in range(1, n + 1)]
+
+
+def check_hooks(D: Digraph, u_schur: SymFun) -> list:
+    """[s_(i,1^(n-i))] u_schur for i = 1..n, once each equals
+    hook_coefficient(D)[i-1], its descent count; u_schur is U_D in the
+    Schur basis, as schur-JT gives it.  DisagreementError names the first
+    hook that differs."""
+    hooks = [u_schur.coefficient(hook_partition(i, D.n)) for i in range(1, D.n + 1)]
+    for i, (value, count) in enumerate(zip(hooks, hook_coefficient(D)), start=1):
         if value != count:
             raise DisagreementError(
                 f"hook {i}: determinant {value} != descent count {count}"
             )
-    return list(values.values())
+    return hooks
 
 
 # ------------------------------------------------------------- Chow functions

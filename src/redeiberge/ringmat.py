@@ -15,11 +15,11 @@ Two determinant kernels, one per job:
   minors of an integer matrix at once, by cycle-cover convolution (the
   Hamiltonian cycle formulas and the walk series).
 
-partition_sum reads only the convolution's full-set value, in
-3^(n-2)/2 steps (ham_detper).  subset_exp keeps power sums apart by
-block size: fed the anchored cycle weights of D and of its complement,
-it is the subset-formula route of U_D and the powersum route of Chow's
-Xi_D.
+partition_sum reads only the convolution's full-set value, from the
+table of the masks avoiding vertex 1 (ham_detper).  subset_exp keeps
+power sums apart by block size: fed the anchored cycle weights of D and
+of its complement, it is the subset-formula route of U_D and the
+powersum route of Chow's Xi_D.
 path_counts is the one endpoint DP over vertex sets: it counts the
 directed paths on each set, for ham_dp (the full set) and the path
 polynomials of walks.xi.
@@ -42,21 +42,27 @@ the two keys, which on plain masks is their union.  det_ring over these
 entries thus multiplies integers only, and series_coefficients reads
 the fields back as partitions in the h or e basis.
 
-The cycle-cover convolution packs its table: it is subset convolution
-over Z[t]/(t^2) at t = 2^K (Bjorklund, Husfeldt, Kaski and Koivisto,
-STOC 2007).  It walks only the masks X avoiding vertex n, with out[X]
-and out[X | {n}] in the t^0 and t^1 fields of one integer, and block
-weights w[m] + t w[m | {n}].  Each mask's sum is decoded as two signed
-fields, its t^2 part dropped, and repacked.  With M_k the largest |w[m]|
-over |m| = k, e_0 = 1 and e_s = sum_k C(s-1, k-1) M_k e_(s-k) bound
-|out[S]| for |S| = s, so K = max(e).bit_length() + 2 bits hold a field.
+The cycle-cover convolution is a subset convolution packed into K-bit
+integer fields (Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007).
+It packs the top k = _packing_depth(n) vertices and walks the 2^(n-k)
+masks X of the others: one integer holds out[X | Y] for every set Y of
+top vertices, at field position sum of 3^i over Y (vertex n - i at 3^i),
+and a block weight holds w[m | Y] alike.  Two fields multiply into the
+sum of their positions, which for disjoint sets is their union's and for
+overlapping ones has a base-3 digit 2; each mask's sum is decoded as
+signed fields and repacked without those.  With M_j the largest |w[m]|
+over |m| = j, e_0 = 1 and e_s = sum_j C(s-1, j-1) M_j e_(s-j) bound
+|out[S]| for |S| = s.  A field with digit sum d sums products w[B] out[R]
+over a virtual set of |X| + d <= n + k vertices (an overlap vertex in
+both factors), at most C(|X| + d - 1, j - 1) with |B| = j; so e carried
+to n + k bounds every field, and K = max(e).bit_length() + 2.
 """
 
 from __future__ import annotations
 
 from itertools import permutations as _it_permutations
 from math import comb
-from operator import mul
+from operator import lshift, mul
 
 from .combinat import character, cycle_type, partitions_of
 from .guards import guard
@@ -98,13 +104,6 @@ class MultilinearPoly:
     @classmethod
     def const(cls, n: int, c) -> "MultilinearPoly":
         return cls(n, {0: c})
-
-    @classmethod
-    def variable(cls, n: int, i: int, c=1) -> "MultilinearPoly":
-        """c * x_i."""
-        if not 1 <= i <= n:
-            raise ValueError("variable index out of range")
-        return cls(n, {1 << (i - 1): c})
 
     def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         out = dict(self.terms)
@@ -375,60 +374,77 @@ def _cycle_cover_sums(w: list) -> list:
     """out[S]: sum over partitions of S into blocks m of the product of w[m].
 
     w is indexed by integer bitmask; each block is taken with the lowest
-    vertex of what remains, so every partition is counted once, in
-    3^(n-1)/2 packed steps (module docstring).
+    vertex of what remains, so every partition is counted once.  The top
+    k = _packing_depth(n) vertices share one integer (module docstring):
+    3^(n-k)/2 steps.  At k = 0 each sum is one field, with nothing to
+    decode.
     """
-    half = len(w) >> 1
-    if not half:
-        return [1]
-    K = _field_bits(w)
-    sign, field = 1 << (K - 1), (1 << K) - 1
-    wt = [c + (d << K) for c, d in zip(w[:half], w[half:])]
-    # out[X] holds the packed pair of X until the last loop reads its t^0 field
-    out = [1 + (w[half] << K)] + [0] * (len(w) - 1)
-    out[half] = w[half]
-    for X in range(1, half):
+    size = len(w)
+    k = _packing_depth(size.bit_length() - 1)
+    low = size >> k
+    wt, out = w, [1] + [0] * (low - 1)
+    if k:
+        K = _field_bits(w, k)
+        sign, field = 1 << (K - 1), (1 << K) - 1
+        shifts = [0]  # set Y of top vertices -> K * (sum of their 3^i)
+        for i in reversed(range(k)):
+            shifts += [s + K * 3**i for s in shifts]
+        ones = sum(1 << s for s in shifts)  # a 1 in each kept field
+        keep, kept_bias = field * ones, sign * ones
+        bias = sign * (((1 << K * 3**k) - 1) // field)  # sign in all 3^k fields
+        for i in range(k):  # fold vertex n - i into field 3^i
+            half, s = len(wt) >> 1, K * 3**i
+            wt = [p + (c << s) for p, c in zip(wt[:half], wt[half:])]
+        # the sets of top vertices alone: a table of 2^k entries, unpacked
+        out[0] = sum(map(lshift, _cycle_cover_sums(w[::low]), shifts))
+    for X in range(1, low):
         a = X & -X
         rest = X ^ a
-        acc = 0
+        acc = wt[a] * out[rest]  # the block {a}; the loop takes the larger ones
         T = rest
-        while True:
+        while T:
             c = wt[T | a]
             if c:
                 acc += c * out[rest ^ T]
-            if T == 0:
-                break
             T = (T - 1) & rest
-        lo = ((acc + sign) & field) - sign
-        hi = ((((acc - lo) >> K) + sign) & field) - sign
-        out[X], out[X | half] = lo + (hi << K), hi
-    for X in range(half):
-        out[X] = ((out[X] + sign) & field) - sign
-    return out
+        out[X] = ((acc + bias) & keep) - kept_bias if k else acc
+    if not k:
+        return out
+    out = [p + kept_bias for p in out]
+    return [((p >> s) & field) - sign for s in shifts for p in out]
 
 
-def _field_bits(w: list) -> int:
-    """K of _cycle_cover_sums, from the bounds e_s (module docstring)."""
+def _packing_depth(n: int) -> int:
+    """Top vertices packed in a table on n vertices: below n = 7 the fields
+    cost more than they save, and a fourth widens them more than it saves."""
+    return 3 if n >= 7 else 0
+
+
+def _field_bits(w: list, k: int) -> int:
+    """K of _cycle_cover_sums at depth k: the bounds e_s carried to
+    s = n + k, the largest set a decoded field sums over (module
+    docstring)."""
     M = [0] * len(w).bit_length()
     for m, c in enumerate(w):
         if c:
-            c, k = abs(c), m.bit_count()
-            if c > M[k]:
-                M[k] = c
+            c, j = abs(c), m.bit_count()
+            if c > M[j]:
+                M[j] = c
     e = [1]
-    for s in range(1, len(M)):
+    for s in range(1, len(M) + k):
         bound = 0
-        for k in range(1, s + 1):
-            if M[k]:
-                bound += comb(s - 1, k - 1) * M[k] * e[s - k]
+        for j in range(1, min(s + 1, len(M))):
+            if M[j]:
+                bound += comb(s - 1, j - 1) * M[j] * e[s - j]
         e.append(bound)
     return max(e).bit_length() + 2
 
 
 def partition_sum(w: list):
-    """_cycle_cover_sums(w)[-1] in 3^(n-2)/2 steps: the table covers only
-    the masks avoiding vertex 1 (even, halved), and vertex 1's block closes
-    each partition against that table read in reverse."""
+    """_cycle_cover_sums(w)[-1] from the table of the masks avoiding
+    vertex 1 (even, halved), which packs as any table on n - 1 vertices
+    does: 3^(n-1-k)/2 steps, k = _packing_depth(n - 1).  Vertex 1's block
+    closes each partition against that table read in reverse."""
     if len(w) == 1:
         return 1
     return sum(map(mul, w[1::2], reversed(_cycle_cover_sums(w[0::2]))))

@@ -12,7 +12,7 @@ partitions, in one of six bases:
 
 Coefficients are ints, and Fractions only where a value is not an
 integer.  Only the public constructors (SymFun(...), SymFun.element/const,
-from_json_dict, TwoAlphabetSymFun(...)) validate; results built here
+TwoAlphabetSymFun(...)) validate; results built here
 have partition keys by construction.  Products in p, h or e concatenate
 partitions; other conversions route through p, whose expansion engine
 uses Newton's identities for h and e, the character expansion for s,
@@ -184,14 +184,6 @@ class SymFun:
                 for lam, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SymFun":
-        terms = {}
-        for item in data["terms"]:
-            lam = tuple(item["partition"])
-            terms[lam] = terms.get(lam, 0) + Fraction(item["coeff"])
-        return cls(data["basis"], terms)
 
 
 def _coeff_str(c) -> str:

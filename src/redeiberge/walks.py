@@ -2,9 +2,10 @@
 
 xi(D) lists the path polynomials xi_0..xi_n: xi_k is the sum of
 x_{i_0} ... x_{i_{k-1}} over directed paths on k distinct vertices, all
-read off ringmat.path_counts, the table ham_dp reads.  gamma counts walks
-with repetition allowed, evaluated at a point.  The generating function
-of the gamma sequence is the rational function
+read off ringmat.path_counts, the table ham_dp reads.  gamma_k counts
+the walks on k vertices, repetition allowed, weighted at a point
+(_walk_counts).  The generating function of the gamma sequence is the
+rational function
 
     W_D(z) = det(I + z X Abar) / det(I - z X A)
 
@@ -37,21 +38,6 @@ def xi(D: Digraph) -> list:
         if c:
             out[mask.bit_count()][mask] = c
     return [MultilinearPoly(D.n, terms) for terms in out]
-
-
-def gamma(D: Digraph, k: int, point) -> int:
-    """Weighted walk count with k steps: 1^T (XA)^k X 1 at the given point.
-
-    Walks on k+1 vertices, repetition allowed; k = 0 gives the sum of
-    the point's coordinates.
-    """
-    guard("gamma", k, 12)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    pt = list(point)
-    if len(pt) != D.n:
-        raise ValueError("point must have one coordinate per vertex")
-    return _walk_counts(D.adjacency(), pt, k + 1)[k]
 
 
 def _walk_counts(A, pt: list, count: int) -> list:

@@ -24,9 +24,11 @@ from redeiberge.combinat import (
     sgn_of_type,
     z_lambda,
 )
-from redeiberge.digraph import Digraph
+from redeiberge.digraph import Digraph, _vertex_subset
+from redeiberge.guards import guard
 from redeiberge.ringmat import MultilinearPoly
 from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, convert, to_p
+from redeiberge.walks import _walk_counts
 
 
 # ---------------------------------------------------- fundamental / U oracle
@@ -791,6 +793,8 @@ def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
 # inner_product read the package's character table and p-basis conversion,
 # sgn, psi and foata_linearize its cycle decomposition, and is_p_positive
 # its p-basis conversion, so they test those, not stand in for them.
+# variable, induced and symfun_from_json_dict build inputs through the
+# package's validating constructors, and gamma reads its walk counts.
 
 def permutations_of(n: int):
     """All permutations of [n] in one-line notation, lexicographic."""
@@ -921,6 +925,41 @@ def dominates(lam, mu) -> bool:
         if a < b:
             return False
     return True
+
+
+def variable(n: int, i: int, c=1) -> MultilinearPoly:
+    """c * x_i; the constructor rejects an i outside 1..n."""
+    return MultilinearPoly(n, {1 << (i - 1): c})
+
+
+def induced(D: Digraph, verts) -> Digraph:
+    """Restrict the edge set to verts x verts; labels are kept."""
+    vs = set(_vertex_subset(D, verts))
+    return Digraph(D.n, frozenset(e for e in D.edges if e[0] in vs and e[1] in vs))
+
+
+def symfun_from_json_dict(data: dict) -> SymFun:
+    """The SymFun that SymFun.to_json_dict wrote."""
+    terms: dict = {}
+    for item in data["terms"]:
+        lam = tuple(item["partition"])
+        terms[lam] = terms.get(lam, 0) + Fraction(item["coeff"])
+    return SymFun(data["basis"], terms)
+
+
+def gamma(D: Digraph, k: int, point) -> int:
+    """Weighted walk count with k steps: 1^T (XA)^k X 1 at the given point.
+
+    Walks on k+1 vertices, repetition allowed; k = 0 gives the sum of
+    the point's coordinates.
+    """
+    guard("gamma", k, 12)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    pt = list(point)
+    if len(pt) != D.n:
+        raise ValueError("point must have one coordinate per vertex")
+    return _walk_counts(D.adjacency(), pt, k + 1)[k]
 
 
 def is_p_positive(f) -> bool:

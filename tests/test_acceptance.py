@@ -26,6 +26,7 @@ from redeiberge.cli import build_corpus, run_corpus
 from redeiberge.combinat import (
     character,
     cycle_type,
+    hook_partition,
     partitions_of,
     z_lambda,
 )
@@ -295,8 +296,10 @@ def test_criterion_08_hook_coefficients():
     corpus += random_corpus(rng, 100, 5, 5)
     for D in corpus:
         n = D.n
-        hooks = hook_coefficient(D)
+        u = u_via_schur_JT(D)
+        hooks = [u.coefficient(hook_partition(i, n)) for i in range(1, n + 1)]
         assert hooks == [hook_descent_count(D, i) for i in range(1, n + 1)]
+        assert hook_coefficient(D) == hooks
         assert hooks[0] == ham_dp(D)
         assert hooks[-1] == ham_dp(complement(D))
 

@@ -23,6 +23,7 @@ from redeiberge.cli import (
     run_corpus,
     write_artifacts,
 )
+from redeiberge.combinat import partitions_of
 from redeiberge.digraph import (
     complete_digraph,
     digraph,
@@ -35,7 +36,7 @@ from redeiberge.digraph import (
     random_tournament,
 )
 from redeiberge.guards import GuardError
-from redeiberge.redei import applicable_routes, hook_coefficient, u_digraph
+from redeiberge.redei import applicable_routes, u_digraph
 from redeiberge.symfun import SymFun, convert
 
 EXAMPLE3 = digraph(3, [(1, 1), (1, 3), (3, 2)])
@@ -313,24 +314,27 @@ def test_build_corpus_shapes():
 
 
 def test_hooks_readoff_computes_each_hook_once(monkeypatch):
+    # hooks-readoff reads the hooks off the schur-JT route's one
+    # Jacobi-Trudi table, which holds every partition of 5
     calls = []
+    schur_jt = redei._schur_JT
 
-    def counted(D):
-        calls.append(hook_coefficient(D))
-        return calls[-1]
+    def counted(D, lams):
+        calls.append(list(lams))
+        return schur_jt(D, lams)
 
-    monkeypatch.setattr(cli, "hook_coefficient", counted)
+    monkeypatch.setattr(redei, "_schur_JT", counted)
     results = identity_suite(random_digraph(5, 0.5, seed=3))
     assert results["hooks-readoff"] is None
-    assert len(calls) == 1 and len(calls[0]) == 5
+    assert calls == [list(partitions_of(5))]
     # at n = 0 there is no hook to read off
     assert "hooks-readoff" not in identity_suite(empty_digraph(0))
 
 
 def test_identity_suite_builds_each_table_once(monkeypatch):
-    # One xi pair for the schur-JT route and one for all five hooks; the
-    # two path-cycle cover tallies of verify_chow_identities and none for
-    # u-from-path-cycle.
+    # One xi pair, for the schur-JT route, whose table hooks-readoff
+    # reads; the two path-cycle cover tallies of verify_chow_identities
+    # and none for u-from-path-cycle.
     counts = {"xi": 0, "enumerate_path_cycle_covers": 0}
     for name in counts:
         original = getattr(redei, name)
@@ -342,7 +346,7 @@ def test_identity_suite_builds_each_table_once(monkeypatch):
         monkeypatch.setattr(redei, name, counted)
     results = identity_suite(random_digraph(5, 0.5, seed=3))
     assert all(v is None for v in results.values())
-    assert counts == {"xi": 4, "enumerate_path_cycle_covers": 2}
+    assert counts == {"xi": 2, "enumerate_path_cycle_covers": 2}
 
 
 def test_immanant_lr_calls_immanant_once_per_submatrix(monkeypatch):
@@ -356,22 +360,19 @@ def test_immanant_lr_calls_immanant_once_per_submatrix(monkeypatch):
 
 
 def test_hooks_readoff_names_a_perturbed_hook(monkeypatch):
-    # Perturbing one Jacobi-Trudi hook value (and no other Schur
-    # coefficient, so routes-agree still passes) fails hooks-readoff.
+    # Reading hook 3 off the wrong Schur coefficient, s_(2,2,1) (1) in
+    # place of s_(3,1,1) (8), leaves routes-agree passing and fails
+    # hooks-readoff against the descent tally, naming hook 3.
     D = random_digraph(5, 0.5, seed=3)
-    hooks = [(i,) + (1,) * (5 - i) for i in range(1, 6)]
-    schur_jt = redei._schur_JT
-
-    def perturbed(D, lams):
-        out = schur_jt(D, lams)
-        if lams == hooks:
-            out[(3, 1, 1)] += 1
-        return out
-
-    monkeypatch.setattr(redei, "_schur_JT", perturbed)
+    hook = redei.hook_partition
+    monkeypatch.setattr(
+        redei, "hook_partition", lambda i, n: (2, 2, 1) if i == 3 else hook(i, n)
+    )
     results = identity_suite(D)
     assert results["routes-agree"] is None
-    assert results["hooks-readoff"].startswith("DisagreementError: hook 3: ")
+    assert results["hooks-readoff"] == (
+        "DisagreementError: hook 3: determinant 1 != descent count 8"
+    )
 
 
 def test_identity_suite_keys_and_passes():

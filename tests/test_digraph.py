@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import digraphs
-from oracles import all_tournaments, is_two_cycle_free, random_acyclic_digraph
+from oracles import (
+    all_tournaments,
+    induced,
+    is_two_cycle_free,
+    random_acyclic_digraph,
+)
 from redeiberge.combinat import cycle_type, cycles_of
 from redeiberge.digraph import (
     Digraph,
@@ -28,7 +33,6 @@ from redeiberge.digraph import (
     enumerate_path_covers,
     enumerate_path_cycle_covers,
     has_only_descending_edges,
-    induced,
     is_acyclic,
     is_tournament,
     load_digraph,

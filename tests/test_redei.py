@@ -33,6 +33,7 @@ from redeiberge.redei import (
     ROUTES,
     applicable_routes,
     chow_xi,
+    check_hooks,
     chow_xi_hat,
     compute_route,
     hook_coefficient,
@@ -639,21 +640,15 @@ def test_schur_jt_route_builds_each_path_polynomial_list_once(monkeypatch):
     assert calls == [complement(D), D]
 
 
-def test_hook_disagreement_is_guarded(monkeypatch):
-    # hook_coefficient checks each Jacobi-Trudi hook against its descent
-    # count: both sides agree with the oracle on honest input, and one
+def test_hook_disagreement_is_guarded():
+    # check_hooks compares each Jacobi-Trudi hook with its descent count:
+    # the schur-JT route's hooks pass and match the oracle, and one
     # perturbed determinant fails the check, naming that hook.
     P4 = directed_path_digraph(4)
-    assert hook_coefficient(P4) == [
+    u = u_via_schur_JT(P4)
+    assert check_hooks(P4, u) == [
         oracles.hook_descent_count(P4, i) for i in (1, 2, 3, 4)
     ]
-
-    def perturbed(D, lams):
-        out = _schur_JT(D, lams)
-        out[hook_partition(3, 4)] += 1
-        return out
-
-    _schur_JT = redei._schur_JT
-    monkeypatch.setattr(redei, "_schur_JT", perturbed)
+    perturbed = u + SymFun.element("s", hook_partition(3, 4))
     with pytest.raises(DisagreementError, match=r"^hook 3: determinant 4 != descent count 3$"):
-        hook_coefficient(P4)
+        check_hooks(P4, perturbed)

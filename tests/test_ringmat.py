@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -21,6 +22,7 @@ from oracles import (
     path_sets_oracle,
     permanent_expansion,
     sgn,
+    variable,
 )
 from redeiberge.combinat import cycle_type, cycles_of, partitions_of
 from redeiberge.digraph import (
@@ -36,6 +38,7 @@ from redeiberge.ringmat import (
     MultilinearPoly,
     _anchored_cycle_weights,
     _cycle_cover_sums,
+    _packing_depth,
     _signed_cycles,
     det_ring,
     immanant,
@@ -70,8 +73,8 @@ def leibniz_det(M) -> int:
 # ------------------------------------------------------------ MultilinearPoly
 
 def test_multilinear_squares_vanish():
-    x1 = MultilinearPoly.variable(3, 1)
-    x2 = MultilinearPoly.variable(3, 2)
+    x1 = variable(3, 1)
+    x2 = variable(3, 2)
     assert not (x1 * x1).terms
     s = x1 + x2
     assert (s * s).coeff({1, 2}) == 2
@@ -84,7 +87,7 @@ def test_multilinear_validation_and_const():
     with pytest.raises(ValueError):
         MultilinearPoly(2, {0b100: 1})
     with pytest.raises(ValueError):
-        MultilinearPoly.variable(2, 3)
+        variable(2, 3)
     c = MultilinearPoly.const(2, 7)
     assert c.coeff(0) == 7
     assert c.coeff(()) == 7
@@ -170,30 +173,65 @@ def test_principal_families_match_direct_minors(M):
 
 
 # ------------------------------------------------------ cycle-cover convolution
+#
+# The packing depth steps from 0 to 3 top vertices between n = 6 and
+# n = 7; the tests below run every n up to 11, so each depth meets
+# tables of several sizes.
 
-@given(st.data(), st.integers(0, 8), st.sampled_from([3, 10**15]))
-def test_cycle_cover_sums_match_the_scalar_oracle(data, n, bound):
-    w = data.draw(
-        st.lists(st.integers(-bound, bound), min_size=1 << n, max_size=1 << n)
-    )
+def test_packing_depth_changes_only_at_tested_sizes():
+    depths = [_packing_depth(n) for n in range(19)]  # up to principal_minors' 18
+    assert depths[:7] == [0] * 7
+    assert set(depths[7:]) == {3}
+
+
+def _weights(n: int, bound: int, seed: int) -> list:
+    """Zeros, +-bound and values between, in about equal shares."""
+    rng = random.Random(seed)
+    return [
+        rng.choice((0, bound, -bound, rng.randint(-bound, bound)))
+        for _ in range(1 << n)
+    ]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 11), st.sampled_from([3, 10**15]), st.integers(0, 2**32))
+@example(n=6, bound=10**15, seed=0)
+@example(n=7, bound=10**15, seed=0)
+def test_cycle_cover_sums_match_the_scalar_oracle(n, bound, seed):
+    w = _weights(n, bound, seed)
     assert _cycle_cover_sums(w) == cycle_cover_sums(w)
 
 
 @pytest.mark.parametrize("M", [1, 3, 10**15, -1, -3, -(10**15)])
 def test_cycle_cover_sums_at_the_field_bound(M):
     # With every weight M, out[S] sums M^(blocks) over the set partitions
-    # of S, so for M > 0 the full set sits exactly at the bound e_n that
-    # sizes the packed fields: sum_k stirling[k] M^k, stirling[k] counting
-    # the partitions of [n] into k blocks.
+    # of S, so for M > 0 the full set sits exactly at the bound e_n:
+    # sum_k stirling[k] M^k, stirling[k] counting the partitions of [n]
+    # into k blocks.  With the full set's weight alone, e stops at
+    # e_n = |M| even when packed, so out[[n]] = M sits at the bound that
+    # sizes the fields.
     stirling = [1]
-    for n in range(9):
+    for n in range(12):
         w = [M] * (1 << n)
         got = _cycle_cover_sums(w)
         assert got == cycle_cover_sums(w)
         assert got[-1] == sum(s * M**k for k, s in enumerate(stirling))
+        alone = [0] * ((1 << n) - 1) + [M]
+        assert _cycle_cover_sums(alone)[-1] == (M if n else 1)
+        assert _cycle_cover_sums(alone) == cycle_cover_sums(alone)
         stirling = [
             k * s + t for k, (s, t) in enumerate(zip(stirling + [0], [0] + stirling))
         ]
+
+
+@pytest.mark.parametrize("M", [10**6, -(10**6)])
+def test_cycle_cover_sums_bound_the_overlap_fields(M):
+    # Blocks on 4 vertices weigh M, all others 1.  No set of 7 vertices
+    # holds two such blocks, so every out[S] is of order M, but an
+    # overlap field of a packed sum pairs two of them (about M^2): the
+    # field width must come from e carried to n + 3, not to n.
+    w = [M if m.bit_count() == 4 else 1 for m in range(1 << 7)]
+    assert _cycle_cover_sums(w) == cycle_cover_sums(w)
 
 
 @settings(max_examples=8)
@@ -268,6 +306,16 @@ def test_subset_exp_on_one_vertex():
 @given(mask_weights())
 def test_partition_sum_is_the_last_cycle_cover_sum(pair):
     w, _ = pair
+    assert partition_sum(w) == cycle_cover_sums(w)[-1]
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 11), st.sampled_from([3, 10**15]), st.integers(0, 2**32))
+@example(n=7, bound=10**15, seed=0)
+@example(n=8, bound=10**15, seed=0)
+def test_partition_sum_at_every_packing_depth(n, bound, seed):
+    # partition_sum's table has n - 1 vertices, so it is packed from n = 8
+    w = _weights(n, bound, seed)
     assert partition_sum(w) == cycle_cover_sums(w)[-1]
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import digraphs
-from oracles import random_acyclic_digraph
+from oracles import gamma, random_acyclic_digraph
 from redeiberge.digraph import (
     digraph,
     directed_path_digraph,
@@ -16,7 +16,6 @@ from redeiberge.guards import GuardError
 from redeiberge.hamilton import ham_dp
 from redeiberge.walks import (
     denominator_series,
-    gamma,
     verify_walk_identity,
     walk_series,
     xi,
