@@ -279,8 +279,9 @@ def run_corpus(items, jobs: int = 1) -> dict:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     payloads = [digraph_to_json_dict(D) for D in items]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(_suite_worker, payloads)
     else:
         rows = [_suite_worker(p) for p in payloads]

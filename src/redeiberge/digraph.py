@@ -71,7 +71,7 @@ def digraph(n: int, edges) -> Digraph:
     """Digraph on [n] from (u, v) pairs; n and every vertex must be ints."""
     try:
         pairs = frozenset((u, v) for u, v in edges)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"edges must be (u, v) pairs: {exc}") from exc
     return Digraph(n, pairs)
 
@@ -448,6 +448,9 @@ def digraph_to_json_dict(D: Digraph) -> dict:
 
 
 def digraph_from_json_dict(data: dict) -> Digraph:
+    for key in ("n", "edges"):
+        if key not in data:
+            raise ValueError(f"digraph JSON lacks the key {key!r}")
     return digraph(data["n"], data["edges"])
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .digraph import (
     Digraph,
@@ -48,43 +47,34 @@ PARITY_BOUND = 12
 WISEMAN_BOUND = 8
 
 
-@lru_cache(maxsize=3)
-def _minors(D: Digraph, kind: str) -> list:
+def _minors(D: Digraph, kind: str, tables: dict) -> list:
     """One table of A, D's adjacency matrix, indexed by bitmask: its
     anchored cycle weights ("cyc"), per A[S] ("per") or det A[S] ("det"),
     the last two both built from "cyc".
 
-    ham_detper reads "cyc" and both cycle formulas read "det" and "per"
-    through _report_minors, so within one ham_report each table is built
-    once.  The tables are shared, so callers must not mutate them.
+    A table is built the first time its kind is asked for and kept in
+    tables.  ham_report passes one dict to all its routes, so ham_detper
+    and both cycle formulas build each table once between them.  The
+    tables are shared, so callers must not mutate them.
     """
-    if kind == "cyc":
-        return _anchored_cycle_weights(D.adjacency())
-    if kind == "per":
-        return principal_permanents(D.adjacency(), _minors(D, "cyc"))
-    if kind == "det":
-        return principal_determinants(D.adjacency(), _minors(D, "cyc"))
-    raise ValueError(f"unknown minor table {kind!r}")
+    if kind not in tables:
+        A = D.adjacency()
+        if kind == "cyc":
+            tables[kind] = _anchored_cycle_weights(A)
+        else:
+            kernel = {"per": principal_permanents, "det": principal_determinants}[kind]
+            tables[kind] = kernel(A, _minors(D, "cyc", tables))
+    return tables[kind]
 
 
-_in_report = False  # True only while ham_report runs its routes
-
-
-def _report_minors(D: Digraph, *kinds: str) -> list:
-    """_minors(D, kind) for each kind, kept cached only inside ham_report
-    (which empties the cache when it ends), so a direct call holds none."""
-    tables = [_minors(D, kind) for kind in kinds]
-    if not _in_report:
-        _minors.cache_clear()
-    return tables
-
-
-def ham_detper(D: Digraph) -> int:
+def ham_detper(D: Digraph, tables: dict | None = None) -> int:
     """Hamiltonian paths by the determinant-permanent subset formula, read
     off ringmat.partition_sum with a block B weighing cyc_A(B) +
-    (-1)^(|B|-1) cyc_Abar(B), the cycles on exactly B: no det Abar table."""
+    (-1)^(|B|-1) cyc_Abar(B), the cycles on exactly B: no det Abar table.
+    A's cycle weights come from tables (see _minors), or are built and
+    dropped when tables is None."""
     guard("ham_detper", D.n, DETPER_BOUND)
-    (cyc,) = _report_minors(D, "cyc")
+    cyc = _minors(D, "cyc", {} if tables is None else tables)
     # only this route reads Abar's cycle weights, so they are not kept
     bar = _signed_cycles(_anchored_cycle_weights(complement(D).adjacency()))
     return partition_sum([a + b for a, b in zip(cyc, bar)])
@@ -151,12 +141,16 @@ def ham_cycles_bruteforce(D: Digraph) -> int:
     return count
 
 
-def ham_cycles(D: Digraph, route: str = "formula_a", i: int = 1) -> int:
+def ham_cycles(
+    D: Digraph, route: str = "formula_a", i: int = 1, tables: dict | None = None
+) -> int:
     """Hamiltonian cycle count by the requested route.
 
     formula_a needs a vertex i to exclude (the result is i-independent);
     formula_b divides the weighted alternating sum by n and insists the
-    division is exact; bruteforce enumerates.
+    division is exact; bruteforce enumerates.  The formulas read det A
+    and per A from tables (see _minors), or build both and drop them
+    when tables is None.
     """
     n = D.n
     if route == "bruteforce":
@@ -168,7 +162,8 @@ def ham_cycles(D: Digraph, route: str = "formula_a", i: int = 1) -> int:
         raise ValueError(f"unknown route {route!r}")
     if route == "formula_a" and not 1 <= i <= n:
         raise ValueError("excluded vertex out of range")
-    det_a, per_a = _report_minors(D, "det", "per")
+    tables = {} if tables is None else tables
+    det_a, per_a = _minors(D, "det", tables), _minors(D, "per", tables)
     # (-1)^|S| det A[S] * per A[S^c] by S; per_a reversed is read at S^c
     terms = {
         S: (-d if S.bit_count() & 1 else d) * p
@@ -214,58 +209,51 @@ class HamReport:
         return out
 
 
-# What ham_report runs: (kind, name, function, the n it runs it at).
-# Brute force stops at 8 there, below its guard, because it costs n!;
-# the cycle formulas need a vertex to anchor at.
+# What ham_report runs: (kind, name, run(D, tables), the n it runs it at).
+# Each run looks its function up by name when it runs, so a wrapper put
+# on a module function from outside is the one the report calls.  Brute
+# force stops at 8 there, below its guard, because it costs n!; the
+# cycle formulas need a vertex to anchor at.
 _FORMULA_NS = range(1, CYCLE_FORMULA_BOUND + 1)
 REPORT_ROUTES = (
-    ("paths", "detper", ham_detper, range(DETPER_BOUND + 1)),
-    ("paths", "dp", ham_dp, range(DP_BOUND + 1)),
-    ("paths", "bruteforce", ham_paths_bruteforce, range(9)),
-    ("cycles", "formula_a", lambda D: ham_cycles(D, "formula_a"), _FORMULA_NS),
-    ("cycles", "formula_b", lambda D: ham_cycles(D, "formula_b"), _FORMULA_NS),
-    ("cycles", "bruteforce", ham_cycles_bruteforce, range(9)),
+    ("paths", "detper", lambda D, t: ham_detper(D, t), range(DETPER_BOUND + 1)),
+    ("paths", "dp", lambda D, t: ham_dp(D), range(DP_BOUND + 1)),
+    ("paths", "bruteforce", lambda D, t: ham_paths_bruteforce(D), range(9)),
+    ("cycles", "formula_a", lambda D, t: ham_cycles(D, "formula_a", 1, t), _FORMULA_NS),
+    ("cycles", "formula_b", lambda D, t: ham_cycles(D, "formula_b", 1, t), _FORMULA_NS),
+    ("cycles", "bruteforce", lambda D, t: ham_cycles_bruteforce(D), range(9)),
 )
-
-# ham_report calls through this dict, not the rows: a wrapper put on the
-# module's functions from outside (bench/tracer.py) replaces values of
-# module-level dicts but not fields of a row.
-_REPORT_FUNCTIONS = {f"{kind}:{name}": fn for kind, name, fn, _ in REPORT_ROUTES}
 
 
 def ham_report(D: Digraph, cycles: bool = False) -> HamReport:
     """Count by every route REPORT_ROUTES runs at this n and insist they agree.
 
     Raises GuardError before counting when fewer than two path routes, or
-    (with cycles) no cycle route, run at this n.  The routes share the
-    principal-minor tables of D (see _minors), so the timing of a shared
-    table is charged to the first route that builds it.
+    (with cycles) no cycle route, run at this n.  The routes share one
+    dict of principal-minor tables of D (see _minors), dropped when the
+    report returns, so the timing of a shared table is charged to the
+    first route that builds it.
     """
     kinds = ("paths", "cycles") if cycles else ("paths",)
     found: dict = {kind: {} for kind in kinds}
-    for kind, name, _, ns in REPORT_ROUTES:
+    for kind, name, run, ns in REPORT_ROUTES:
         if kind in found and D.n in ns:
-            found[kind][name] = None
+            found[kind][name] = run
     if len(found["paths"]) < 2 or (cycles and not found["cycles"]):
-        admitted = {kind: list(names) for kind, names in found.items()}
+        admitted = {kind: list(routes) for kind, routes in found.items()}
         raise GuardError(f"ham_report: too few routes admit n = {D.n}: {admitted}")
-    global _in_report
+    tables: dict = {}
     agreed: dict = {}
     timings: dict = {}
-    _in_report = True
-    try:
-        for kind, routes in found.items():
-            for name in routes:
-                t0 = time.perf_counter()
-                routes[name] = _REPORT_FUNCTIONS[f"{kind}:{name}"](D)
-                timings[f"{kind}:{name}"] = (time.perf_counter() - t0) * 1000
-            values = set(routes.values())
-            if len(values) != 1:
-                raise DisagreementError(f"Hamiltonian {kind} routes disagree: {routes}")
-            agreed[kind] = values.pop()
-    finally:
-        _in_report = False
-        _minors.cache_clear()
+    for kind, routes in found.items():
+        for name, run in routes.items():
+            t0 = time.perf_counter()
+            routes[name] = run(D, tables)
+            timings[f"{kind}:{name}"] = (time.perf_counter() - t0) * 1000
+        values = set(routes.values())
+        if len(values) != 1:
+            raise DisagreementError(f"Hamiltonian {kind} routes disagree: {routes}")
+        agreed[kind] = values.pop()
     return HamReport(
         n=D.n,
         digraph_hash=digraph_hash(D),

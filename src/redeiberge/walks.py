@@ -13,8 +13,9 @@ evaluated here as a truncated integer power series at integer points.
 The z^k coefficient of det(I + z M) is the sum of the k x k principal
 minors of M, so both determinants are read off
 ringmat.principal_determinants, the kernel the Hamiltonian formulas use.
-verify_walk_identity checks that statement, the reciprocity
-W_Dbar(z) * W_D(-z) = 1, and (for acyclic D) that the denominator is 1.
+verify_walk_identity checks that statement for D and Dbar, the
+reciprocity W_Dbar(z) * W_D(-z) = 1 on the walk counts themselves, and
+(for acyclic D) that the denominator is 1.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def xi(D: Digraph) -> list:
 
 
 def _walk_counts(A, pt: list, count: int) -> list:
-    """[gamma_0, ..., gamma_(count-1)] at the point pt, with no size guard."""
+    """[gamma_1, ..., gamma_count] at the point pt: the weighted walks on
+    1, ..., count vertices, with no size guard."""
     n = len(A)
     vec = pt[:]  # X 1
     counts = []
@@ -77,34 +79,30 @@ def _zmul(a: list, b: list, K: int) -> list:
     return out
 
 
-def _zinv(a: list, K: int) -> list:
-    """Series inverse mod z^(K+1); requires a[0] = 1 or -1."""
-    c0 = a[0]
-    if c0 not in (1, -1):
-        raise ZeroDivisionError("constant term must be a unit integer")
-    out = [0] * (K + 1)
-    out[0] = c0
-    for m in range(1, K + 1):
-        s = 0
-        for i in range(1, min(m, len(a) - 1) + 1):
-            if a[i]:
-                s += a[i] * out[m - i]
-        out[m] = -c0 * s
-    return out
-
-
-def _det_series(A, pt: list, K: int, sign: int) -> list:
-    """det(I + sign z X A) mod z^(K+1) at the point.
-
-    The z^k coefficient is sign^k times the sum of the k x k principal
-    minors of X A, all of which principal_determinants gives at once.
-    """
+def _det_series(A, pt: list, K: int) -> list:
+    """det(I + zXA) mod z^(K+1) at the point: the z^k coefficient sums the
+    k x k principal minors of XA, which principal_determinants gives at once."""
     XA = [[x * a for a in row] for x, row in zip(pt, A)]
     out = [0] * (K + 1)
     for S, d in enumerate(principal_determinants(XA)):
         k = S.bit_count()
         if d and k <= K:
-            out[k] += sign**k * d
+            out[k] += d
+    return out
+
+
+def _flip(a: list) -> list:
+    """The series a(-z)."""
+    return [-c if k & 1 else c for k, c in enumerate(a)]
+
+
+def _ratio(num: list, den: list) -> list:
+    """num(z) / den(-z) to num's order, by long division (a determinant
+    series starts with 1): W_D(z) for num, den = det(I + zXAbar), det(I + zXA)."""
+    div = _flip(den)
+    out: list = []
+    for m, c in enumerate(num):
+        out.append(c - sum(div[i] * out[m - i] for i in range(1, m + 1)))
     return out
 
 
@@ -112,13 +110,13 @@ def walk_series(D: Digraph, point, K: int) -> list:
     """Coefficients gamma_0..gamma_K of W_D(z) at the point, via the
     determinant ratio."""
     pt = list(point)
-    num = _det_series(complement(D).adjacency(), pt, K, 1)
-    return _zmul(num, _zinv(denominator_series(D, pt, K), K), K)
+    num = _det_series(complement(D).adjacency(), pt, K)
+    return _ratio(num, _det_series(D.adjacency(), pt, K))
 
 
 def denominator_series(D: Digraph, point, K: int) -> list:
     """det(I - zXA) as a truncated series at the point."""
-    return _det_series(D.adjacency(), list(point), K, -1)
+    return _flip(_det_series(D.adjacency(), list(point), K))
 
 
 # ------------------------------------------------------------- verification
@@ -143,9 +141,10 @@ def verify_walk_identity(
 ) -> WalkIdentityReport:
     """Check the determinant formula for the walk series at random points.
 
-    At each integer point: the series ratio matches the gamma sequence up
-    to order K (default 2n+1), the complement's series is the reciprocal
-    of W_D(-z), and for acyclic D the denominator det(I - zXA) is exactly 1.
+    At each integer point, up to order K (default 2n+1): the series ratio
+    matches the gamma sequence for D and for Dbar, both read off one
+    det(I + zXA) and one det(I + zXAbar); the gamma sequences alone satisfy
+    W_Dbar(z) * W_D(-z) = 1; for acyclic D, det(I - zXA) is exactly 1.
     """
     n = D.n
     if K is None:
@@ -155,24 +154,25 @@ def verify_walk_identity(
     rng = random.Random(seed)
     acyc = is_acyclic(D)
     report = WalkIdentityReport(n=n, K=K, trials=trials, seed=seed, acyclic=acyc)
-    Dbar = complement(D)
-    A = D.adjacency()
+    A, Abar = D.adjacency(), complement(D).adjacency()
+    one = [1] + [0] * K
     for t in range(trials):
         pt = [rng.randint(-3, 3) for _ in range(n)]
-        series = walk_series(D, pt, K)
+        plus, plus_bar = _det_series(A, pt, K), _det_series(Abar, pt, K)
         # gamma_0 = 1 (empty walk); gamma_k for k >= 1 counts k-vertex walks
         gammas = [1] + _walk_counts(A, pt, K)
-        if series != gammas:
-            report.record(
-                f"trial {t}: series {series} != walk counts {gammas} at {pt}"
-            )
-        series_bar = walk_series(Dbar, pt, K)
-        flipped = [c if k % 2 == 0 else -c for k, c in enumerate(series)]
-        prod = _zmul(series_bar, flipped, K)
-        if prod != [1] + [0] * K:
+        gammas_bar = [1] + _walk_counts(Abar, pt, K)
+        for label, series, want in (
+            ("series", _ratio(plus_bar, plus), gammas),
+            ("complement series", _ratio(plus, plus_bar), gammas_bar),
+        ):
+            if series != want:
+                report.record(
+                    f"trial {t}: {label} {series} != walk counts {want} at {pt}"
+                )
+        prod = _zmul(gammas_bar, _flip(gammas), K)
+        if prod != one:
             report.record(f"trial {t}: reciprocity fails at {pt}: {prod}")
-        if acyc:
-            den = denominator_series(D, pt, K)
-            if den != [1] + [0] * K:
-                report.record(f"trial {t}: acyclic denominator {den} at {pt}")
+        if acyc and _flip(plus) != one:
+            report.record(f"trial {t}: acyclic denominator {_flip(plus)} at {pt}")
     return report

@@ -111,6 +111,17 @@ def test_digraph_from_args_requires_exactly_one_source(tmp_path):
     ) == EXAMPLE3
 
 
+def test_bad_json_digraph_names_the_fault(tmp_path, capsys):
+    for text, fault in (
+        ('{"n": 3}', "digraph JSON lacks the key 'edges'"),
+        ('{"n": 3, "edges": [[1, 2, 3]]}', "edges must be (u, v) pairs"),
+    ):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        assert main(["ham", "--edges", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fault}")
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_exit_codes(tmp_path):
@@ -448,6 +459,40 @@ def test_verify_skips_route_agreement_without_two_routes(capsys):
     assert code == 0
     assert payload["identities"] == {"berge-parity": {"checked": 2, "failed": 0}}
     assert identity_suite(empty_digraph(9)) == {"berge-parity": None}
+
+
+def test_run_corpus_starts_no_more_workers_than_items_or_cores(monkeypatch):
+    # a fake Pool records the size it is asked for and maps in-process,
+    # so no test starts worker processes
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    items = [empty_digraph(2), complete_digraph(2), directed_path_digraph(2)]
+    for cores, jobs, count, want in (
+        (8, 64, 3, [3]),  # capped by the items
+        (2, 64, 3, [2]),  # capped by the cores
+        (8, 2, 3, [2]),
+        (8, 64, 1, []),  # one worker runs in-process
+        (None, 64, 3, []),  # unknown core count counts as one
+    ):
+        asked.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        summary = run_corpus(items[:count], jobs=jobs)
+        assert asked == want
+        assert summary["items"] == count and summary["failed_items"] == 0
 
 
 def test_verify_json_and_jobs_determinism(capsys):

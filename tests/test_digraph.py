@@ -81,9 +81,18 @@ def test_labels_must_be_ints_not_floats_bools_or_strings():
 
 
 def test_edges_must_be_a_sequence_of_pairs():
-    for bad in ([1], 5, None, [[[1], 2]], [(1, 2, 3)]):
+    for bad in ([1], 5, None, [[[1], 2]], [(1, 2, 3)], [(1,)]):
         with pytest.raises(ValueError):
             digraph(3, bad)
+    for bad in ([(1, 2, 3)], [(1,)], [[1, 2], 3]):
+        with pytest.raises(ValueError, match=r"edges must be \(u, v\) pairs"):
+            digraph_from_json_dict({"n": 3, "edges": bad})
+
+
+def test_json_input_names_a_missing_key():
+    for data, key in (({"n": 3}, "edges"), ({"edges": []}, "n"), ({}, "n")):
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+            digraph_from_json_dict(data)
 
 
 def test_zero_vertex_digraph():

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 import oracles
 from gens import digraphs
 from oracles import gamma, random_acyclic_digraph
+import redeiberge.walks as walks
 from redeiberge.digraph import (
     digraph,
     directed_path_digraph,
     empty_digraph,
+    random_digraph,
 )
 from redeiberge.guards import GuardError
 from redeiberge.hamilton import ham_dp
@@ -143,3 +145,44 @@ def test_walk_identity_guards():
         verify_walk_identity(empty_digraph(9))
     with pytest.raises(GuardError):
         verify_walk_identity(empty_digraph(4), K=30)
+
+
+def test_walk_identity_checks_reciprocity_on_the_walk_counts(monkeypatch):
+    # Reciprocity multiplies the walk counts of D and Dbar, which use no
+    # determinant: a fault in the counts fails it, and a fault in the
+    # determinant tables fails the series checks but not reciprocity.
+    D = random_digraph(4, 0.5, 2)
+    real_counts, real_dets = walks._walk_counts, walks.principal_determinants
+
+    def off_counts(A, pt, count):
+        counts = real_counts(A, pt, count)
+        return [counts[0], counts[1] + 1, *counts[2:]]
+
+    monkeypatch.setattr(walks, "_walk_counts", off_counts)
+    failures = verify_walk_identity(D, trials=2, seed=5).failures
+    assert any("reciprocity" in f for f in failures), failures
+    monkeypatch.setattr(walks, "_walk_counts", real_counts)
+
+    def off_dets(M):
+        return [d + 7 if S.bit_count() == 2 else d for S, d in enumerate(real_dets(M))]
+
+    monkeypatch.setattr(walks, "principal_determinants", off_dets)
+    failures = verify_walk_identity(D, trials=2, seed=5).failures
+    assert any(": series" in f for f in failures), failures
+    assert any("complement series" in f for f in failures), failures
+    assert not any("reciprocity" in f for f in failures), failures
+
+
+def test_walk_identity_builds_two_determinant_tables_per_trial(monkeypatch):
+    calls = []
+    real = walks.principal_determinants
+
+    def counted(M):
+        calls.append(len(M))
+        return real(M)
+
+    monkeypatch.setattr(walks, "principal_determinants", counted)
+    for D in (random_digraph(4, 0.5, 2), random_acyclic_digraph(4, 0.5, 2)):
+        calls.clear()
+        assert verify_walk_identity(D, trials=3, seed=1).ok
+        assert calls == [4] * 6
