@@ -20,9 +20,7 @@ table of the masks avoiding vertex 1 (ham_detper).  subset_exp keeps
 power sums apart by block size: fed the anchored cycle weights of D and
 of its complement, it is the subset-formula route of U_D and the
 powersum route of Chow's Xi_D.
-path_counts is the one endpoint DP over vertex sets: it counts the
-directed paths on each set, for ham_dp (the full set) and the path
-polynomials of walks.xi.
+_anchored_cycle_weights and path_counts are the endpoint DPs (below).
 
 Also here: the Ryser permanent with Gray-code updates, immanants, and
 the matrix series H(XA) and E(XA) with integer coefficients.  A term of
@@ -56,12 +54,26 @@ over |m| = j, e_0 = 1 and e_s = sum_j C(s-1, j-1) M_j e_(s-j) bound
 over a virtual set of |X| + d <= n + k vertices (an overlap vertex in
 both factors), at most C(|X| + d - 1, j - 1) with |B| = j; so e carried
 to n + k bounds every field, and K = max(e).bit_length() + 2.
+
+The endpoint DPs keep one integer per vertex set X, packed alike:
+Q[X] = sum_v P[X][v] row_v, with P[X][v] the paths on X ending at v and
+row_v holding A[v][u] in u's field.  Masks go up: u's field of Q[X],
+for u not in X, is read once and pushed on as Q[X | u] += f row_u, and
+Q[X] is replaced by its result once read.
+_anchored_cycle_weights starts each path at X's least vertex and pushes
+only past it; the anchor's field is cyc[X].  Entries are signed: fields
+are read from Q[X] plus the sign bit in every field, minus that bit.
+A field of X sums at most (|X| - 1)! products of |X| entries, so with
+M = max |A[v][u]|, K = ((n - 1)! M^n).bit_length() + 1.
+path_counts (ham_dp and walks.xi) counts paths, loops ignored: each row
+holds a 1 in field 0, below the vertices' fields, so field 0 of Q[X] is
+h[X].  No field of X exceeds |X|! <= n!, unsigned: K = n!.bit_length().
 """
 
 from __future__ import annotations
 
 from itertools import permutations as _it_permutations
-from math import comb
+from math import comb, factorial
 from operator import lshift, mul
 
 from .combinat import character, cycle_type, partitions_of
@@ -279,38 +291,29 @@ def _anchored_cycle_weights(A) -> list:
     """cyc[mask]: weighted count of directed cycles with vertex set = mask.
 
     Each cycle is counted once, anchored at its minimum vertex; a
-    singleton mask counts the loop weight A[v][v].  A path from the
-    anchor only steps to unplaced successors past it (one successor
-    bitmask per vertex), and each mask's paths are dropped once read.
+    singleton counts the loop weight A[v][v].  Signed integer entries;
+    one packed integer per mask (module docstring).
     """
     n = len(A)
-    size = 1 << n
-    succ = [sum(1 << u for u, x in enumerate(row) if x) for row in A]
-    paths: list = [None] * size
-    cyc = [0] * size
-    for v in range(n):
-        paths[1 << v] = {v: 1}
-    for mask in range(1, size):
-        pm = paths[mask]
-        if not pm:
+    M = max((abs(x) for row in A for x in row), default=0)
+    K = (factorial(max(n - 1, 0)) * M**n).bit_length() + 1
+    sign, field = 1 << (K - 1), (1 << K) - 1
+    bias = sign * (((1 << K * n) - 1) // field)  # sign in every field
+    rows = [sum(map(lshift, row, range(0, K * n, K))) for row in A]
+    cyc, lo, hi, h = _packed_table(rows, K, 0)
+    full = len(cyc) - 1
+    for X in range(1, full + 1):
+        q = cyc[X]
+        if not q:
             continue
-        paths[mask] = None
-        a = (mask & -mask).bit_length() - 1
-        past = ~mask & -(2 << a)
-        closing = 0
-        for v, w in pm.items():
-            row = A[v]
-            closing += w * row[a]
-            avail = succ[v] & past
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                u = bit.bit_length() - 1
-                d = paths[mask | bit]
-                if d is None:
-                    d = paths[mask | bit] = {}
-                d[u] = d.get(u, 0) + w * row[u]
-        cyc[mask] = closing
+        a = X & -X
+        q += bias
+        cyc[X] = (q >> K * (a.bit_length() - 1) & field) - sign
+        avail = (full ^ X) & -(a << 1)
+        for bit, s, row in lo[avail & (1 << h) - 1] + hi[avail >> h]:
+            f = (q >> s & field) - sign
+            if f:
+                cyc[X | bit] += f * row
     return cyc
 
 
@@ -318,37 +321,46 @@ def path_counts(A) -> list:
     """h[mask]: number of directed paths with vertex set = mask.
 
     h[0] = 1 and a singleton counts its one-vertex path; loops are
-    ignored.  A path steps to any unplaced successor, and each mask's
-    endpoint dict is replaced by its total once read, masks going up.
+    ignored.  One packed integer per mask (module docstring).
     """
     n = len(A)
-    # endpoints are numbered from 1, as bit.bit_length() gives them
-    succ = [0] + [
-        sum(1 << u for u, x in enumerate(row) if x and u != v)
+    K = factorial(n).bit_length()
+    field = (1 << K) - 1
+    rows = [
+        1 + sum(1 << K * (u + 1) for u, x in enumerate(row) if x and u != v)
         for v, row in enumerate(A)
     ]
-    h: list = [None] * (1 << n)
-    h[0] = 1
-    for v in range(n):
-        h[1 << v] = {v + 1: 1}
-    for mask in range(1, 1 << n):
-        pm = h[mask]
-        if not pm:
-            h[mask] = 0
+    out, lo, hi, h = _packed_table(rows, K, K)
+    full = len(out) - 1
+    out[0] = 1
+    for X in range(1, full + 1):
+        q = out[X]
+        if not q:
             continue
-        h[mask] = sum(pm.values())
-        free = ~mask
-        for v, c in pm.items():
-            avail = succ[v] & free
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                d = h[mask | bit]
-                if d is None:
-                    d = h[mask | bit] = {}
-                u = bit.bit_length()
-                d[u] = d.get(u, 0) + c
-    return h
+        out[X] = q & field
+        avail = full ^ X
+        for bit, s, row in lo[avail & (1 << h) - 1] + hi[avail >> h]:
+            f = q >> s & field
+            if f:
+                out[X | bit] += f * row
+    return out
+
+
+def _packed_table(rows: list, K: int, offset: int) -> tuple:
+    """The endpoint DPs' table, rows[v] at each {v}, and lo, hi, h: a mask
+    m's vertices u as (bit, offset + K u, rows[u]) in lo[m & (2^h - 1)] +
+    hi[m >> h], h = n // 2, built by doubling (2^h + 2^(n-h) tuples)."""
+    h = len(rows) >> 1
+    table = [0] * (1 << len(rows))
+    lo, hi = [()], [()]
+    for u, row in enumerate(rows):
+        table[1 << u] = row
+        t = ((1 << u, offset + K * u, row),)
+        if u < h:
+            lo += [p + t for p in lo]
+        else:
+            hi += [p + t for p in hi]
+    return table, lo, hi, h
 
 
 def principal_permanents(A, cyc=None) -> list:

@@ -106,19 +106,6 @@ def _ratio(num: list, den: list) -> list:
     return out
 
 
-def walk_series(D: Digraph, point, K: int) -> list:
-    """Coefficients gamma_0..gamma_K of W_D(z) at the point, via the
-    determinant ratio."""
-    pt = list(point)
-    num = _det_series(complement(D).adjacency(), pt, K)
-    return _ratio(num, _det_series(D.adjacency(), pt, K))
-
-
-def denominator_series(D: Digraph, point, K: int) -> list:
-    """det(I - zXA) as a truncated series at the point."""
-    return _flip(_det_series(D.adjacency(), list(point), K))
-
-
 # ------------------------------------------------------------- verification
 
 @dataclass

@@ -24,11 +24,11 @@ from redeiberge.combinat import (
     sgn_of_type,
     z_lambda,
 )
-from redeiberge.digraph import Digraph, _vertex_subset
+from redeiberge.digraph import Digraph, _vertex_subset, complement
 from redeiberge.guards import guard
 from redeiberge.ringmat import MultilinearPoly
 from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, convert, to_p
-from redeiberge.walks import _walk_counts
+from redeiberge.walks import _det_series, _flip, _ratio, _walk_counts
 
 
 # ---------------------------------------------------- fundamental / U oracle
@@ -795,6 +795,8 @@ def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
 # its p-basis conversion, so they test those, not stand in for them.
 # variable, induced and symfun_from_json_dict build inputs through the
 # package's validating constructors, and gamma reads its walk counts.
+# walk_series and denominator_series read the determinant series and
+# the long division verify_walk_identity reads, so they test those.
 
 def permutations_of(n: int):
     """All permutations of [n] in one-line notation, lexicographic."""
@@ -960,6 +962,19 @@ def gamma(D: Digraph, k: int, point) -> int:
     if len(pt) != D.n:
         raise ValueError("point must have one coordinate per vertex")
     return _walk_counts(D.adjacency(), pt, k + 1)[k]
+
+
+def walk_series(D: Digraph, point, K: int) -> list:
+    """Coefficients gamma_0..gamma_K of W_D(z) at the point, via the
+    determinant ratio."""
+    pt = list(point)
+    num = _det_series(complement(D).adjacency(), pt, K)
+    return _ratio(num, _det_series(D.adjacency(), pt, K))
+
+
+def denominator_series(D: Digraph, point, K: int) -> list:
+    """det(I - zXA) as a truncated series at the point."""
+    return _flip(_det_series(D.adjacency(), list(point), K))
 
 
 def is_p_positive(f) -> bool:

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -337,6 +337,37 @@ def weighted_matrices(draw, max_n=6):
 @given(weighted_matrices())
 def test_anchored_cycle_weights_match_the_permutation_oracle(M):
     assert _anchored_cycle_weights(M) == anchored_cycle_weights_oracle(M)
+
+
+def _signed_matrix(n: int, bound: int, seed: int) -> list:
+    """Entries 0, +-bound and between; one row all negative, one zero."""
+    rng = random.Random(seed)
+    M = [
+        [rng.choice((0, bound, -bound, rng.randint(-bound, bound))) for _ in range(n)]
+        for _ in range(n)
+    ]
+    M[rng.randrange(n)] = [-rng.randint(1, bound) for _ in range(n)]
+    M[rng.randrange(n)] = [0] * n
+    return M
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_anchored_cycle_weights_at_the_field_bound(n):
+    # With every entry +-M the full set's anchor field is (n - 1)! M^n, the
+    # bound the field width comes from; the random matrices mix signs in
+    # every field, with an all-negative row and a zero row.
+    big = 10**6
+    for M in ([[big] * n] * n, [[-big] * n] * n, _signed_matrix(n, big, n)):
+        assert _anchored_cycle_weights(M) == anchored_cycle_weights_oracle(M)
+    assert _anchored_cycle_weights([[big] * n] * n)[-1] == factorial(n - 1) * big**n
+
+
+def test_path_counts_on_complete_digraphs_fill_every_field():
+    # h[X] = |X|!, and the full set's total n! is the bound of the field width
+    for n in range(11):
+        for loops in (False, True):
+            h = path_counts(complete_digraph(n, loops=loops).adjacency())
+            assert h == [factorial(m.bit_count()) for m in range(1 << n)]
 
 
 @given(digraphs(max_n=5))

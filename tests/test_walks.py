@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import digraphs
-from oracles import gamma, random_acyclic_digraph
+from oracles import (
+    denominator_series,
+    gamma,
+    random_acyclic_digraph,
+    walk_series,
+)
 import redeiberge.walks as walks
 from redeiberge.digraph import (
     digraph,
@@ -16,12 +21,7 @@ from redeiberge.digraph import (
 )
 from redeiberge.guards import GuardError
 from redeiberge.hamilton import ham_dp
-from redeiberge.walks import (
-    denominator_series,
-    verify_walk_identity,
-    walk_series,
-    xi,
-)
+from redeiberge.walks import verify_walk_identity, xi
 
 
 # ------------------------------------------------------------------ xi
