@@ -12,8 +12,10 @@ v is a path, grown forward from v and then backward from v, or a cycle,
 grown through unplaced vertices and closed back on v (a loop is (v,)).
 Permutations whose nontrivial cycles all follow edges of D, or each
 follow edges of D or of its complement, fix v or grow a cycle from it
-(`_perms_with_cycles_along`).  Each comes as one record: its images, its
-cycle lengths and its sign, the last two set as each cycle closes.
+(`_perms_with_cycles_along`); the last two unplaced vertices are placed
+in one step, fixed and then swapped if a table of the 2-cycles (pair)
+holds them.  Each comes as one record: its images, its cycle lengths and
+its sign, the last two set as each cycle closes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .guards import guard
 
@@ -80,15 +83,7 @@ def digraph(n: int, edges) -> Digraph:
 
 def complement(D: Digraph) -> Digraph:
     """All pairs of [n] x [n] (loops included) that are not edges of D."""
-    return Digraph(
-        D.n,
-        frozenset(
-            (u, v)
-            for u in D.vertices()
-            for v in D.vertices()
-            if (u, v) not in D.edges
-        ),
-    )
+    return Digraph(D.n, frozenset(product(D.vertices(), repeat=2)) - D.edges)
 
 
 def opposite(D: Digraph) -> Digraph:
@@ -371,50 +366,66 @@ def _perms_with_cycles_along(vs: list, edge_sets) -> list:
 
     The smallest unplaced vertex is either fixed or starts a cycle that
     grows through unplaced vertices along one digraph's edges and closes
-    back on it, so only accepted permutations are ever built.  images[k]
-    is the image of vs[k]; lengths lists the cycle lengths in the order of
-    each cycle's smallest vertex, a fixed point as 1; sign is (-1)^phi,
-    phi summing length - 1 over the cycles grown along edge_sets[0], and
-    is set as each cycle closes.
+    back on it; the last two, i < j, are fixed, then swapped if pair[i][j],
+    the sign step of the edge set holding both i -> j and j -> i, is not 0.
+    images[k] is the image of vs[k]; lengths lists the cycle lengths in
+    the order of each cycle's smallest vertex, a fixed point as 1; sign is
+    (-1)^phi, phi summing length - 1 over the cycles of edge_sets[0].
     """
     m = len(vs)
-    # per edge set: the sign step per cycle vertex, successors as (bit, index)
-    succs = [
-        (-1 if t == 0 else 1,
-         [[(1 << j, j) for j in range(m) if j != i and (vs[i], vs[j]) in edges]
-          for i in range(m)])
-        for t, edges in enumerate(edge_sets)
-    ]
+    if not m:
+        return [((), (), 1)]
+    # per edge set: the sign step per cycle vertex, successors (bit, index, image)
+    succs, pair = [], [[0] * m for _ in range(m)]
+    for t, edges in enumerate(edge_sets):
+        step = -1 if t == 0 else 1
+        succ = [[(1 << j, j, v) for j, v in enumerate(vs)
+                 if j != i and (u, v) in edges] for i, u in enumerate(vs)]
+        succs.append((step, succ))
+        for i, row in enumerate(succ):
+            for _, j, v in row:
+                if (v, vs[i]) in edges:
+                    pair[i][j] = step
     out: list = []
-    _place(0, 1, (), (1 << m) - 1, vs, succs, list(vs), out)
+    _place(0, 1, (), ((1 << m) - 1, vs, succs, pair, list(vs), out))
     return out
 
 
-# used is the bitmask of placed indices; img[k] is the image of vs[k] once k
-# is placed.
+# ctx is (full, vs, succs, pair, img, out); used is the bitmask of placed
+# indices; img[k] is the image of vs[k] once k is placed.
 
-def _place(used, sign, lens, full, vs, succs, img, out) -> None:
-    if used == full:
-        out.append((tuple(img), lens, sign))
-        return
-    low = ~used & (used + 1)
-    i = low.bit_length() - 1
-    used |= low
+def _place(used, sign, lens, ctx) -> None:
+    full, vs, succs, pair, img, out = ctx
+    rest = full ^ used
+    i = (rest & -rest).bit_length() - 1
     img[i] = vs[i]
-    _place(used, sign, lens + (1,), full, vs, succs, img, out)
-    for step, succ in succs:
-        _grow(i, i, used, 1, sign, step, succ, lens, full, vs, succs, img, out)
+    rest &= rest - 1
+    if not rest:
+        out.append((tuple(img), lens + (1,), sign))
+    elif not rest & (rest - 1):  # i and j are the last two
+        j = rest.bit_length() - 1
+        img[j] = vs[j]
+        out.append((tuple(img), lens + (1, 1), sign))
+        if pair[i][j]:
+            img[i], img[j] = vs[j], vs[i]
+            out.append((tuple(img), lens + (2,), sign * pair[i][j]))
+    else:
+        _place(full ^ rest, sign, lens + (1,), ctx)
+        for step, succ in succs:
+            _grow(i, i, full ^ rest, 1, sign, step, succ, lens, ctx)
 
 
-def _grow(start, last, used, length, sign, step, succ, lens, full, vs, succs, img, out):
-    for bit, w in succ[last]:
+def _grow(start, last, used, length, sign, step, succ, lens, ctx) -> None:
+    for bit, w, image in succ[last]:
         if not used & bit:
-            img[last] = vs[w]
-            _grow(start, w, used | bit, length + 1, sign * step, step, succ,
-                  lens, full, vs, succs, img, out)
+            ctx[4][last] = image
+            _grow(start, w, used | bit, length + 1, sign * step, step, succ, lens, ctx)
         elif w == start:
-            img[last] = vs[start]
-            _place(used, sign, lens + (length,), full, vs, succs, img, out)
+            ctx[4][last] = image
+            if used == ctx[0]:
+                ctx[5].append((tuple(ctx[4]), lens + (length,), sign))
+            else:
+                _place(used, sign, lens + (length,), ctx)
 
 
 # ------------------------------------------------------------- serialization

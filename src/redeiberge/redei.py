@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations as _it_permutations, product
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .combinat import (
@@ -143,18 +144,16 @@ def u_via_powersum_GS(D: Digraph) -> SymFun:
     """Signed power sums over permutations each of whose nontrivial cycles
     is a cycle of D or a cycle of its complement; the sign twists each
     D-cycle by (-1)^(length-1).  Each enumerated permutation comes with its
-    cycle lengths and that sign, summed per length sequence first."""
+    cycle lengths and that sign, tallied per (lengths, sign) pair first."""
     _admit("powersum-GS", D)
-    by_lens = Counter()
-    for _, lens, s in perms_with_cycles_in_either(D):
-        by_lens[lens] += s
-    return SymFun("p", _by_cycle_type(by_lens))
+    tally = Counter(map(itemgetter(1, 2), perms_with_cycles_in_either(D)))
+    return SymFun("p", _by_cycle_type((lens, s * c) for (lens, s), c in tally.items()))
 
 
-def _by_cycle_type(by_lens: dict) -> Counter:
-    """Weights keyed by sequences of cycle lengths, summed by cycle type."""
+def _by_cycle_type(weights) -> Counter:
+    """(sequence of cycle lengths, weight) pairs, summed by cycle type."""
     out = Counter()
-    for lens, w in by_lens.items():
+    for lens, w in weights:
         out[tuple(sorted(lens, reverse=True))] += w
     return out
 
@@ -312,10 +311,10 @@ def u_tournament(D: Digraph) -> SymFun:
     odd cycles of D, weighted by 2^(number of nontrivial cycles); the
     lengths are read off the enumerated records."""
     _admit("tournament", D)
-    counts = _by_cycle_type(Counter(lens for _, lens, _ in perms_with_all_cycles_in(D)))
+    counts = Counter(map(itemgetter(1), perms_with_all_cycles_in(D)))
     return SymFun("p", {
         lam: c << sum(1 for part in lam if part >= 2)
-        for lam, c in counts.items()
+        for lam, c in _by_cycle_type(counts.items()).items()
         if all(part % 2 for part in lam)
     })
 

@@ -51,9 +51,13 @@ overlapping ones has a base-3 digit 2; each mask's sum is decoded as
 signed fields and repacked without those.  With M_j the largest |w[m]|
 over |m| = j, e_0 = 1 and e_s = sum_j C(s-1, j-1) M_j e_(s-j) bound
 |out[S]| for |S| = s.  A field with digit sum d sums products w[B] out[R]
-over a virtual set of |X| + d <= n + k vertices (an overlap vertex in
-both factors), at most C(|X| + d - 1, j - 1) with |B| = j; so e carried
-to n + k bounds every field, and K = max(e).bit_length() + 2.
+over a virtual set of |X| + d vertices (an overlap vertex in both
+factors), at most C(|X| + d - 1, j - 1) with |B| = j, so e_(|X| + d)
+bounds it.  The decode, ((acc + bias) & keep) - kept_bias, reads only
+the fields at positions up to (3^k - 1)/2, the top kept one, as none
+above carries into them.  So e is carried to n - k + d_k, d_k the
+largest digit sum there (4 at k = 3, position 8 = 022 in base 3), and
+K = max(e).bit_length() + 1 holds each field read, signed.
 
 The endpoint DPs keep one integer per vertex set X, packed alike:
 Q[X] = sum_v P[X][v] row_v, with P[X][v] the paths on X ending at v and
@@ -434,22 +438,23 @@ def _packing_depth(n: int) -> int:
 
 def _field_bits(w: list, k: int) -> int:
     """K of _cycle_cover_sums at depth k: the bounds e_s carried to
-    s = n + k, the largest set a decoded field sums over (module
-    docstring)."""
+    s = n - k + d_k, the largest set a field that the decode reads sums
+    over (module docstring)."""
     M = [0] * len(w).bit_length()
     for m, c in enumerate(w):
         if c:
             c, j = abs(c), m.bit_count()
             if c > M[j]:
                 M[j] = c
+    d_k = max(sum(p // 3**i % 3 for i in range(k)) for p in range(3**k // 2 + 1))
     e = [1]
-    for s in range(1, len(M) + k):
+    for s in range(1, len(M) - k + d_k):
         bound = 0
         for j in range(1, min(s + 1, len(M))):
             if M[j]:
                 bound += comb(s - 1, j - 1) * M[j] * e[s - j]
         e.append(bound)
-    return max(e).bit_length() + 2
+    return max(e).bit_length() + 1
 
 
 def partition_sum(w: list):

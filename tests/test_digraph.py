@@ -368,6 +368,42 @@ def test_perm_records_at_zero_vertices():
             assert family(G, verts) == [((), (), 1)]
 
 
+@pytest.mark.parametrize("edges", [(), ((1, 2),), ((2, 1),), ((1, 2), (2, 1))])
+@pytest.mark.parametrize("loops", [False, True])
+def test_perm_records_on_two_vertices(edges, loops):
+    # the walk places the last two vertices in one step: both fixed, then
+    # their 2-cycle if D holds both edges (sign -1) or neither (Dbar, +1)
+    def expected(a, b, either):
+        two = -1 if len(edges) == 2 else 1 if either and not edges else 0
+        return [((a, b), (1, 1), 1)] + ([((b, a), (2,), two)] if two else [])
+
+    looped = ((1, 1), (2, 2)) if loops else ()
+    D = digraph(2, edges + looped)
+    # the same pattern on 2 < 4 inside a larger digraph, walked on {2, 4}
+    relabel = {1: 2, 2: 4}
+    moved = [(relabel[u], relabel[v]) for u, v in edges + looped]
+    G = digraph(4, moved + [(1, 3), (3, 4), (4, 1)])
+    for H, verts, (a, b) in ((D, None, (1, 2)), (G, [4, 2], (2, 4))):
+        assert perms_with_all_cycles_in(H, verts) == expected(a, b, False)
+        assert perms_with_cycles_in_either(H, verts) == expected(a, b, True)
+        _check_records(H, verts)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_perm_families_match_the_oracle_at_seven_and_eight(n):
+    cases = [random_digraph(n, p, 40 + n) for p in (0.15, 0.5, 0.85)]
+    for D in cases + [random_tournament(n, 40 + n)]:
+        for family, either in (
+            (perms_with_all_cycles_in, False),
+            (perms_with_cycles_in_either, True),
+        ):
+            got = _as_set_without_duplicates(_perm_dicts(family(D), D))
+            assert got == _as_set_without_duplicates(
+                oracles.perms_with_cycles_oracle(D, None, either)
+            )
+        _check_records(D)
+
+
 def test_perm_families_keep_the_guard():
     with pytest.raises(GuardError):
         perms_with_cycles_in_either(empty_digraph(9))

@@ -24,6 +24,7 @@ from oracles import (
     sgn,
     variable,
 )
+from redeiberge import ringmat
 from redeiberge.combinat import cycle_type, cycles_of, partitions_of
 from redeiberge.digraph import (
     complement,
@@ -229,9 +230,30 @@ def test_cycle_cover_sums_bound_the_overlap_fields(M):
     # Blocks on 4 vertices weigh M, all others 1.  No set of 7 vertices
     # holds two such blocks, so every out[S] is of order M, but an
     # overlap field of a packed sum pairs two of them (about M^2): the
-    # field width must come from e carried to n + 3, not to n.
+    # field width must come from e carried to n - 3 + 4 = n + 1 (4 is the
+    # largest digit sum of a field the decode reads), not to n.
     w = [M if m.bit_count() == 4 else 1 for m in range(1 << 7)]
     assert _cycle_cover_sums(w) == cycle_cover_sums(w)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cycle_cover_sums_at_every_packing_depth(monkeypatch, k):
+    # Depth k from 7 vertices up, 0 below so the top table is not packed.
+    # +-M on the blocks of (n + t) // 2 vertices holding the top t: no set
+    # holds two of them, but the field with a digit 2 for each of the t
+    # pairs two.  At k = 3 with t = 2 and odd n (digit sum 4), and at
+    # k = 4 with t = 3 and even n (digit sum 6), only e_(n - k + 2t), the
+    # last bound _field_bits carries, sees that product.
+    monkeypatch.setattr(ringmat, "_packing_depth", lambda n: k if n >= 7 else 0)
+    for n in range(7, 12):
+        w = _weights(n, 10**15, 10 * n + k)
+        assert _cycle_cover_sums(w) == cycle_cover_sums(w)
+        for t in (2, 3):
+            top, size = ((1 << t) - 1) << (n - t), (n + t) // 2
+            big = [m & top == top and m.bit_count() == size for m in range(1 << n)]
+            for M in (10**6, -(10**6)):
+                w = [M if b else 1 for b in big]
+                assert _cycle_cover_sums(w) == cycle_cover_sums(w)
 
 
 @settings(max_examples=8)
