@@ -48,7 +48,6 @@ from .redei import (
     chow_xi,
     chow_xi_hat,
     hook_coefficient,
-    schur_coeff_JT,
     u_acyclic,
     u_all_routes,
     u_digraph,

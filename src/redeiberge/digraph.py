@@ -25,6 +25,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .guards import guard
 
@@ -246,23 +247,22 @@ def all_digraphs(n: int):
 
 # ------------------------------------------------------------------- covers
 
-@dataclass(frozen=True)
-class PathCycleCover:
+class PathCycleCover(NamedTuple):
     """Disjoint paths and cycles covering a vertex set.
 
     Paths are vertex sequences (singletons allowed); cycles are vertex
     sequences rotated to start at their minimum, with the closing edge
-    implied.  A loop is the cycle (v,).
+    implied.  A loop is the cycle (v,).  Immutable and hashable.
     """
 
     paths: tuple
     cycles: tuple
 
     def path_partition(self) -> tuple:
-        return tuple(sorted((len(p) for p in self.paths), reverse=True))
+        return tuple(sorted(map(len, self.paths), reverse=True))
 
     def cycle_partition(self) -> tuple:
-        return tuple(sorted((len(c) for c in self.cycles), reverse=True))
+        return tuple(sorted(map(len, self.cycles), reverse=True))
 
 
 def enumerate_path_cycle_covers(

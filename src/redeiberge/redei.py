@@ -202,23 +202,10 @@ def u_via_matrix_route(D: Digraph) -> SymFun:
 
 # ------------------------------------------------------------- Schur routes
 
-def schur_coeff_JT(D: Digraph, lam) -> int:
-    """Schur coefficient of U_D from path-polynomial determinants.
-
-    Computes both the complement form (shape lam on the complement's
-    path polynomials) and the transposed form (shape lam' on D's own),
-    and insists they agree.
-    """
-    lam = tuple(lam)
-    guard("u_schur_jt", D.n, ROUTES["schur-JT"].bound)
-    if sum(lam) != D.n:
-        raise ValueError("lam must be a partition of n")
-    return _schur_JT(D, [lam])[lam]
-
-
 def _schur_JT(D: Digraph, lams) -> dict:
-    """{lam: schur_coeff_JT(D, lam)} for the given partitions of n, with
-    the path polynomials of D and of its complement built once."""
+    """{lam: [s_lam] U_D} for the given partitions of n by shape lam on
+    the complement's path polynomials and lam' on D's own, which must
+    agree; the path polynomials of D and of its complement built once."""
     xis_bar, xis = xi(complement(D)), xi(D)
     out = {}
     for lam in lams:

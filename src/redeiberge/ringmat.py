@@ -1,16 +1,17 @@
 """Multilinear polynomial ring and exact matrix kernels.
 
 MultilinearPoly represents an element of Z[x_1..x_n]/(x_i^2): a map
-from vertex-subset bitmasks to coefficients.  Coefficients may be int,
-Fraction, or SymFun (anything with +, *, unary -, and truthiness).
-Products of monomials with overlapping support vanish, which makes
-X A nilpotent and lets the generating-function determinants terminate
-exactly.
+from vertex-subset bitmasks to coefficients, int or Fraction.  src/
+builds int coefficients only; Fraction comes from the tests' inverse
+series.  Products of monomials with overlapping support vanish, which
+makes X A nilpotent and lets the generating-function determinants
+terminate exactly.
 
 Two determinant kernels, one per job:
 
-- det_ring, for a matrix with ring-valued entries (the matrix-det and
-  schur-JT routes of U_D), by column-subset minors;
+- det_ring, for a matrix over the multilinear ring (the matrix-det and
+  schur-JT routes of U_D), by column-subset minors, each one term dict
+  that the products are added into in place;
 - principal_determinants and principal_permanents, for all principal
   minors of an integer matrix at once, by cycle-cover convolution (the
   Hamiltonian cycle formulas and the walk series).
@@ -80,7 +81,7 @@ from itertools import permutations as _it_permutations
 from math import comb, factorial
 from operator import lshift, mul
 
-from .combinat import character, cycle_type, partitions_of
+from .combinat import character, partitions_of
 from .guards import guard
 from .symfun import SymFun
 
@@ -88,7 +89,7 @@ from .symfun import SymFun
 
 
 class MultilinearPoly:
-    """Square-free polynomial over an arbitrary coefficient ring.
+    """Square-free polynomial in x_1..x_n with int or Fraction coefficients.
 
     Bit i-1 of a term's mask marks the variable x_i.  Keys built inside
     this module (matrix_series) may also carry degree fields above bit
@@ -101,17 +102,11 @@ class MultilinearPoly:
     def __init__(self, n: int, terms=None):
         self.n = n
         self.terms: dict = {}
-        if terms:
-            for mask, c in terms.items():
-                if mask >> n:
-                    raise ValueError("mask uses variables beyond x_n")
-                if c:
-                    cur = self.terms.get(mask)
-                    cur = c if cur is None else cur + c
-                    if cur:
-                        self.terms[mask] = cur
-                    else:
-                        self.terms.pop(mask, None)
+        for mask, c in (terms or {}).items():
+            if mask >> n:
+                raise ValueError("mask uses variables beyond x_n")
+            if c:
+                self.terms[mask] = c
 
     @classmethod
     def zero(cls, n: int) -> "MultilinearPoly":
@@ -124,13 +119,8 @@ class MultilinearPoly:
     def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         out = dict(self.terms)
         for mask, c in other.terms.items():
-            cur = out.get(mask)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[mask] = cur
-            else:
-                out.pop(mask, None)
-        return _poly(self.n, out)
+            out[mask] = out.get(mask, 0) + c
+        return _poly(self.n, _nonzero(out))
 
     def __neg__(self) -> "MultilinearPoly":
         return _poly(self.n, {m: -c for m, c in self.terms.items()})
@@ -140,8 +130,9 @@ class MultilinearPoly:
 
     def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         out: dict = {}
-        _add_products(out, self.terms, other.terms, (1 << self.n) - 1)
-        return _poly(self.n, out)
+        low = (1 << self.n) - 1
+        _add_products(out, self.terms.items(), other.terms.items(), low)
+        return _poly(self.n, _nonzero(out))
 
     def coeff(self, mask_or_verts):
         """Coefficient of the squarefree monomial over a mask or vertex set."""
@@ -181,26 +172,30 @@ class MultilinearPoly:
 def _poly(n: int, terms: dict) -> MultilinearPoly:
     """The trusted construction: terms already merged, zero-free and
     keyed as this module keys them."""
-    res = MultilinearPoly(n)
-    res.terms = terms
+    res = MultilinearPoly.__new__(MultilinearPoly)
+    res.n, res.terms = n, terms
     return res
 
 
-def _add_products(out: dict, t1: dict, t2: dict, low: int) -> None:
-    """Add the products of the terms t1 by the terms t2 into out.  Terms
-    whose supports (key & low) meet vanish; the others' keys add."""
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            if m1 & m2 & low:
-                continue
-            key = m1 + m2
-            c = c1 * c2
-            cur = out.get(key)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+def _add_products(out: dict, t1, t2, low: int) -> None:
+    """Add the products of the terms t1 by the terms t2, each a sequence of
+    (key, coefficient) pairs, into out, in place.  Terms whose supports
+    (key & low) meet vanish; the others' keys add.  A sum that cancels
+    stays in out as 0 (see _nonzero)."""
+    get = out.get
+    for m2, c2 in t2:
+        for m1, c1 in t1:
+            if not m1 & m2 & low:
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+
+
+def _nonzero(terms: dict) -> dict:
+    """terms, its zero coefficients deleted in place."""
+    if not all(terms.values()):
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
+    return terms
 
 
 def mask_of(verts) -> int:
@@ -216,44 +211,39 @@ def mask_of(verts) -> int:
 DET_RING_BOUND = 8
 
 
-def det_ring(M, one):
-    """Determinant over any commutative ring, by column-subset minors.
+def det_ring(M, one: MultilinearPoly) -> MultilinearPoly:
+    """Determinant of a matrix over the multilinear ring, by column-subset
+    minors; one = MultilinearPoly.const(n, 1) names the ring.
 
-    one is the ring's multiplicative identity; cost is O(n * 2^n) ring
-    multiplications, no division.
+    The minor of the first r rows on a column set is one term dict.  Row r
+    adds each minor-by-entry product into the dict of the larger set in
+    place, the row sign (-1)^r folded into the entry and its negation
+    taken where an odd number of the minor's columns lie left of the
+    entry's; zeros are pruned once per row.  O(n 2^n) polynomial
+    products, no division.
     """
     n = len(M)
     guard("det_ring", n, DET_RING_BOUND)
-    if n == 0:
-        return one
-    minors = {0: one}
-    for r in range(n):
+    low = (1 << one.n) - 1
+    minors = {0: one.terms}
+    for r, row in enumerate(M):
+        signed = []  # (bit, (entry * (-1)^r, entry * (-1)^(r+1))) per nonzero entry
+        for j, entry in enumerate(row):
+            if entry.terms:
+                pos = tuple(entry.terms.items())
+                neg = tuple((m, -c) for m, c in pos)
+                signed.append((1 << j, (neg, pos) if r & 1 else (pos, neg)))
         nxt: dict = {}
-        row = M[r]
-        rpar = r & 1
         for cols, val in minors.items():
-            below = 0  # parity of used columns to the left of j
-            for j in range(n):
-                bit = 1 << j
-                if cols & bit:
-                    below ^= 1
-                    continue
-                entry = row[j]
-                if not entry:
-                    continue
-                term = val * entry
-                if rpar ^ below:
-                    term = -term
-                key = cols | bit
-                cur = nxt.get(key)
-                cur = term if cur is None else cur + term
-                nxt[key] = cur
-        minors = nxt
-    full = (1 << n) - 1
-    result = minors.get(full)
-    if result is None:
-        result = one - one
-    return result
+            val = tuple(val.items())
+            for bit, pair in signed:
+                if not cols & bit:
+                    acc = nxt.get(cols | bit)
+                    if acc is None:
+                        acc = nxt[cols | bit] = {}
+                    _add_products(acc, val, pair[(cols & (bit - 1)).bit_count() & 1], low)
+        minors = {cols: t for cols, acc in nxt.items() if (t := _nonzero(acc))}
+    return _poly(one.n, dict(minors.get((1 << n) - 1, {})))
 
 
 def permanent_ryser(M) -> int:
@@ -512,23 +502,40 @@ def submatrix(M, rows, cols=None) -> list:
 def immanant(M) -> dict:
     """{lam: imm_lam(M)} for every partition lam of len(M) (imm_() = 1 at
     n = 0): one permutation walk tallies the diagonal products by cycle
-    type, and imm_lam sums that tally against chi^lam."""
+    type, and imm_lam sums that tally against chi^lam.  A cycle type is
+    read off the images by following each cycle from the least unvisited
+    index, the visited ones a bitmask."""
     n = len(M)
     guard("immanant", n, 9)
+    full = (1 << n) - 1
     by_type: dict = {}
     for images in _it_permutations(range(n)):
         prod = 1
-        for i, j in enumerate(images):
-            prod *= M[i][j]
+        for row, j in zip(M, images):
+            prod *= row[j]
             if not prod:
                 break
         else:
-            mu = cycle_type(tuple(j + 1 for j in images))
+            lens = []
+            rest = full
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                length = 0
+                while rest >> j & 1:
+                    rest ^= 1 << j
+                    j = images[j]
+                    length += 1
+                lens.append(length)
+            lens.sort(reverse=True)
+            mu = tuple(lens)
             by_type[mu] = by_type.get(mu, 0) + prod
-    return {
-        lam: sum(character(lam, mu) * c for mu, c in by_type.items())
-        for lam in partitions_of(n)
-    }
+    out = {}
+    for lam in partitions_of(n):
+        total = 0
+        for mu, c in by_type.items():
+            total += character(lam, mu) * c
+        out[lam] = total
+    return out
 
 
 # ----------------------------------------------------------- matrix series
@@ -555,19 +562,20 @@ def mlp_identity(n: int, c=1) -> list:
 
 def mlp_mat_mul(M1, M2) -> list:
     """Product of two n x n matrices over the ring in n variables; each
-    entry is summed in one dict."""
+    entry is summed in one dict, its zeros pruned once."""
     n = len(M1)
     low = (1 << n) - 1
+    cols = [[tuple(brow[j].terms.items()) for brow in M2] for j in range(n)]
     out = []
     for row in M1:
+        row = [tuple(a.terms.items()) for a in row]
         new = []
-        for j in range(n):
+        for col in cols:
             acc: dict = {}
-            for a, brow in zip(row, M2):
-                b = brow[j].terms
-                if a.terms and b:
-                    _add_products(acc, a.terms, b, low)
-            new.append(_poly(n, acc))
+            for a, b in zip(row, col):
+                if a and b:
+                    _add_products(acc, a, b, low)
+            new.append(_poly(n, _nonzero(acc)))
         out.append(new)
     return out
 

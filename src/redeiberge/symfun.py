@@ -14,10 +14,12 @@ Coefficients are ints, and Fractions only where a value is not an
 integer.  Only the public constructors (SymFun(...), SymFun.element/const,
 TwoAlphabetSymFun(...)) validate; results built here
 have partition keys by construction.  Products in p, h or e concatenate
-partitions; other conversions route through p, whose expansion engine
-uses Newton's identities for h and e, the character expansion for s,
-and a unitriangular transition (built from the rule p_r * mtilde_lam =
-sum over slots + new part) for the monomial bases.
+partitions; other conversions route through p.  Into p, s, h and e
+go by their integer pairings <b_lam, p_mu> (characters for s), summed
+per class mu and divided once by z_mu; out of p, h and e go by Newton's
+identities and s by characters.  The monomial bases go both ways by a
+unitriangular transition (built from the rule p_r * mtilde_lam = sum
+over slots + new part).
 
 A TwoAlphabetSymFun is an element of the tensor square, stored in the
 p(z) (x) p(y) normal form; it supports the alphabet operations needed
@@ -278,30 +280,16 @@ def _ek_in_p(k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _he_to_p(basis: str, lam: Partition) -> tuple:
-    """h_lam (basis "h") or e_lam ("e") expanded in p."""
-    return tuple(_fold_parts(lam, _hk_in_p if basis == "h" else _ek_in_p).items())
-
-
-def _term_to_p(basis: str, lam: Partition) -> dict:
-    """Expansion of one basis element in p."""
-    if basis == "p":
-        return {lam: 1}
-    if basis in ("h", "e"):
-        return dict(_he_to_p(basis, lam))
+def _pairings(basis: str, lam: Partition) -> tuple:
+    """(mu, <b_lam, p_mu>) over the classes mu where it is not 0, for b_lam
+    = s_lam, h_lam or e_lam: an integer, chi^lam(mu) for s and
+    z_mu [p_mu] b_lam for h and e."""
     if basis == "s":
-        n = sum(lam)
-        return {
-            mu: Fraction(character(lam, mu), z_lambda(mu))
-            for mu in partitions_of(n)
-            if character(lam, mu)
-        }
-    if basis == "mtilde":
-        return {mu: c for mu, c in _mtilde_to_p(lam)}
-    if basis == "m":
-        scale = Fraction(1, multiplicity_factorial(lam))
-        return {mu: c * scale for mu, c in _mtilde_to_p(lam)}
-    raise ValueError(basis)
+        return tuple(
+            (mu, chi) for mu in partitions_of(sum(lam)) if (chi := character(lam, mu))
+        )
+    by_mu = _fold_parts(lam, _hk_in_p if basis == "h" else _ek_in_p)
+    return tuple((mu, int(c * z_lambda(mu))) for mu, c in by_mu.items() if c)
 
 
 def _p_term_to(basis: str, mu: Partition) -> dict:
@@ -329,14 +317,26 @@ def _p_term_to(basis: str, mu: Partition) -> dict:
 
 
 def to_p(f: SymFun) -> SymFun:
+    """f in p.  From s, h or e, [p_mu] sums c_lam <b_lam, p_mu> over the
+    terms and divides once by z_mu; from mtilde or m it sums their
+    unitriangular expansions."""
     guard("convert", f.weight(), 14)
     if f.basis == "p":
         return _with_terms(SymFun("p"), f.terms)
     out: dict = {}
+    if f.basis in ("mtilde", "m"):
+        for lam, c in f.terms.items():
+            if f.basis == "m":
+                c = Fraction(c, multiplicity_factorial(lam))
+            for mu, d in _mtilde_to_p(lam):
+                out[mu] = out.get(mu, 0) + c * d
+        return _with_terms(SymFun("p"), out)
     for lam, c in f.terms.items():
-        for mu, d in _term_to_p(f.basis, lam).items():
-            out[mu] = out.get(mu, 0) + c * d
-    return _with_terms(SymFun("p"), out)
+        for mu, chi in _pairings(f.basis, lam):
+            out[mu] = out.get(mu, 0) + c * chi
+    return _with_terms(
+        SymFun("p"), {mu: Fraction(c, z_lambda(mu)) for mu, c in out.items()}
+    )
 
 
 def convert(f: SymFun, basis: str) -> SymFun:

@@ -5,7 +5,9 @@ dumbest correct algorithm available (literal enumeration, classical
 recurrences), sharing no code with the package internals beyond the
 Digraph and MultilinearPoly containers, so that agreement is meaningful.
 specialize (and lift_to_mtilde, its inverse) and inner_product read a
-SymFun through the library's basis conversion.
+SymFun through the library's basis conversion.  schur_coeff_JT is not an
+oracle: it reads one partition off the schur-JT route's _schur_JT, for
+the tests that pin single Schur coefficients.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from redeiberge.combinat import (
 )
 from redeiberge.digraph import Digraph, _vertex_subset, complement
 from redeiberge.guards import guard
+from redeiberge.redei import _schur_JT
 from redeiberge.ringmat import MultilinearPoly
 from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, convert, to_p
 from redeiberge.walks import _det_series, _flip, _ratio, _walk_counts
@@ -363,6 +366,7 @@ def permutation_module_character(lam, mu) -> int:
     return rec(0, lam)
 
 
+@lru_cache(maxsize=None)
 def irreducible_characters_oracle(n: int) -> dict:
     """Character table by Gram-Schmidt on permutation-module characters.
 
@@ -740,6 +744,28 @@ def bareiss_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def det_ring_leibniz(M, n: int) -> dict:
+    """det M over the multilinear ring in n variables, by the Leibniz sum:
+    each permutation's product expanded term by term.  Keys add, and a
+    product of terms whose supports (the low n bits) meet vanishes.
+    Returns the nonzero terms."""
+    low = (1 << n) - 1
+    total: dict = {}
+    for sigma in permutations(range(len(M))):
+        terms = {0: 1}
+        for row, j in zip(M, sigma):
+            nxt: dict = {}
+            for k1, c1 in terms.items():
+                for k2, c2 in row[j].terms.items():
+                    if not k1 & k2 & low:
+                        nxt[k1 + k2] = nxt.get(k1 + k2, 0) + c1 * c2
+            terms = nxt
+        sign = sgn(tuple(j + 1 for j in sigma))
+        for key, c in terms.items():
+            total[key] = total.get(key, 0) + sign * c
+    return {key: c for key, c in total.items() if c}
+
+
 def multilinear_inverse(f: MultilinearPoly) -> MultilinearPoly:
     """Inverse of f; needs an invertible scalar constant term.
 
@@ -1020,3 +1046,32 @@ def inner_product(f, g) -> Fraction:
         (c * gp[lam] * z_lambda(lam) for lam, c in fp.items() if lam in gp),
         Fraction(0),
     )
+
+
+# ------------------------------------------------------ Schur coefficients
+
+def schur_coeff_JT(D: Digraph, lam) -> int:
+    """[s_lam] U_D for one partition lam of n by the schur-JT route's two
+    Jacobi-Trudi forms (redei._schur_JT), which must agree."""
+    lam = tuple(lam)
+    if sum(lam) != D.n:
+        raise ValueError("lam must be a partition of n")
+    return _schur_JT(D, [lam])[lam]
+
+
+def to_p_by_pairings_oracle(f: SymFun) -> dict:
+    """The p terms of f in the s, h or e basis, one term at a time: b_lam
+    is the sum over the classes mu of <b_lam, p_mu> / z_mu p_mu, with
+    <s_lam, p_mu> from irreducible_characters_oracle, <h_lam, p_mu> the
+    permutation-module character and <e_lam, p_mu> that times sgn(mu)."""
+    out: dict = {}
+    for lam, c in f.terms.items():
+        for mu in _partitions_revlex(sum(lam)):
+            if f.basis == "s":
+                pairing = irreducible_characters_oracle(sum(lam))[lam][mu]
+            else:
+                pairing = permutation_module_character(lam, mu)
+                if f.basis == "e":
+                    pairing *= sgn_of_type(mu)
+            out[mu] = out.get(mu, 0) + c * Fraction(pairing, _z_of(mu))
+    return {mu: c for mu, c in out.items() if c}

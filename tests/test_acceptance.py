@@ -19,6 +19,7 @@ from oracles import (
     perms_with_cycles_oracle,
     psi,
     random_acyclic_digraph,
+    schur_coeff_JT,
     sgn,
     z_alphabet,
 )
@@ -49,7 +50,6 @@ from redeiberge.hamilton import (
 from redeiberge.redei import (
     hook_coefficient,
     powersum_to_ones,
-    schur_coeff_JT,
     u_all_routes,
     u_digraph,
     u_from_chow,

@@ -1,5 +1,6 @@
 import importlib
 import json
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
 from redeiberge.combinat import cycle_type, cycles_of
 from redeiberge.digraph import (
     Digraph,
+    PathCycleCover,
     all_digraphs,
     complement,
     complete_digraph,
@@ -221,6 +223,49 @@ def test_covers_match_edge_subset_enumeration(D):
         key = (cover.path_partition(), cover.cycle_partition())
         by_type[key] = by_type.get(key, 0) + 1
     assert by_type == oracles.covers_by_edge_subsets(D)
+
+
+def test_cover_tallies_match_edge_subsets_at_five_vertices():
+    # the oracle walks 2^|E| edge subsets, so these 5-vertex digraphs are sparse
+    for seed in range(7):
+        D = random_digraph(5, 0.45, seed)
+        assert len(D.edges) <= 13, seed
+        by_type = Counter(
+            (c.path_partition(), c.cycle_partition())
+            for c in enumerate_path_cycle_covers(D)
+        )
+        assert by_type == oracles.covers_by_edge_subsets(D)
+
+
+def test_covers_are_immutable_and_hashable():
+    covers = enumerate_path_cycle_covers(digraph(3, [(1, 2), (2, 1), (3, 3)]))
+    cover = covers[0]
+    with pytest.raises(AttributeError):
+        cover.paths = ()
+    with pytest.raises(AttributeError):
+        cover.cycles = ()
+    assert hash(cover) == hash(PathCycleCover(cover.paths, cover.cycles))
+    assert cover == PathCycleCover(cover.paths, cover.cycles)
+    assert len(set(covers)) == len(covers)
+
+
+def test_cover_enumeration_order():
+    # components from the smallest unplaced vertex: a path (grown forward,
+    # then backward) before a cycle, shorter extensions first
+    D = digraph(3, [(1, 2), (2, 1), (2, 3), (3, 3)])
+    got = [(c.paths, c.cycles) for c in enumerate_path_cycle_covers(D)]
+    assert got == [
+        (((1,), (2,), (3,)), ()),
+        (((1,), (2,)), ((3,),)),
+        (((1,), (2, 3)), ()),
+        (((2, 1), (3,)), ()),
+        (((2, 1),), ((3,),)),
+        (((1, 2), (3,)), ()),
+        (((1, 2),), ((3,),)),
+        (((1, 2, 3),), ()),
+        (((3,),), ((1, 2),)),
+        ((), ((1, 2), (3,))),
+    ]
 
 
 @given(digraphs(max_n=4))

@@ -39,7 +39,6 @@ from redeiberge.redei import (
     hook_coefficient,
     powersum_to_ones,
     routes_agree,
-    schur_coeff_JT,
     u_acyclic,
     u_all_routes,
     u_digraph,
@@ -73,6 +72,7 @@ from oracles import (
     is_two_cycle_free,
     lift_to_mtilde,
     random_acyclic_digraph,
+    schur_coeff_JT,
     specialize,
     u_poly_bruteforce,
 )

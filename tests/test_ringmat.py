@@ -14,6 +14,7 @@ from oracles import (
     bareiss_det,
     coeff_extract,
     cycle_cover_sums,
+    det_ring_leibniz,
     equals,
     identity_minus_xa,
     identity_plus_xa,
@@ -122,21 +123,111 @@ def test_bareiss_matches_leibniz(M):
     assert bareiss_det(M) == leibniz_det(M)
 
 
+def _scalars(M) -> list:
+    """A scalar matrix over the multilinear ring on n = 0 variables."""
+    return [[MultilinearPoly.const(0, x) for x in row] for row in M]
+
+
 @given(int_matrices(max_n=4))
 def test_det_ring_and_fraction_path_match_bareiss(M):
     ref = bareiss_det(M)
-    assert det_ring(M, 1) == ref
-    Mq = [[Fraction(x, 2) for x in row] for row in M]
-    assert det_ring(Mq, Fraction(1)) == Fraction(ref, 2 ** len(M))
+    assert det_ring(_scalars(M), MultilinearPoly.const(0, 1)) == MultilinearPoly.const(
+        0, ref
+    )
+    Mq = _scalars([[Fraction(x, 2) for x in row] for row in M])
+    got = det_ring(Mq, MultilinearPoly.const(0, Fraction(1)))
+    assert got == MultilinearPoly.const(0, Fraction(ref, 2 ** len(M)))
 
 
 def test_determinant_edge_cases():
+    one = MultilinearPoly.const(0, 1)
     assert bareiss_det([]) == 1
-    assert det_ring([], 1) == 1
+    assert det_ring([], one) == one
     assert bareiss_det([[0, 1], [0, 0]]) == 0
-    assert det_ring([[0, 1], [1, 0]], 1) == -1
+    assert det_ring(_scalars([[0, 1], [1, 0]]), one) == MultilinearPoly.const(0, -1)
     with pytest.raises(GuardError):
-        det_ring([[1] * 9 for _ in range(9)], 1)
+        det_ring(_scalars([[1] * 9 for _ in range(9)]), one)
+
+
+@st.composite
+def ring_matrices(draw, max_size=4, max_n=4):
+    """(M, n): a square matrix of up to max_size rows over the multilinear
+    ring in n <= max_n variables, each entry a few int-coefficient terms."""
+    n = draw(st.integers(0, max_n))
+    size = draw(st.integers(0, max_size))
+    terms = st.dictionaries(
+        st.integers(0, (1 << n) - 1), st.integers(-3, 3), max_size=3
+    )
+    M = [[MultilinearPoly(n, draw(terms)) for _ in range(size)] for _ in range(size)]
+    return M, n
+
+
+def _det_ring_cases() -> list:
+    """(M, n) over xa_matrix, I + XA and both packed series of seeded A."""
+    rng = random.Random(11)
+    cases = []
+    for n in range(5):
+        A = [[rng.choice((0, 0, 1, -2)) for _ in range(n)] for _ in range(n)]
+        for M in (
+            xa_matrix(A),
+            identity_plus_xa(A),
+            matrix_series(A, "H"),
+            matrix_series(A, "E"),
+        ):
+            cases.append((M, n))
+    return cases
+
+
+@given(ring_matrices())
+def test_det_ring_matches_the_leibniz_oracle(case):
+    M, n = case
+    det = det_ring(M, MultilinearPoly.const(n, 1))
+    assert det.n == n
+    assert det.terms == det_ring_leibniz(M, n)
+    assert all(det.terms.values())
+
+
+def test_det_ring_matches_the_leibniz_oracle_on_series():
+    # packed keys: degree fields above bit n - 1 add, supports must not meet
+    for M, n in _det_ring_cases():
+        det = det_ring(M, MultilinearPoly.const(n, 1))
+        assert det.terms == det_ring_leibniz(M, n), (M, n)
+        assert all(det.terms.values())
+
+
+def test_det_ring_leaves_its_entries_unchanged():
+    # the minors are summed in place: no entry's (or one's) dict may be one
+    # of them, nor be negated or pruned where it is
+    cases = _det_ring_cases() + [([], 3), ([[MultilinearPoly.const(2, 5)]], 2)]
+    for M, n in cases:
+        one = MultilinearPoly.const(n, 1)
+        before = [[dict(e.terms) for e in row] for row in M]
+        det = det_ring(M, one)
+        assert [[e.terms for e in row] for row in M] == before
+        assert one.terms == {0: 1}
+        assert all(det.terms is not e.terms for row in M for e in row)
+        assert det.terms is not one.terms
+        det.terms.clear()  # the result is the caller's to change
+        assert one.terms == {0: 1}
+        assert [[e.terms for e in row] for row in M] == before
+
+
+def test_det_ring_stores_no_zero_when_products_cancel():
+    A = [[1, 2, 0], [3, 1, 1], [0, 1, 2]]
+    xa = xa_matrix(A)
+    one = MultilinearPoly.const(3, 1)
+    p = xa[0][0] + xa[1][0]  # x1 + 3 x2
+    q = xa[0][1] + xa[1][1]  # 2 x1 + x2
+    # p q and q p share the term 7 x1 x2, which cancels in det
+    det = det_ring([[p, q], [p, q]], one)
+    assert not det and det.terms == {}
+    r = xa[2][2] + one  # 1 + 2 x3
+    det = det_ring([[p, q, r], [p, q, r], xa[2]], one)
+    assert not det and det.terms == {}
+    # p q - q (p + r) = -q r: the x1 x2 key cancels, the others stay
+    det = det_ring([[p, q], [p + r, q]], one)
+    assert det == -(q * r)
+    assert 0b011 not in det.terms and all(det.terms.values())
 
 
 # -------------------------------------------------------------- permanents
@@ -443,8 +534,11 @@ def test_immanant_extremes_and_example():
     assert immanant(zero) == dict.fromkeys(partitions_of(4), 0)
 
 
-@given(int_matrices(max_n=4))
-def test_immanant_vs_class_sum_oracle(M):
+def _immanant_oracle(M) -> dict:
+    """Class sums of the diagonal products, cycle types by cycles_of,
+    against the Gram-Schmidt character table."""
+    import oracles
+
     n = len(M)
     by_type: dict = {}
     for images in permutations(range(n)):
@@ -454,13 +548,29 @@ def test_immanant_vs_class_sum_oracle(M):
             prod *= M[i][j]
         key = tuple(sorted((len(c) for c in cycles_of(sigma)), reverse=True))
         by_type[key] = by_type.get(key, 0) + prod
-    import oracles
-
-    table = oracles.irreducible_characters_oracle(n) if n else {(): {(): 1}}
-    assert immanant(M) == {
+    table = oracles.irreducible_characters_oracle(n)
+    return {
         lam: sum(table[lam][mu] * by_type.get(mu, 0) for mu in partitions_of(n))
         for lam in partitions_of(n)
     }
+
+
+@given(int_matrices(max_n=4))
+def test_immanant_vs_class_sum_oracle(M):
+    assert immanant(M) == _immanant_oracle(M)
+
+
+def test_immanant_at_zero_one_and_seven():
+    assert immanant([]) == _immanant_oracle([]) == {(): 1}
+    for x in (-3, 0, 1):
+        assert immanant([[x]]) == _immanant_oracle([[x]]) == {(1,): x}
+    rng = random.Random(7)
+    for entries in ((0, 1), (-1, 0, 1, 2)):
+        M = [[rng.choice(entries) for _ in range(7)] for _ in range(7)]
+        got = immanant(M)
+        assert got == _immanant_oracle(M)
+        assert got[(7,)] == permanent_expansion(M)
+        assert got[(1,) * 7] == bareiss_det(M)
 
 
 # ----------------------------------------------------------- matrix series

@@ -230,6 +230,25 @@ def test_integer_coefficients_stay_int():
 
 # ------------------------------------------------------------ inner product
 
+@st.composite
+def pairing_sums(draw, fractions: bool):
+    """An s-, h- or e-basis SymFun with up to five terms of weights 0-7."""
+    basis = draw(st.sampled_from(("s", "h", "e")))
+    lams = draw(st.lists(partitions(max_weight=7), max_size=5, unique=True))
+    coeff = st.integers(-9, 9)
+    if fractions:
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    return SymFun(basis, {lam: draw(coeff) for lam in lams})
+
+
+@given(st.one_of(pairing_sums(False), pairing_sums(True)))
+def test_to_p_from_s_h_e_matches_the_per_term_oracle(f):
+    got = to_p(f)
+    assert got.basis == "p"
+    assert got.terms == oracles.to_p_by_pairings_oracle(f)
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
 def test_inner_product_orthogonality():
     for n in range(1, 6):
         parts = partitions_of(n)
