@@ -63,7 +63,6 @@ from .redei import (
     verify_chow_identities,
 )
 from .ringmat import (
-    MultilinearPoly,
     immanant,
     permanent_ryser,
     principal_determinants,

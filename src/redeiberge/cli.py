@@ -53,14 +53,16 @@ from .hamilton import (
 from .redei import (
     CHOW_BOUND,
     CHOW_IDENTITIES_BOUND,
+    DEFAULT_ROUTE,
+    _first_difference,
     applicable_routes,
     check_hooks,
     compare_routes,
     powersum_to_ones,
     u_all_routes,
     u_from_chow,
+    u_digraph,
     u_tournament,
-    u_via_powersum_GS,
     verify_chow_identities,
 )
 from .symfun import BASES, SymFun, convert, omega, to_p
@@ -162,12 +164,12 @@ def identity_suite(D: Digraph) -> dict:
         if u_ref is None:
             return results
 
-    if u_ref is not None and "powersum-GS" in routes:
+    if u_ref is not None and DEFAULT_ROUTE in routes:
         run(
             "omega-complement",
             lambda: _assert_equal_p(
                 omega(u_ref),
-                u_via_powersum_GS(complement(D)),
+                u_digraph(complement(D)),
                 "omega(U_D) vs U of complement",
             ),
         )
@@ -175,7 +177,7 @@ def identity_suite(D: Digraph) -> dict:
             "opposite-invariance",
             lambda: _assert_equal_p(
                 u_ref,
-                u_via_powersum_GS(opposite(D)),
+                u_digraph(opposite(D)),
                 "U_D vs U of opposite",
             ),
         )
@@ -235,8 +237,11 @@ def identity_suite(D: Digraph) -> dict:
 
 
 def _assert_equal_p(f: SymFun, g: SymFun, label: str) -> None:
-    if to_p(f).terms != to_p(g).terms:
-        raise DisagreementError(f"{label}: {to_p(f)!r} != {to_p(g)!r}")
+    """Raise DisagreementError naming the first p coefficient where f and g
+    differ."""
+    fp, gp = to_p(f), to_p(g)
+    if fp.terms != gp.terms:
+        raise DisagreementError(_first_difference(label, fp, gp))
 
 
 # ------------------------------------------------------------------- corpus
@@ -332,7 +337,7 @@ def cmd_u(args) -> int:
         if not routes:
             raise GuardError(f"no route admits n = {D.n}")
     elif args.routes == "default":
-        routes = ["powersum-GS"]
+        routes = [DEFAULT_ROUTE]
     else:
         routes = [r.strip() for r in args.routes.split(",") if r.strip()]
     results = u_all_routes(D, routes)

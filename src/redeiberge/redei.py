@@ -56,7 +56,6 @@ from .digraph import (
 )
 from .guards import DisagreementError, guard
 from .ringmat import (
-    MultilinearPoly,
     _anchored_cycle_weights,
     _signed_cycles,
     det_ring,
@@ -185,11 +184,10 @@ def u_via_matrix_route(D: Digraph) -> SymFun:
     _admit("matrix-det", D)
     if n == 0:
         return SymFun.const(1)
-    one = MultilinearPoly.const(n, 1)
     H = matrix_series(complement(D).adjacency(), "H")
     E = matrix_series(D.adjacency(), "E")
-    det_h = series_coefficients(det_ring(H, one), "H")
-    det_e = series_coefficients(det_ring(E, one), "E")
+    det_h = series_coefficients(det_ring(H, n), n, "H")
+    det_e = series_coefficients(det_ring(E, n), n, "E")
     full = (1 << n) - 1
     terms: dict = {}
     for mask, ch in det_h.items():
@@ -223,12 +221,11 @@ def _jt_coefficient(xis: list, lam: tuple) -> int:
     """Full-support coefficient of det [xi_{lam_i - i + j}], xis = xi(D);
     an index outside 0..n reads as 0."""
     n = len(xis) - 1
-    zero = MultilinearPoly.zero(n)
     M = [
-        [xis[k] if 0 <= k <= n else zero for k in range(part - i, part - i + len(lam))]
+        [xis[k] if 0 <= k <= n else {} for k in range(part - i, part - i + len(lam))]
         for i, part in enumerate(lam)
     ]
-    return det_ring(M, MultilinearPoly.const(n, 1)).coeff((1 << n) - 1)
+    return det_ring(M, n).get((1 << n) - 1, 0)
 
 
 def u_via_schur_JT(D: Digraph) -> SymFun:
@@ -456,7 +453,6 @@ def _first_difference(label: str, a, b) -> str:
 @dataclass
 class URouteResult:
     route: str
-    basis: str
     value: SymFun
     elapsed_ms: float
 
@@ -477,28 +473,28 @@ class Route(NamedTuple):
 
 
 # Route name -> Route, in the order of applicable_routes, which is the
-# order of the routes in `u --routes all` output.
+# order of the routes in `u --routes all` output.  Each row looks its
+# function up by name when called, so a wrapper put on the module's
+# function (a test stub, bench/tracer.py) is the one that runs.
 ROUTES = {
-    "F-definition": Route(u_via_fundamental, 7),
-    "path-cover": Route(u_via_path_covers, 8),
-    "powersum-GS": Route(u_via_powersum_GS, 8),
-    "subset-formula": Route(u_via_subset_formula, 7),
-    "matrix-det": Route(u_via_matrix_route, 6),
-    "schur-JT": Route(u_via_schur_JT, 7),
-    "immanant-LR": Route(u_via_immanant_LR, 6),
+    "F-definition": Route(lambda D: u_via_fundamental(D), 7),
+    "path-cover": Route(lambda D: u_via_path_covers(D), 8),
+    "powersum-GS": Route(lambda D: u_via_powersum_GS(D), 8),
+    "subset-formula": Route(lambda D: u_via_subset_formula(D), 7),
+    "matrix-det": Route(lambda D: u_via_matrix_route(D), 6),
+    "schur-JT": Route(lambda D: u_via_schur_JT(D), 7),
+    "immanant-LR": Route(lambda D: u_via_immanant_LR(D), 6),
     "acyclic-powersum": Route(lambda D: u_acyclic(D, "powersum"), 8, is_acyclic),
     "acyclic-schur": Route(lambda D: u_acyclic(D, "schur"), 6, is_acyclic),
     "acyclic-records": Route(
         lambda D: u_acyclic(D, "records"), 8, has_only_descending_edges
     ),
-    "tournament": Route(u_tournament, 8, is_tournament),
+    "tournament": Route(lambda D: u_tournament(D), 8, is_tournament),
 }
 
-# compute_route calls through this name -> function dict, not the rows:
-# a wrapper put on the module's functions from outside (bench/tracer.py)
-# replaces values in module-level dicts but not fields of a row.  For the
-# same reason the acyclic flavors look u_acyclic up when called.
-_ROUTE_FUNCTIONS = {name: r.fn for name, r in ROUTES.items()}
+# The route behind u_digraph, `u --routes default` and the identity
+# suite's checks on the complement and the opposite.
+DEFAULT_ROUTE = "powersum-GS"
 
 
 def _admit(name: str, D: Digraph) -> None:
@@ -522,12 +518,11 @@ def applicable_routes(D: Digraph) -> list:
 
 
 def compute_route(D: Digraph, route: str) -> URouteResult:
-    fn = _ROUTE_FUNCTIONS[route]
+    fn = ROUTES[route].fn
     t0 = time.perf_counter()
     value = fn(D)
     return URouteResult(
         route=route,
-        basis=value.basis,
         value=value,
         elapsed_ms=(time.perf_counter() - t0) * 1000,
     )
@@ -576,5 +571,5 @@ def compare_routes(results) -> tuple:
 
 
 def u_digraph(D: Digraph, basis: str = "p") -> SymFun:
-    """U_D by the default route (signed power sums), in the requested basis."""
-    return convert(u_via_powersum_GS(D), basis)
+    """U_D by DEFAULT_ROUTE, in the requested basis."""
+    return convert(ROUTES[DEFAULT_ROUTE].fn(D), basis)

@@ -1,17 +1,16 @@
-"""Multilinear polynomial ring and exact matrix kernels.
+"""Exact matrix kernels, over the integers and the multilinear ring.
 
-MultilinearPoly represents an element of Z[x_1..x_n]/(x_i^2): a map
-from vertex-subset bitmasks to coefficients, int or Fraction.  src/
-builds int coefficients only; Fraction comes from the tests' inverse
-series.  Products of monomials with overlapping support vanish, which
-makes X A nilpotent and lets the generating-function determinants
-terminate exactly.
+An element of the multilinear ring Z[x_1..x_n]/(x_i^2) is a plain term
+dict {key: coefficient}, bit i-1 of the key marking x_i; src/ builds
+int coefficients only.  Products of monomials with overlapping support
+vanish, which makes X A nilpotent and lets the generating-function
+determinants terminate exactly.
 
 Two determinant kernels, one per job:
 
-- det_ring, for a matrix over the multilinear ring (the matrix-det and
-  schur-JT routes of U_D), by column-subset minors, each one term dict
-  that the products are added into in place;
+- det_ring, for a matrix of term dicts (the matrix-det and schur-JT
+  routes of U_D), by column-subset minors, each one term dict that the
+  products are added into in place;
 - principal_determinants and principal_permanents, for all principal
   minors of an integer matrix at once, by cycle-cover convolution (the
   Hamiltonian cycle formulas and the walk series).
@@ -85,96 +84,10 @@ from .combinat import character, partitions_of
 from .guards import guard
 from .symfun import SymFun
 
-# ------------------------------------------------------------ MultilinearPoly
+# ------------------------------------------------------------ exact det / per
 
-
-class MultilinearPoly:
-    """Square-free polynomial in x_1..x_n with int or Fraction coefficients.
-
-    Bit i-1 of a term's mask marks the variable x_i.  Keys built inside
-    this module (matrix_series) may also carry degree fields above bit
-    n-1; products test overlap on the low n bits only and add keys, and
-    repr prints such a key's partition after its monomial, x1*x2[2,1].
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict = {}
-        for mask, c in (terms or {}).items():
-            if mask >> n:
-                raise ValueError("mask uses variables beyond x_n")
-            if c:
-                self.terms[mask] = c
-
-    @classmethod
-    def zero(cls, n: int) -> "MultilinearPoly":
-        return cls(n)
-
-    @classmethod
-    def const(cls, n: int, c) -> "MultilinearPoly":
-        return cls(n, {0: c})
-
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            out[mask] = out.get(mask, 0) + c
-        return _poly(self.n, _nonzero(out))
-
-    def __neg__(self) -> "MultilinearPoly":
-        return _poly(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        out: dict = {}
-        low = (1 << self.n) - 1
-        _add_products(out, self.terms.items(), other.terms.items(), low)
-        return _poly(self.n, _nonzero(out))
-
-    def coeff(self, mask_or_verts):
-        """Coefficient of the squarefree monomial over a mask or vertex set."""
-        mask = (
-            mask_or_verts
-            if isinstance(mask_or_verts, int)
-            else mask_of(mask_or_verts)
-        )
-        return self.terms.get(mask, 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultilinearPoly)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        raise TypeError("MultilinearPoly is mutable, not hashable")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            mono = "*".join(f"x{i+1}" for i in range(self.n) if key >> i & 1)
-            lam = _degrees(key, self.n)
-            mono += f"[{','.join(map(str, lam))}]" if lam else ""
-            c = self.terms[key]
-            bits.append(f"({c})*{mono}" if mono else f"({c})")
-        return " + ".join(bits)
-
-
-def _poly(n: int, terms: dict) -> MultilinearPoly:
-    """The trusted construction: terms already merged, zero-free and
-    keyed as this module keys them."""
-    res = MultilinearPoly.__new__(MultilinearPoly)
-    res.n, res.terms = n, terms
-    return res
+# Largest matrix det_ring admits.
+DET_RING_BOUND = 8
 
 
 def _add_products(out: dict, t1, t2, low: int) -> None:
@@ -198,39 +111,26 @@ def _nonzero(terms: dict) -> dict:
     return terms
 
 
-def mask_of(verts) -> int:
-    mask = 0
-    for v in verts:
-        mask |= 1 << (v - 1)
-    return mask
-
-
-# ------------------------------------------------------------ exact det / per
-
-# Largest matrix det_ring admits.
-DET_RING_BOUND = 8
-
-
-def det_ring(M, one: MultilinearPoly) -> MultilinearPoly:
-    """Determinant of a matrix over the multilinear ring, by column-subset
-    minors; one = MultilinearPoly.const(n, 1) names the ring.
+def det_ring(M, nvars: int) -> dict:
+    """Determinant of a matrix over the multilinear ring in nvars
+    variables, each entry a term dict, by column-subset minors.
 
     The minor of the first r rows on a column set is one term dict.  Row r
     adds each minor-by-entry product into the dict of the larger set in
     place, the row sign (-1)^r folded into the entry and its negation
     taken where an odd number of the minor's columns lie left of the
     entry's; zeros are pruned once per row.  O(n 2^n) polynomial
-    products, no division.
+    products, no division.  The result is a new dict.
     """
     n = len(M)
     guard("det_ring", n, DET_RING_BOUND)
-    low = (1 << one.n) - 1
-    minors = {0: one.terms}
+    low = (1 << nvars) - 1
+    minors = {0: {0: 1}}
     for r, row in enumerate(M):
         signed = []  # (bit, (entry * (-1)^r, entry * (-1)^(r+1))) per nonzero entry
         for j, entry in enumerate(row):
-            if entry.terms:
-                pos = tuple(entry.terms.items())
+            if entry:
+                pos = tuple(entry.items())
                 neg = tuple((m, -c) for m, c in pos)
                 signed.append((1 << j, (neg, pos) if r & 1 else (pos, neg)))
         nxt: dict = {}
@@ -243,7 +143,7 @@ def det_ring(M, one: MultilinearPoly) -> MultilinearPoly:
                         acc = nxt[cols | bit] = {}
                     _add_products(acc, val, pair[(cols & (bit - 1)).bit_count() & 1], low)
         minors = {cols: t for cols, acc in nxt.items() if (t := _nonzero(acc))}
-    return _poly(one.n, dict(minors.get((1 << n) - 1, {})))
+    return minors.get((1 << n) - 1, {})
 
 
 def permanent_ryser(M) -> int:
@@ -541,79 +441,49 @@ def immanant(M) -> dict:
 # ----------------------------------------------------------- matrix series
 
 
-def xa_matrix(A) -> list:
-    """The matrix X A with X = diag(x_1..x_n), over the multilinear ring."""
-    n = len(A)
-    return [
-        [
-            MultilinearPoly(n, {1 << i: A[i][j]} if A[i][j] else None)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def mlp_identity(n: int, c=1) -> list:
-    return [
-        [MultilinearPoly.const(n, c if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def mlp_mat_mul(M1, M2) -> list:
-    """Product of two n x n matrices over the ring in n variables; each
-    entry is summed in one dict, its zeros pruned once."""
-    n = len(M1)
-    low = (1 << n) - 1
-    cols = [[tuple(brow[j].terms.items()) for brow in M2] for j in range(n)]
-    out = []
-    for row in M1:
-        row = [tuple(a.terms.items()) for a in row]
-        new = []
-        for col in cols:
-            acc: dict = {}
-            for a, b in zip(row, col):
-                if a and b:
-                    _add_products(acc, a, b, low)
-            new.append(_poly(n, _nonzero(acc)))
-        out.append(new)
-    return out
-
-
 def matrix_series(A, kind: str) -> list:
-    """The matrix H_z(XA) = sum_k h_k (XA)^k, or E_z(XA) with e_k.
+    """The matrix H_z(XA) = sum_k h_k (XA)^k, or E_z(XA) with e_k, with
+    X = diag(x_1..x_n).
 
     X A is nilpotent in the multilinear ring, so the sum over k <= n is
-    exact.  Entries are MultilinearPoly with int coefficients; the term
-    x_S of (XA)^k, k = |S|, is keyed S plus one count in degree k's
-    field (module docstring).  H and E pack alike and differ only in how
-    series_coefficients reads the fields: as h (kind "H") or e ("E").
+    exact.  Entries are term dicts with int coefficients; the term x_S of
+    (XA)^k, k = |S|, is keyed S plus one count in degree k's field
+    (module docstring).  (XA)^k is (XA)^(k-1) times XA, entry by entry:
+    x_l A[l][j] extends each term of column l that avoids x_l.  H and E
+    pack alike and differ only in how series_coefficients reads the
+    fields: as h (kind "H") or e ("E").
     """
     n = len(A)
     guard("matrix_series", n, 6)
     _series_basis(kind)
     width = n.bit_length()
-    power = mlp_identity(n)
-    out = [[dict(entry.terms) for entry in row] for row in power]
-    xa = xa_matrix(A)
+    out = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
+    power = [[dict(t) for t in row] for row in out]  # (XA)^0
     for k in range(1, n + 1):
-        power = mlp_mat_mul(power, xa)
         field = 1 << (n + (k - 1) * width)
         for orow, prow in zip(out, power):
-            for terms, entry in zip(orow, prow):
-                for mask, c in entry.terms.items():
+            new = [{} for _ in range(n)]
+            for l, terms in enumerate(prow):
+                bit = 1 << l
+                for mask, c in terms.items():
+                    if not mask & bit:
+                        for acc, a in zip(new, A[l]):
+                            if a:
+                                acc[mask | bit] = acc.get(mask | bit, 0) + c * a
+            prow[:] = [_nonzero(acc) for acc in new]
+            for terms, acc in zip(orow, prow):
+                for mask, c in acc.items():
                     terms[mask + field] = c
-    return [[_poly(n, terms) for terms in row] for row in out]
+    return out
 
 
-def series_coefficients(det: MultilinearPoly, kind: str) -> dict:
-    """{mask: SymFun} of a product of matrix_series entries, such as their
-    det_ring: each key's degree fields read back as the partition of its
-    h factors (kind "H") or e factors (kind "E")."""
-    n = det.n
+def series_coefficients(det: dict, n: int, kind: str) -> dict:
+    """{mask: SymFun} of a product of matrix_series entries on n vertices,
+    such as their det_ring: each key's degree fields read back as the
+    partition of its h factors (kind "H") or e factors (kind "E")."""
     low = (1 << n) - 1
     by_mask: dict = {}
-    for key, c in det.terms.items():
+    for key, c in det.items():
         by_mask.setdefault(key & low, {})[_degrees(key, n)] = c
     basis = _series_basis(kind)
     return {mask: SymFun(basis, terms) for mask, terms in by_mask.items()}

@@ -26,19 +26,20 @@ from dataclasses import dataclass, field
 from .digraph import Digraph, complement, is_acyclic
 from .guards import guard
 from .hamilton import DP_BOUND
-from .ringmat import MultilinearPoly, path_counts, principal_determinants
+from .ringmat import path_counts, principal_determinants
 
 
 def xi(D: Digraph) -> list:
-    """The path polynomials [xi_0, ..., xi_n] of D, from one path_counts
-    table: xi_k sums x_S over the directed paths on k vertices, S their
-    vertex set, so xi_0 = 1.  Shares ham_dp's size bound."""
+    """The path polynomials [xi_0, ..., xi_n] of D as term dicts, from one
+    path_counts table: xi_k sums x_S over the directed paths on k
+    vertices, S their vertex set, so xi_0 = {0: 1}.  Shares ham_dp's size
+    bound."""
     guard("xi", D.n, DP_BOUND)
     out: list = [{} for _ in range(D.n + 1)]
     for mask, c in enumerate(path_counts(D.adjacency())):
         if c:
             out[mask.bit_count()][mask] = c
-    return [MultilinearPoly(D.n, terms) for terms in out]
+    return out
 
 
 def _walk_counts(A, pt: list, count: int) -> list:

@@ -3,7 +3,9 @@
 Everything here recomputes values from first principles with the
 dumbest correct algorithm available (literal enumeration, classical
 recurrences), sharing no code with the package internals beyond the
-Digraph and MultilinearPoly containers, so that agreement is meaningful.
+Digraph container, so that agreement is meaningful.  Elements of the
+multilinear ring are term dicts, as in the package, multiplied here by
+ring_mul, a product loop of the tests' own.
 specialize (and lift_to_mtilde, its inverse) and inner_product read a
 SymFun through the library's basis conversion.  schur_coeff_JT is not an
 oracle: it reads one partition off the schur-JT route's _schur_JT, for
@@ -29,7 +31,6 @@ from redeiberge.combinat import (
 from redeiberge.digraph import Digraph, _vertex_subset, complement
 from redeiberge.guards import guard
 from redeiberge.redei import _schur_JT
-from redeiberge.ringmat import MultilinearPoly
 from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, convert, to_p
 from redeiberge.walks import _det_series, _flip, _ratio, _walk_counts
 
@@ -665,9 +666,40 @@ def cycle_cover_sums(w: list) -> list:
     return out
 
 
-def coeff_extract(f: MultilinearPoly, verts):
+# ------------------------------------------------------- multilinear ring
+#
+# An element of Z[x_1..x_n]/(x_i^2) is a term dict {key: coefficient}:
+# bit i-1 of a key marks x_i, and bits from n up (the degree fields of
+# ringmat.matrix_series) add under products.
+
+def ring_mul(f: dict, g: dict, n: int) -> dict:
+    """f * g in n variables: terms whose supports (the low n bits) meet
+    vanish, the others' keys add; zero sums are dropped."""
+    low = (1 << n) - 1
+    out: dict = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            if not k1 & k2 & low:
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def ring_add(f: dict, g: dict) -> dict:
+    """f + g, zero sums dropped."""
+    out = dict(f)
+    for k, c in g.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def variable(i: int, c=1) -> dict:
+    """c * x_i."""
+    return {1 << (i - 1): c}
+
+
+def coeff_extract(f: dict, verts):
     """The coefficient functional: read off the monomial over the vertex set."""
-    return f.coeff(sum(1 << (v - 1) for v in set(verts)))
+    return f.get(sum(1 << (v - 1) for v in set(verts)), 0)
 
 
 def identity_minus_xa(A) -> list:
@@ -705,7 +737,7 @@ def matrix_series_oracle(A, kind: str) -> list:
             }
             if i == j:
                 terms[0] = SymFun.const(1, basis)
-            row.append(MultilinearPoly(n, terms))
+            row.append({mask: c for mask, c in terms.items() if c})
         out.append(row)
     return out
 
@@ -713,7 +745,10 @@ def matrix_series_oracle(A, kind: str) -> list:
 def _identity_plus_signed_xa(A, sign: int) -> list:
     n = len(A)
     return [
-        [MultilinearPoly(n, {0: int(i == j), 1 << i: sign * A[i][j]}) for j in range(n)]
+        [
+            {k: c for k, c in ((0, int(i == j)), (1 << i, sign * A[i][j])) if c}
+            for j in range(n)
+        ]
         for i in range(n)
     ]
 
@@ -746,44 +781,33 @@ def bareiss_det(M) -> int:
 
 def det_ring_leibniz(M, n: int) -> dict:
     """det M over the multilinear ring in n variables, by the Leibniz sum:
-    each permutation's product expanded term by term.  Keys add, and a
-    product of terms whose supports (the low n bits) meet vanishes.
-    Returns the nonzero terms."""
-    low = (1 << n) - 1
+    each permutation's signed product expanded by ring_mul."""
     total: dict = {}
     for sigma in permutations(range(len(M))):
-        terms = {0: 1}
+        terms = {0: sgn(tuple(j + 1 for j in sigma))}
         for row, j in zip(M, sigma):
-            nxt: dict = {}
-            for k1, c1 in terms.items():
-                for k2, c2 in row[j].terms.items():
-                    if not k1 & k2 & low:
-                        nxt[k1 + k2] = nxt.get(k1 + k2, 0) + c1 * c2
-            terms = nxt
-        sign = sgn(tuple(j + 1 for j in sigma))
-        for key, c in terms.items():
-            total[key] = total.get(key, 0) + sign * c
-    return {key: c for key, c in total.items() if c}
+            terms = ring_mul(terms, row[j], n)
+        total = ring_add(total, terms)
+    return total
 
 
-def multilinear_inverse(f: MultilinearPoly) -> MultilinearPoly:
-    """Inverse of f; needs an invertible scalar constant term.
+def multilinear_inverse(f: dict, n: int) -> dict:
+    """Inverse of f in n variables; needs an invertible scalar constant term.
 
     With f = c0 (1 - g) and g nilpotent, f^(-1) = (1 + g + g^2 + ...) / c0.
     """
-    c0 = f.terms.get(0, 0)
+    c0 = f.get(0, 0)
     if not isinstance(c0, (int, Fraction)) or not c0:
         raise ZeroDivisionError("constant term is not an invertible scalar")
-    inv0 = Fraction(1, 1) / Fraction(c0)
-    g = MultilinearPoly(f.n, {m: -c * inv0 for m, c in f.terms.items() if m})
-    acc = MultilinearPoly.const(f.n, Fraction(1))
-    power = MultilinearPoly.const(f.n, Fraction(1))
-    for _ in range(f.n):
-        power = power * g
-        if not power.terms:
+    inv0 = 1 / Fraction(c0)
+    g = {m: -c * inv0 for m, c in f.items() if m}
+    acc = power = {0: inv0}
+    for _ in range(n):
+        power = ring_mul(power, g, n)
+        if not power:
             break
-        acc = acc + power
-    return acc * MultilinearPoly.const(f.n, inv0)
+        acc = ring_add(acc, power)
+    return acc
 
 
 # ------------------------------------------------ permutations tied to edges
@@ -953,11 +977,6 @@ def dominates(lam, mu) -> bool:
         if a < b:
             return False
     return True
-
-
-def variable(n: int, i: int, c=1) -> MultilinearPoly:
-    """c * x_i; the constructor rejects an i outside 1..n."""
-    return MultilinearPoly(n, {1 << (i - 1): c})
 
 
 def induced(D: Digraph, verts) -> Digraph:

@@ -25,6 +25,7 @@ from redeiberge.cli import (
 )
 from redeiberge.combinat import partitions_of
 from redeiberge.digraph import (
+    complement,
     complete_digraph,
     digraph,
     digraph_hash,
@@ -32,12 +33,13 @@ from redeiberge.digraph import (
     digraph_to_text,
     directed_path_digraph,
     empty_digraph,
+    opposite,
     random_digraph,
     random_tournament,
 )
 from redeiberge.guards import GuardError
 from redeiberge.redei import applicable_routes, u_digraph
-from redeiberge.symfun import SymFun, convert
+from redeiberge.symfun import SymFun, convert, omega, to_p
 
 EXAMPLE3 = digraph(3, [(1, 1), (1, 3), (3, 2)])
 
@@ -245,10 +247,10 @@ def test_u_disagreement_names_the_first_differing_route(
     # as in the identity suite: matrix-det returns U_D plus p_(2,1), and
     # stderr names it against the first route at the first differing
     # partition, while stdout keeps the payload it prints on agreement
-    real = redei._ROUTE_FUNCTIONS["matrix-det"]
-    monkeypatch.setitem(
-        redei._ROUTE_FUNCTIONS,
-        "matrix-det",
+    real = redei.u_via_matrix_route
+    monkeypatch.setattr(
+        redei,
+        "u_via_matrix_route",
         lambda D: real(D) + SymFun("p", {(2, 1): 1}),
     )
     path = tmp_path / "example3.dg"
@@ -435,10 +437,10 @@ def test_run_corpus_records_an_identity_that_raises(monkeypatch):
 def test_routes_agree_failure_names_the_first_differing_route(monkeypatch):
     # matrix-det returns U_D plus p_(2,1); the failure names it against the
     # first route and the first partition, in sorted order, that differs
-    real = redei._ROUTE_FUNCTIONS["matrix-det"]
-    monkeypatch.setitem(
-        redei._ROUTE_FUNCTIONS,
-        "matrix-det",
+    real = redei.u_via_matrix_route
+    monkeypatch.setattr(
+        redei,
+        "u_via_matrix_route",
         lambda D: real(D) + SymFun("p", {(2, 1): 1}),
     )
     routes = applicable_routes(EXAMPLE3)
@@ -448,6 +450,48 @@ def test_routes_agree_failure_names_the_first_differing_route(monkeypatch):
         "DisagreementError: routes disagree: matrix-det differs from"
         f" F-definition: coefficient at (2, 1) differs, {c + 1} vs {c}"
     )
+
+
+def test_default_route_is_named_once(monkeypatch, capsys):
+    # u_digraph, `u --routes default` and the identity suite's complement
+    # and opposite checks all run DEFAULT_ROUTE: set to path-cover, each
+    # runs path-cover, on the digraphs it is given
+    real = redei.u_via_path_covers
+    seen = []
+    monkeypatch.setattr(redei, "u_via_path_covers", lambda D: seen.append(D) or real(D))
+    for module in (redei, cli):
+        monkeypatch.setattr(module, "DEFAULT_ROUTE", "path-cover")
+    assert u_digraph(EXAMPLE3, "mtilde") == real(EXAMPLE3)
+    assert seen == [EXAMPLE3]
+    assert main(["u", "--gen", "empty:3", "--routes", "default", "--format", "table"]) == 0
+    out = capsys.readouterr().out
+    assert "route path-cover:" in out and "powersum-GS" not in out
+    assert seen[1:] == [empty_digraph(3)]
+    del seen[:]
+    results = identity_suite(EXAMPLE3)
+    assert results["omega-complement"] is None
+    assert results["opposite-invariance"] is None
+    # the first call is routes-agree's
+    assert seen == [EXAMPLE3, complement(EXAMPLE3), opposite(EXAMPLE3)]
+
+
+def test_omega_complement_failure_names_the_first_differing_coefficient(monkeypatch):
+    # the complement's U gains p_(2,1) + p_(3): the failure names the
+    # first of the two partitions in sorted order and both coefficients
+    Dbar = complement(EXAMPLE3)
+    real = redei.u_via_powersum_GS
+    extra = SymFun("p", {(2, 1): 1, (3,): 1})
+    monkeypatch.setattr(
+        redei, "u_via_powersum_GS", lambda D: real(D) + extra if D == Dbar else real(D)
+    )
+    c = to_p(omega(u_digraph(EXAMPLE3))).coefficient((2, 1))
+    results = identity_suite(EXAMPLE3)
+    assert results["routes-agree"] is None
+    assert results["omega-complement"] == (
+        "DisagreementError: omega(U_D) vs U of complement:"
+        f" coefficient at (2, 1) differs, {c} vs {c + 1}"
+    )
+    assert results["opposite-invariance"] is None
 
 
 def test_verify_skips_route_agreement_without_two_routes(capsys):

@@ -1,8 +1,10 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,8 @@ from oracles import (
     multilinear_inverse,
     path_sets_oracle,
     permanent_expansion,
+    ring_add,
+    ring_mul,
     sgn,
     variable,
 )
@@ -37,17 +41,13 @@ from redeiberge.digraph import (
 )
 from redeiberge.guards import GuardError, guard
 from redeiberge.ringmat import (
-    MultilinearPoly,
     _anchored_cycle_weights,
     _cycle_cover_sums,
     _packing_depth,
     _signed_cycles,
     det_ring,
     immanant,
-    mask_of,
     matrix_series,
-    mlp_identity,
-    mlp_mat_mul,
     partition_sum,
     path_counts,
     permanent_ryser,
@@ -56,7 +56,6 @@ from redeiberge.ringmat import (
     series_coefficients,
     submatrix,
     subset_exp,
-    xa_matrix,
 )
 from redeiberge.symfun import SymFun, to_p
 
@@ -72,48 +71,42 @@ def leibniz_det(M) -> int:
     return total
 
 
-# ------------------------------------------------------------ MultilinearPoly
+# ------------------------------------------- the tests' multilinear ring
 
 def test_multilinear_squares_vanish():
-    x1 = variable(3, 1)
-    x2 = variable(3, 2)
-    assert not (x1 * x1).terms
-    s = x1 + x2
-    assert (s * s).coeff({1, 2}) == 2
-    assert (s * s).coeff({1}) == 0
-    assert coeff_extract(s * s, (1, 2)) == 2
-    assert mask_of((1, 3)) == 0b101
-
-
-def test_multilinear_validation_and_const():
-    with pytest.raises(ValueError):
-        MultilinearPoly(2, {0b100: 1})
-    with pytest.raises(ValueError):
-        variable(2, 3)
-    c = MultilinearPoly.const(2, 7)
-    assert c.coeff(0) == 7
-    assert c.coeff(()) == 7
-
-
-def test_repr_prints_packed_degree_partitions():
-    # det H(XA) of a 2-cycle is 1 + (2 h_2 - h_1^2) x1 x2: two terms on the
-    # support x1 x2 that differ only in their packed h partition
-    det = det_ring(matrix_series([[0, 1], [1, 0]], "H"), MultilinearPoly.const(2, 1))
-    assert repr(det) == "(1) + (-1)*x1*x2[1,1] + (2)*x1*x2[2]"
-    assert repr(MultilinearPoly(2, {0: 1, 0b11: 2})) == "(1) + (2)*x1*x2"
+    x1, x2 = variable(1), variable(2)
+    assert ring_mul(x1, x1, 3) == {}
+    s = ring_add(x1, x2)
+    assert ring_mul(s, s, 3) == {0b11: 2}
+    assert coeff_extract(ring_mul(s, s, 3), (1, 2)) == 2
+    assert ring_add(s, variable(1, -1)) == x2
+    # keys above the low n bits add without an overlap test
+    assert ring_mul({0b1100: 3}, {0b0110: 5}, 2) == {0b10010: 15}
 
 
 def test_multilinear_inverse_is_geometric():
     # (1 - x1 - x2)^(-1) = 1 + (x1 + x2) + 2 x1 x2
-    f = MultilinearPoly(2, {0: 1, 0b01: -1, 0b10: -1})
-    inv = multilinear_inverse(f)
-    assert inv.coeff(0) == 1
-    assert inv.coeff({1}) == 1
-    assert inv.coeff({2}) == 1
-    assert inv.coeff({1, 2}) == 2
-    assert (f * inv) == MultilinearPoly.const(2, Fraction(1))
+    f = {0: 1, 0b01: -1, 0b10: -1}
+    inv = multilinear_inverse(f, 2)
+    assert inv == {0: 1, 0b01: 1, 0b10: 1, 0b11: 2}
+    assert ring_mul(f, inv, 2) == {0: 1}
+    assert multilinear_inverse({0: 2, 0b01: 1}, 1) == {0: Fraction(1, 2), 0b01: Fraction(-1, 4)}
     with pytest.raises(ZeroDivisionError):
-        multilinear_inverse(MultilinearPoly(2, {0b01: 1}))
+        multilinear_inverse({0b01: 1}, 2)
+
+
+def test_oracles_import_nothing_from_ringmat():
+    # the oracle ring multiplies with its own loop, never the kernel's
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "redeiberge.symfun" in imported
+    assert not [m for m in imported if m.split(".")[:2] == ["redeiberge", "ringmat"]]
 
 
 # ------------------------------------------------------------ determinants
@@ -125,28 +118,30 @@ def test_bareiss_matches_leibniz(M):
 
 def _scalars(M) -> list:
     """A scalar matrix over the multilinear ring on n = 0 variables."""
-    return [[MultilinearPoly.const(0, x) for x in row] for row in M]
+    return [[{0: x} if x else {} for x in row] for row in M]
+
+
+def _xa(A) -> list:
+    """X A with X = diag(x_1..x_n), as term dicts."""
+    return [[{1 << i: a} if a else {} for a in row] for i, row in enumerate(A)]
 
 
 @given(int_matrices(max_n=4))
 def test_det_ring_and_fraction_path_match_bareiss(M):
     ref = bareiss_det(M)
-    assert det_ring(_scalars(M), MultilinearPoly.const(0, 1)) == MultilinearPoly.const(
-        0, ref
-    )
+    assert det_ring(_scalars(M), 0) == ({0: ref} if ref else {})
     Mq = _scalars([[Fraction(x, 2) for x in row] for row in M])
-    got = det_ring(Mq, MultilinearPoly.const(0, Fraction(1)))
-    assert got == MultilinearPoly.const(0, Fraction(ref, 2 ** len(M)))
+    got = det_ring(Mq, 0)
+    assert got == ({0: Fraction(ref, 2 ** len(M))} if ref else {})
 
 
 def test_determinant_edge_cases():
-    one = MultilinearPoly.const(0, 1)
     assert bareiss_det([]) == 1
-    assert det_ring([], one) == one
+    assert det_ring([], 0) == {0: 1}
     assert bareiss_det([[0, 1], [0, 0]]) == 0
-    assert det_ring(_scalars([[0, 1], [1, 0]]), one) == MultilinearPoly.const(0, -1)
+    assert det_ring(_scalars([[0, 1], [1, 0]]), 0) == {0: -1}
     with pytest.raises(GuardError):
-        det_ring(_scalars([[1] * 9 for _ in range(9)]), one)
+        det_ring(_scalars([[1] * 9 for _ in range(9)]), 0)
 
 
 @st.composite
@@ -158,18 +153,18 @@ def ring_matrices(draw, max_size=4, max_n=4):
     terms = st.dictionaries(
         st.integers(0, (1 << n) - 1), st.integers(-3, 3), max_size=3
     )
-    M = [[MultilinearPoly(n, draw(terms)) for _ in range(size)] for _ in range(size)]
+    M = [[draw(terms) for _ in range(size)] for _ in range(size)]
     return M, n
 
 
 def _det_ring_cases() -> list:
-    """(M, n) over xa_matrix, I + XA and both packed series of seeded A."""
+    """(M, n) over X A, I + X A and both packed series of seeded A."""
     rng = random.Random(11)
     cases = []
     for n in range(5):
         A = [[rng.choice((0, 0, 1, -2)) for _ in range(n)] for _ in range(n)]
         for M in (
-            xa_matrix(A),
+            _xa(A),
             identity_plus_xa(A),
             matrix_series(A, "H"),
             matrix_series(A, "E"),
@@ -181,53 +176,44 @@ def _det_ring_cases() -> list:
 @given(ring_matrices())
 def test_det_ring_matches_the_leibniz_oracle(case):
     M, n = case
-    det = det_ring(M, MultilinearPoly.const(n, 1))
-    assert det.n == n
-    assert det.terms == det_ring_leibniz(M, n)
-    assert all(det.terms.values())
+    det = det_ring(M, n)
+    assert det == det_ring_leibniz(M, n)
+    assert all(det.values())
 
 
 def test_det_ring_matches_the_leibniz_oracle_on_series():
     # packed keys: degree fields above bit n - 1 add, supports must not meet
     for M, n in _det_ring_cases():
-        det = det_ring(M, MultilinearPoly.const(n, 1))
-        assert det.terms == det_ring_leibniz(M, n), (M, n)
-        assert all(det.terms.values())
+        det = det_ring(M, n)
+        assert det == det_ring_leibniz(M, n), (M, n)
+        assert all(det.values())
 
 
 def test_det_ring_leaves_its_entries_unchanged():
-    # the minors are summed in place: no entry's (or one's) dict may be one
-    # of them, nor be negated or pruned where it is
-    cases = _det_ring_cases() + [([], 3), ([[MultilinearPoly.const(2, 5)]], 2)]
+    # the minors are summed in place: no entry's dict may be one of them,
+    # nor be negated or pruned where it is
+    cases = _det_ring_cases() + [([], 3), ([[{0: 5}]], 2)]
     for M, n in cases:
-        one = MultilinearPoly.const(n, 1)
-        before = [[dict(e.terms) for e in row] for row in M]
-        det = det_ring(M, one)
-        assert [[e.terms for e in row] for row in M] == before
-        assert one.terms == {0: 1}
-        assert all(det.terms is not e.terms for row in M for e in row)
-        assert det.terms is not one.terms
-        det.terms.clear()  # the result is the caller's to change
-        assert one.terms == {0: 1}
-        assert [[e.terms for e in row] for row in M] == before
+        before = [[dict(e) for e in row] for row in M]
+        det = det_ring(M, n)
+        assert M == before
+        assert all(det is not e for row in M for e in row)
+        det.clear()  # the result is the caller's to change
+        assert M == before
+        assert det_ring(M, n) == det_ring_leibniz(M, n)
 
 
 def test_det_ring_stores_no_zero_when_products_cancel():
-    A = [[1, 2, 0], [3, 1, 1], [0, 1, 2]]
-    xa = xa_matrix(A)
-    one = MultilinearPoly.const(3, 1)
-    p = xa[0][0] + xa[1][0]  # x1 + 3 x2
-    q = xa[0][1] + xa[1][1]  # 2 x1 + x2
+    p = {0b001: 1, 0b010: 3}  # x1 + 3 x2
+    q = {0b001: 2, 0b010: 1}  # 2 x1 + x2
     # p q and q p share the term 7 x1 x2, which cancels in det
-    det = det_ring([[p, q], [p, q]], one)
-    assert not det and det.terms == {}
-    r = xa[2][2] + one  # 1 + 2 x3
-    det = det_ring([[p, q, r], [p, q, r], xa[2]], one)
-    assert not det and det.terms == {}
+    assert det_ring([[p, q], [p, q]], 3) == {}
+    r = {0: 1, 0b100: 2}  # 1 + 2 x3
+    assert det_ring([[p, q, r], [p, q, r], [{}, {0b100: 1}, {0b100: 2}]], 3) == {}
     # p q - q (p + r) = -q r: the x1 x2 key cancels, the others stay
-    det = det_ring([[p, q], [p + r, q]], one)
-    assert det == -(q * r)
-    assert 0b011 not in det.terms and all(det.terms.values())
+    det = det_ring([[p, q], [ring_add(p, r), q]], 3)
+    assert det == {k: -c for k, c in ring_mul(q, r, 3).items()}
+    assert 0b011 not in det and all(det.values())
 
 
 # -------------------------------------------------------------- permanents
@@ -575,19 +561,6 @@ def test_immanant_at_zero_one_and_seven():
 
 # ----------------------------------------------------------- matrix series
 
-def test_xa_matrix_and_identity_series():
-    A = [[1, 1], [0, 1]]
-    XA = xa_matrix(A)
-    assert XA[0][0].coeff({1}) == 1
-    assert XA[0][1].coeff({1}) == 1
-    assert not XA[1][0].terms
-    prod = mlp_mat_mul(XA, XA)
-    # (XA)^2 entry (1,2): x1*(A[0][0]x1... ) only x1x2 survives
-    assert prod[0][1].coeff({1, 2}) == 1
-    ident = mlp_identity(2)
-    assert mlp_mat_mul(ident, XA)[0][0] == XA[0][0]
-
-
 def test_macmahon_det_side():
     # L_S det(I + X A) = det A[S] for every S
     import random
@@ -596,10 +569,10 @@ def test_macmahon_det_side():
     for _ in range(20):
         n = rng.randint(1, 4)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        f = det_ring(identity_plus_xa(A), MultilinearPoly.const(n, 1))
+        f = det_ring(identity_plus_xa(A), n)
         for S in range(1 << n):
             verts = [i + 1 for i in range(n) if S >> i & 1]
-            assert f.coeff(S) == bareiss_det(submatrix(A, verts)), (A, verts)
+            assert f.get(S, 0) == bareiss_det(submatrix(A, verts)), (A, verts)
 
 
 def test_macmahon_permanent_side():
@@ -610,11 +583,10 @@ def test_macmahon_permanent_side():
     for _ in range(20):
         n = rng.randint(1, 4)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        one = MultilinearPoly.const(n, 1)
-        f = multilinear_inverse(det_ring(identity_minus_xa(A), one))
+        f = multilinear_inverse(det_ring(identity_minus_xa(A), n), n)
         for S in range(1 << n):
             verts = [i + 1 for i in range(n) if S >> i & 1]
-            assert f.coeff(S) == permanent_expansion(submatrix(A, verts)), (A, verts)
+            assert f.get(S, 0) == permanent_expansion(submatrix(A, verts)), (A, verts)
 
 
 def test_sylvester_rank_one():
@@ -635,25 +607,25 @@ def test_sylvester_rank_one():
 def test_matrix_series_small():
     assert matrix_series([], "H") == []
     H = matrix_series([[1]], "H")
-    entry = series_coefficients(H[0][0], "H")
+    entry = series_coefficients(H[0][0], 1, "H")
     assert equals(entry[0], SymFun.const(1))
-    assert equals(entry[mask_of({1})], SymFun.element("h", (1,)))
+    assert equals(entry[0b1], SymFun.element("h", (1,)))
     E = matrix_series([[1]], "E")
-    assert equals(series_coefficients(E[0][0], "E")[1], SymFun.element("e", (1,)))
+    assert equals(series_coefficients(E[0][0], 1, "E")[1], SymFun.element("e", (1,)))
     # entries carry h (or e) basis coefficients with int values
     A = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     for kind in ("H", "E"):
         entries = [e for row in matrix_series(A, kind) for e in row]
-        assert all(type(v) is int for e in entries for v in e.terms.values())
+        assert all(type(v) is int for e in entries for v in e.values())
         coeffs = [
-            c for e in entries for c in series_coefficients(e, kind).values()
+            c for e in entries for c in series_coefficients(e, 3, kind).values()
         ]
         assert coeffs and {c.basis for c in coeffs} == {kind.lower()}
         assert all(type(v) is int for c in coeffs for v in c.terms.values())
     with pytest.raises(ValueError):
         matrix_series([[1]], "Q")
     with pytest.raises(ValueError):
-        series_coefficients(MultilinearPoly.const(1, 1), "Q")
+        series_coefficients({0: 1}, 1, "Q")
     with pytest.raises(GuardError):
         matrix_series([[0] * 7 for _ in range(7)], "H")
 
@@ -666,31 +638,50 @@ def _p_terms(c) -> dict:
 @example([[-2]])
 @example([[2, -1, 0], [1, -2, 1], [0, -1, 1]])
 def test_packed_series_det_matches_symfun_oracle(A):
-    # det_ring of the packed integer series, decoded, against det_ring of
-    # the series built with SymFun coefficients, at every vertex set
+    # det_ring of the packed integer series, decoded, against the Leibniz
+    # det of the series built with SymFun coefficients, at every vertex set
     n = len(A)
     for kind in ("H", "E"):
-        basis = kind.lower()
-        got = series_coefficients(
-            det_ring(matrix_series(A, kind), MultilinearPoly.const(n, 1)), kind
-        )
-        one = MultilinearPoly.const(n, SymFun.const(1, basis))
-        want = det_ring(matrix_series_oracle(A, kind), one)
+        got = series_coefficients(det_ring(matrix_series(A, kind), n), n, kind)
+        want = det_ring_leibniz(matrix_series_oracle(A, kind), n)
         for mask in range(1 << n):
-            assert _p_terms(got.get(mask)) == _p_terms(want.coeff(mask))
+            assert _p_terms(got.get(mask)) == _p_terms(want.get(mask))
+
+
+@given(int_matrices(max_n=4, lo=-2, hi=2))
+def test_matrix_series_matches_the_walk_oracle(A):
+    # entry by entry: the packed powers of X A, decoded, against the walks
+    n = len(A)
+    for kind in ("H", "E"):
+        for row, want_row in zip(matrix_series(A, kind), matrix_series_oracle(A, kind)):
+            for entry, want in zip(row, want_row):
+                got = series_coefficients(entry, n, kind)
+                assert all(got.values())
+                assert {m: to_p(c).terms for m, c in got.items()} == {
+                    m: to_p(c).terms for m, c in want.items()
+                }
+
+
+def test_series_det_keeps_packed_degree_partitions_apart():
+    # det H(XA) of a 2-cycle is 1 + (2 h_2 - h_1^2) x1 x2: two terms on the
+    # support x1 x2 that differ only in their packed h partition
+    det = det_ring(matrix_series([[0, 1], [1, 0]], "H"), 2)
+    assert len(det) == 3
+    assert series_coefficients(det, 2, "H") == {
+        0: SymFun.const(1, "h"),
+        0b11: SymFun("h", {(1, 1): -1, (2,): 2}),
+    }
 
 
 def test_packed_series_det_small_n():
     for kind in ("H", "E"):
-        det0 = det_ring(matrix_series([], kind), MultilinearPoly.const(0, 1))
-        assert series_coefficients(det0, kind) == {0: SymFun.const(1, kind.lower())}
+        det0 = det_ring(matrix_series([], kind), 0)
+        assert series_coefficients(det0, 0, kind) == {0: SymFun.const(1, kind.lower())}
     # one vertex with a loop of weight -3: det = 1 - 3 h_1 x1; no loop: 1
-    got = series_coefficients(
-        det_ring(matrix_series([[-3]], "H"), MultilinearPoly.const(1, 1)), "H"
-    )
+    got = series_coefficients(det_ring(matrix_series([[-3]], "H"), 1), 1, "H")
     assert got == {0: SymFun.const(1, "h"), 1: SymFun("h", {(1,): -3})}
     assert not series_coefficients(
-        det_ring(matrix_series([[0]], "E"), MultilinearPoly.const(1, 1)), "E"
+        det_ring(matrix_series([[0]], "E"), 1), 1, "E"
     ).get(1)
 
 
@@ -699,8 +690,8 @@ def test_series_extraction_is_cycle_cover_sum():
     # covers; checked directly against the cover enumeration
     D = digraph(3, [(1, 2), (2, 1), (3, 3), (1, 1), (2, 3)])
     A = D.adjacency()
-    f = det_ring(matrix_series(A, "H"), MultilinearPoly.const(3, 1))
-    got = to_p(series_coefficients(f, "H")[0b111])
+    f = det_ring(matrix_series(A, "H"), 3)
+    got = to_p(series_coefficients(f, 3, "H")[0b111])
     expect: dict = {}
     for cover in enumerate_cycle_covers(D):
         lam = cover.cycle_partition()

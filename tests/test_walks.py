@@ -36,7 +36,7 @@ def test_xi_counts_paths_by_vertex_set(D):
     for k, poly in enumerate(xis):
         lib = {
             frozenset(v + 1 for v in range(n) if mask >> v & 1): c
-            for mask, c in poly.terms.items()
+            for mask, c in poly.items()
         }
         assert lib == oracles.path_sets_oracle(D, k), k
 
@@ -45,17 +45,17 @@ def test_xi_examples():
     D = digraph(3, [(1, 1), (1, 3), (3, 2)])
     xis = xi(D)
     # loops never extend a path; xi_2 = x1 x3 + x3 x2
-    assert xis[2].terms == {0b101: 1, 0b110: 1}
-    assert xis[3].terms == {0b111: 1}
-    assert xis[0].terms == {0: 1}
+    assert xis[2] == {0b101: 1, 0b110: 1}
+    assert xis[3] == {0b111: 1}
+    assert xis[0] == {0: 1}
     P = directed_path_digraph(4)
-    assert xi(P)[4].coeff({1, 2, 3, 4}) == 1
-    assert [p.terms for p in xi(empty_digraph(0))] == [{0: 1}]
+    assert xi(P)[4] == {0b1111: 1}
+    assert xi(empty_digraph(0)) == [{0: 1}]
 
 
 @given(digraphs(min_n=1, max_n=5))
 def test_xi_full_support_counts_hamiltonian_paths(D):
-    assert xi(D)[D.n].coeff(range(1, D.n + 1)) == ham_dp(D)
+    assert xi(D)[D.n].get((1 << D.n) - 1, 0) == ham_dp(D)
 
 
 def test_xi_is_guarded_before_it_allocates():
