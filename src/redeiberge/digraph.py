@@ -9,7 +9,10 @@ Path-cycle covers and permutations tied to edges are both built one
 component at a time from the smallest unplaced vertex v, so no finished
 cover or permutation is built twice or rejected.  A cover's component at
 v is a path, grown forward from v and then backward from v, or a cycle,
-grown through unplaced vertices and closed back on v (a loop is (v,)).
+grown through unplaced vertices and closed back on v (a loop is a cycle
+of length 1).  Only the component lengths are kept: the covers come as
+a tally by (path partition, cycle partition), all that U_D and Chow's
+path-cycle functions read of a cover.
 Permutations whose nontrivial cycles all follow edges of D, or each
 follow edges of D or of its complement, fix v or grow a cycle from it
 (`_perms_with_cycles_along`); the last two unplaced vertices are placed
@@ -23,9 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
 
 from .guards import guard
 
@@ -247,31 +250,14 @@ def all_digraphs(n: int):
 
 # ------------------------------------------------------------------- covers
 
-class PathCycleCover(NamedTuple):
-    """Disjoint paths and cycles covering a vertex set.
-
-    Paths are vertex sequences (singletons allowed); cycles are vertex
-    sequences rotated to start at their minimum, with the closing edge
-    implied.  A loop is the cycle (v,).  Immutable and hashable.
-    """
-
-    paths: tuple
-    cycles: tuple
-
-    def path_partition(self) -> tuple:
-        return tuple(sorted(map(len, self.paths), reverse=True))
-
-    def cycle_partition(self) -> tuple:
-        return tuple(sorted(map(len, self.cycles), reverse=True))
-
-
 def enumerate_path_cycle_covers(
     D: Digraph, verts=None, allow_paths: bool = True, allow_cycles: bool = True
-) -> list:
-    """All covers of the vertex set by disjoint paths/cycles along edges of D.
+) -> Counter:
+    """The covers of the vertex set by disjoint paths/cycles along edges of
+    D, tallied by (path partition, cycle partition).
 
     Every vertex lies in exactly one component; singleton paths need no
-    edges, so the all-singletons cover is always present when paths are
+    edges, so the all-singletons cover is always counted when paths are
     allowed.  Each cover is built once, one component at a time (see
     the module docstring); the flags drop the path or the cycle branch.
     """
@@ -281,61 +267,65 @@ def enumerate_path_cycle_covers(
     # per vertex: out- and in-neighbours inside vs, as (bit, vertex)
     succ = {v: [(bit[w], w) for w in D.out_neighbors(v) if w in bit] for v in vs}
     pred = {v: [(bit[u], u) for u in vs if (u, v) in D.edges] for v in vs}
-    out: list = []
-    ctx = ((1 << len(vs)) - 1, vs, succ, pred, allow_paths, allow_cycles, out)
+    raw: dict = {}
+    ctx = ((1 << len(vs)) - 1, vs, succ, pred, allow_paths, allow_cycles, raw)
     _cover(0, (), (), ctx)
-    return out
+    tally = Counter()
+    for lens, c in raw.items():
+        tally[tuple(tuple(sorted(k, reverse=True)) for k in lens)] += c
+    return tally
 
 
 # The steps of both generators are module functions, not closures: closures
-# that call each other form a reference cycle that would keep `out` alive
-# until the cycle collector runs.  Here ctx is (full, vs, succ, pred,
-# allow_paths, allow_cycles, out); used is the bitmask of placed positions
-# in vs; paths and cycles hold the finished components in the order of
-# their smallest vertex, so the cycles, each starting there, come sorted.
+# that call each other form a reference cycle that would keep `raw` or `out`
+# alive until the cycle collector runs.  Here ctx is (full, vs, succ, pred,
+# allow_paths, allow_cycles, raw); used is the bitmask of placed positions
+# in vs; paths and cycles hold the lengths of the finished components in
+# the order they were built, and raw counts the finished covers by them.
 
 def _cover(used, paths, cycles, ctx) -> None:
-    full, vs, succ, pred, allow_paths, allow_cycles, out = ctx
+    full, vs, succ, pred, allow_paths, allow_cycles, raw = ctx
     if used == full:
-        out.append(PathCycleCover(tuple(sorted(paths)), cycles))
+        key = (paths, cycles)
+        raw[key] = raw.get(key, 0) + 1
         return
     low = ~used & (used + 1)
     v = vs[low.bit_length() - 1]
     if allow_paths:
-        _forward(v, (v,), v, used | low, paths, cycles, ctx)
+        _forward(v, 1, v, used | low, paths, cycles, ctx)
     if allow_cycles:
-        _cycle(v, (v,), v, used | low, paths, cycles, ctx)
+        _cycle(v, 1, v, used | low, paths, cycles, ctx)
 
 
-def _forward(first, path, last, used, paths, cycles, ctx) -> None:
+def _forward(first, length, last, used, paths, cycles, ctx) -> None:
     """Stop the path at last and grow it backward, or extend it past last."""
-    _backward(first, path, used, paths, cycles, ctx)
+    _backward(first, length, used, paths, cycles, ctx)
     for b, w in ctx[2][last]:
         if not used & b:
-            _forward(first, path + (w,), w, used | b, paths, cycles, ctx)
+            _forward(first, length + 1, w, used | b, paths, cycles, ctx)
 
 
-def _backward(first, path, used, paths, cycles, ctx) -> None:
+def _backward(first, length, used, paths, cycles, ctx) -> None:
     """Finish the path at first, or extend it before first."""
-    _cover(used, paths + (path,), cycles, ctx)
+    _cover(used, paths + (length,), cycles, ctx)
     for b, u in ctx[3][first]:
         if not used & b:
-            _backward(u, (u,) + path, used | b, paths, cycles, ctx)
+            _backward(u, length + 1, used | b, paths, cycles, ctx)
 
 
-def _cycle(start, cyc, last, used, paths, cycles, ctx) -> None:
+def _cycle(start, length, last, used, paths, cycles, ctx) -> None:
     for b, w in ctx[2][last]:
         if not used & b:
-            _cycle(start, cyc + (w,), w, used | b, paths, cycles, ctx)
+            _cycle(start, length + 1, w, used | b, paths, cycles, ctx)
         elif w == start:
-            _cover(used, paths, cycles + (cyc,), ctx)
+            _cover(used, paths, cycles + (length,), ctx)
 
 
-def enumerate_path_covers(D: Digraph, verts=None) -> list:
+def enumerate_path_covers(D: Digraph, verts=None) -> Counter:
     return enumerate_path_cycle_covers(D, verts, allow_cycles=False)
 
 
-def enumerate_cycle_covers(D: Digraph, verts=None) -> list:
+def enumerate_cycle_covers(D: Digraph, verts=None) -> Counter:
     return enumerate_path_cycle_covers(D, verts, allow_paths=False)
 
 

@@ -144,17 +144,15 @@ def ham_cycles_bruteforce(D: Digraph) -> int:
 def ham_cycles(
     D: Digraph, route: str = "formula_a", i: int = 1, tables: dict | None = None
 ) -> int:
-    """Hamiltonian cycle count by the requested route.
+    """Hamiltonian cycle count by formula_a or formula_b; enumeration is
+    ham_cycles_bruteforce.
 
     formula_a needs a vertex i to exclude (the result is i-independent);
     formula_b divides the weighted alternating sum by n and insists the
-    division is exact; bruteforce enumerates.  The formulas read det A
-    and per A from tables (see _minors), or build both and drop them
-    when tables is None.
+    division is exact.  Both read det A and per A from tables (see
+    _minors), or build both and drop them when tables is None.
     """
     n = D.n
-    if route == "bruteforce":
-        return ham_cycles_bruteforce(D)
     guard("ham_cycles", n, CYCLE_FORMULA_BOUND)
     if n < 1:
         raise ValueError("formula routes need n >= 1")
@@ -295,7 +293,7 @@ def wiseman_check(D: Digraph) -> dict:
     ham_bar = ham_detper(Dbar)
     ham_bar_dp = ham_dp(Dbar)
     per_bar = permanent_ryser(Dbar.adjacency())
-    covers = len(enumerate_cycle_covers(Dbar))
+    covers = sum(enumerate_cycle_covers(Dbar).values())
     values = {
         "ham_detper(complement)": ham_bar,
         "ham_dp(complement)": ham_bar_dp,

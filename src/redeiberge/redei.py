@@ -44,7 +44,6 @@ from .digraph import (
     Digraph,
     complement,
     d_descent_set,
-    digraph_hash,
     enumerate_cycle_covers,
     enumerate_path_covers,
     enumerate_path_cycle_covers,
@@ -130,11 +129,8 @@ def u_via_path_covers(D: Digraph) -> SymFun:
     """Augmented monomials of path partitions over path covers of the
     complement."""
     _admit("path-cover", D)
-    out: dict = {}
-    for cover in enumerate_path_covers(complement(D)):
-        lam = cover.path_partition()
-        out[lam] = out.get(lam, 0) + 1
-    return SymFun("mtilde", out)
+    tally = enumerate_path_covers(complement(D))
+    return SymFun("mtilde", {lam: c for (lam, _), c in tally.items()})
 
 
 # ----------------------------------------------------------- power sum routes
@@ -276,8 +272,8 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
     n = D.n
     _admit(f"acyclic-{flavor}", D)
     if flavor == "powersum":
-        covers = enumerate_cycle_covers(complement(D))
-        return SymFun("p", Counter(c.cycle_partition() for c in covers))
+        tally = enumerate_cycle_covers(complement(D))
+        return SymFun("p", {lam: c for (_, lam), c in tally.items()})
     if flavor == "schur":
         imms = immanant(complement(D).adjacency())
         return SymFun("s", {lam: c for lam, c in imms.items() if c})
@@ -342,18 +338,10 @@ def chow_xi(D: Digraph, route: str = "direct") -> TwoAlphabetSymFun:
     times power sums in y on cycle partitions, over path-cycle covers."""
     guard("chow", D.n, CHOW_BOUND)
     if route == "direct":
-        return _chow_weigh(_chow_covers(D), 1)
+        return _chow_weigh(enumerate_path_cycle_covers(D), 1)
     if route == "powersum":
         return _chow_xi_powersum(D)
     raise ValueError(f"unknown route {route!r}")
-
-
-def _chow_covers(D: Digraph) -> Counter:
-    """D's path-cycle covers tallied by (path partition, cycle partition)."""
-    return Counter(
-        (c.path_partition(), c.cycle_partition())
-        for c in enumerate_path_cycle_covers(D)
-    )
 
 
 def _chow_weigh(tally: Counter, w: int) -> TwoAlphabetSymFun:
@@ -388,7 +376,7 @@ def chow_xi_hat(D: Digraph) -> TwoAlphabetSymFun:
     mtilde(z) p(y), with the union alphabet then substituted for z.
     """
     guard("chow", D.n, CHOW_BOUND)
-    return _chow_weigh(_chow_covers(D), -2).z_to_zy()
+    return _chow_weigh(enumerate_path_cycle_covers(D), -2).z_to_zy()
 
 
 def u_from_chow(D: Digraph) -> SymFun:
@@ -402,7 +390,6 @@ def u_from_chow(D: Digraph) -> SymFun:
 @dataclass
 class ChowReport:
     n: int
-    digraph_hash: str
     ok: bool = True
     failures: list = field(default_factory=list)
 
@@ -419,9 +406,10 @@ def verify_chow_identities(D: Digraph) -> ChowReport:
     analogous statement for Xi_hat without the final substitution.
     """
     guard("chow_identities", D.n, CHOW_IDENTITIES_BOUND)
-    report = ChowReport(n=D.n, digraph_hash=digraph_hash(D))
+    report = ChowReport(n=D.n)
     # Xi and Xi_hat of D and of its complement, from one tally each
-    covers, covers_bar = _chow_covers(D), _chow_covers(complement(D))
+    covers = enumerate_path_cycle_covers(D)
+    covers_bar = enumerate_path_cycle_covers(complement(D))
     lhs = _chow_weigh(covers_bar, 1).negate_y().omega_z().z_to_zy()
     rhs = _chow_weigh(covers, 1)
     if lhs != rhs:

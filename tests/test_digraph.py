@@ -1,7 +1,7 @@
 import importlib
 import json
 from collections import Counter
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -15,10 +15,9 @@ from oracles import (
     is_two_cycle_free,
     random_acyclic_digraph,
 )
-from redeiberge.combinat import cycle_type, cycles_of
+from redeiberge.combinat import cycle_type, cycles_of, is_partition, partitions_of
 from redeiberge.digraph import (
     Digraph,
-    PathCycleCover,
     all_digraphs,
     complement,
     complete_digraph,
@@ -218,11 +217,7 @@ def test_exhaustive_generators():
 
 @given(digraphs(max_n=4))
 def test_covers_match_edge_subset_enumeration(D):
-    by_type: dict = {}
-    for cover in enumerate_path_cycle_covers(D):
-        key = (cover.path_partition(), cover.cycle_partition())
-        by_type[key] = by_type.get(key, 0) + 1
-    assert by_type == oracles.covers_by_edge_subsets(D)
+    assert enumerate_path_cycle_covers(D) == oracles.covers_by_edge_subsets(D)
 
 
 def test_cover_tallies_match_edge_subsets_at_five_vertices():
@@ -230,78 +225,82 @@ def test_cover_tallies_match_edge_subsets_at_five_vertices():
     for seed in range(7):
         D = random_digraph(5, 0.45, seed)
         assert len(D.edges) <= 13, seed
-        by_type = Counter(
-            (c.path_partition(), c.cycle_partition())
-            for c in enumerate_path_cycle_covers(D)
-        )
-        assert by_type == oracles.covers_by_edge_subsets(D)
-
-
-def test_covers_are_immutable_and_hashable():
-    covers = enumerate_path_cycle_covers(digraph(3, [(1, 2), (2, 1), (3, 3)]))
-    cover = covers[0]
-    with pytest.raises(AttributeError):
-        cover.paths = ()
-    with pytest.raises(AttributeError):
-        cover.cycles = ()
-    assert hash(cover) == hash(PathCycleCover(cover.paths, cover.cycles))
-    assert cover == PathCycleCover(cover.paths, cover.cycles)
-    assert len(set(covers)) == len(covers)
-
-
-def test_cover_enumeration_order():
-    # components from the smallest unplaced vertex: a path (grown forward,
-    # then backward) before a cycle, shorter extensions first
-    D = digraph(3, [(1, 2), (2, 1), (2, 3), (3, 3)])
-    got = [(c.paths, c.cycles) for c in enumerate_path_cycle_covers(D)]
-    assert got == [
-        (((1,), (2,), (3,)), ()),
-        (((1,), (2,)), ((3,),)),
-        (((1,), (2, 3)), ()),
-        (((2, 1), (3,)), ()),
-        (((2, 1),), ((3,),)),
-        (((1, 2), (3,)), ()),
-        (((1, 2),), ((3,),)),
-        (((1, 2, 3),), ()),
-        (((3,),), ((1, 2),)),
-        ((), ((1, 2), (3,))),
-    ]
+        assert enumerate_path_cycle_covers(D) == oracles.covers_by_edge_subsets(D)
 
 
 @given(digraphs(max_n=4))
 def test_cover_components_partition_vertices(D):
-    covers = enumerate_path_cycle_covers(D)
-    for cover in covers:
-        elements = [v for p in cover.paths for v in p] + [
-            v for c in cover.cycles for v in c
-        ]
-        assert sorted(elements) == list(D.vertices())
-        for p in cover.paths:
-            assert all((p[t], p[t + 1]) in D.edges for t in range(len(p) - 1))
-        for c in cover.cycles:
-            assert c[0] == min(c)
-            assert oracles.is_digraph_cycle(c, D)
-    assert len(set(covers)) == len(covers)
+    # each tallied cover's component lengths add up to n, no entry is
+    # empty, and a cycle of length 1 needs a loop
+    loops = sum(u == v for u, v in D.edges)
+    for (paths, cycles), c in enumerate_path_cycle_covers(D).items():
+        assert is_partition(paths) and is_partition(cycles) and c > 0
+        assert sum(paths) + sum(cycles) == D.n
+        assert cycles.count(1) <= loops
+
+
+def _z(lam) -> int:
+    """Order of the centralizer of a permutation of cycle type lam."""
+    return prod(i**m * factorial(m) for i, m in Counter(lam).items())
+
+
+def _orderings(lam) -> int:
+    """prod_i m_i(lam)!: the orderings of equal parts of lam."""
+    return prod(factorial(m) for m in Counter(lam).values())
+
+
+def test_cycle_covers_at_the_bound_count_permutations_by_type():
+    # a cycle cover of the complete digraph with loops is a permutation
+    tally = enumerate_cycle_covers(complete_digraph(8, loops=True))
+    assert tally == {((), lam): factorial(8) // _z(lam) for lam in partitions_of(8)}
+
+
+def test_path_covers_at_the_bound_cut_orderings_into_paths():
+    # cut one of the 8! orderings of [8] into paths of lengths lam; paths
+    # of equal length come in any order
+    tally = enumerate_path_covers(complete_digraph(8))
+    assert tally == {
+        (lam, ()): factorial(8) // _orderings(lam) for lam in partitions_of(8)
+    }
+    assert sum(tally.values()) == 394353  # OEIS A000262
+
+
+def test_path_cycle_covers_at_the_bound_split_the_vertices():
+    # the k vertices on paths of lengths mu and the 8 - k on cycles of type
+    # nu are chosen in C(8, k) ways; then as in the two tests above
+    tally = enumerate_path_cycle_covers(complete_digraph(8, loops=True))
+    want = {
+        (mu, nu): comb(8, k) * (factorial(k) // _orderings(mu))
+        * (factorial(8 - k) // _z(nu))
+        for k in range(9)
+        for mu in partitions_of(k)
+        for nu in partitions_of(8 - k)
+    }
+    assert tally == want
+    assert sum(tally.values()) == sum(comb(8, k) ** 2 * factorial(k) for k in range(9))
+    assert sum(tally.values()) == 1441729  # OEIS A002720
 
 
 @given(digraphs(max_n=5), st.data())
-def test_cycle_covers_are_the_pathless_covers_in_order(D, data):
+def test_cycle_covers_are_the_pathless_covers(D, data):
     keep = data.draw(st.lists(st.booleans(), min_size=D.n, max_size=D.n))
     subset = [v for v, k in zip(D.vertices(), keep) if k]
     for verts in (None, subset):
-        assert enumerate_cycle_covers(D, verts) == [
-            c for c in enumerate_path_cycle_covers(D, verts) if not c.paths
-        ]
+        full = enumerate_path_cycle_covers(D, verts)
+        assert enumerate_cycle_covers(D, verts) == {
+            key: c for key, c in full.items() if not key[0]
+        }
 
 
 @given(digraphs(max_n=5), st.data())
-def test_path_covers_are_the_cycleless_covers_in_order(D, data):
+def test_path_covers_are_the_cycleless_covers(D, data):
     keep = data.draw(st.lists(st.booleans(), min_size=D.n, max_size=D.n))
     subset = [v for v, k in zip(D.vertices(), keep) if k]
     for verts in (None, subset):
-        assert enumerate_path_covers(D, verts) == [
-            c for c in enumerate_path_cycle_covers(D, verts) if not c.cycles
-        ]
+        full = enumerate_path_cycle_covers(D, verts)
+        assert enumerate_path_covers(D, verts) == {
+            key: c for key, c in full.items() if not key[1]
+        }
 
 
 def test_path_covers_never_close_a_cycle(monkeypatch):
@@ -313,31 +312,31 @@ def test_path_covers_never_close_a_cycle(monkeypatch):
     monkeypatch.setattr(module, "_cycle", no_cycle)
     D = complete_digraph(4, loops=True)
     # partitions of [4] into blocks, each block ordered into a path
-    assert len(enumerate_path_covers(D)) == 73
+    assert sum(enumerate_path_covers(D).values()) == 73
     with pytest.raises(AssertionError, match="grew a cycle"):
         enumerate_path_cycle_covers(D)
 
 
 def test_cover_filters():
     D = digraph(2, [(1, 2), (2, 1)])
-    full = enumerate_path_cycle_covers(D)
-    assert len(full) == 4  # {1}{2}, 1->2, 2->1, cycle(12)
-    assert len(enumerate_path_covers(D)) == 3
-    assert len(enumerate_cycle_covers(D)) == 1
-    assert enumerate_cycle_covers(empty_digraph(2)) == []
-    only = enumerate_path_cycle_covers(empty_digraph(2))
-    assert len(only) == 1 and only[0].path_partition() == (1, 1)
+    # {1}{2}, 1->2, 2->1, cycle(12)
+    assert enumerate_path_cycle_covers(D) == {
+        ((1, 1), ()): 1, ((2,), ()): 2, ((), (2,)): 1
+    }
+    assert enumerate_path_covers(D) == {((1, 1), ()): 1, ((2,), ()): 2}
+    assert enumerate_cycle_covers(D) == {((), (2,)): 1}
+    assert enumerate_cycle_covers(empty_digraph(2)) == {}
+    assert enumerate_path_cycle_covers(empty_digraph(2)) == {((1, 1), ()): 1}
+    assert enumerate_path_cycle_covers(empty_digraph(0)) == {((), ()): 1}
     with pytest.raises(GuardError):
         enumerate_path_cycle_covers(empty_digraph(9))
 
 
 def test_covers_on_vertex_subset():
     D = digraph(3, [(1, 2), (2, 1), (2, 3)])
-    covers = enumerate_path_cycle_covers(D, verts={1, 2})
-    types = sorted(
-        (c.path_partition(), c.cycle_partition()) for c in covers
-    )
-    assert types == [((), (2,)), ((1, 1), ()), ((2,), ()), ((2,), ())]
+    assert enumerate_path_cycle_covers(D, verts={1, 2}) == {
+        ((), (2,)): 1, ((1, 1), ()): 1, ((2,), ()): 2
+    }
 
 
 # ------------------------------------------------- permutations tied to edges

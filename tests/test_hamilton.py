@@ -106,7 +106,8 @@ def test_cycle_formulas_reject_bad_arguments_before_any_table(monkeypatch):
     for name in ("principal_permanents", "principal_determinants"):
         monkeypatch.setattr(hamilton, name, no_work)
     D = complete_digraph(5)
-    for route, i in (("bogus", 1), ("formula_a", 0), ("formula_a", D.n + 1)):
+    bad = (("bogus", 1), ("bruteforce", 1), ("formula_a", 0), ("formula_a", D.n + 1))
+    for route, i in bad:
         with pytest.raises(ValueError):
             ham_cycles(D, route, i)
 
