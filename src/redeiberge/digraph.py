@@ -17,8 +17,8 @@ Permutations whose nontrivial cycles all follow edges of D, or each
 follow edges of D or of its complement, fix v or grow a cycle from it
 (`_perms_with_cycles_along`); the last two unplaced vertices are placed
 in one step, fixed and then swapped if a table of the 2-cycles (pair)
-holds them.  Each comes as one record: its images, its cycle lengths and
-its sign, the last two set as each cycle closes.
+holds them.  Each comes as one record (cycle lengths, sign), both set as
+each cycle closes: all that the power-sum routes read of a permutation.
 """
 
 from __future__ import annotations
@@ -334,8 +334,8 @@ def enumerate_cycle_covers(D: Digraph, verts=None) -> Counter:
 def perms_with_all_cycles_in(D: Digraph, verts=None) -> list:
     """Permutations of the vertex set whose nontrivial cycles are cycles of D.
 
-    Fixed points are unconstrained; one record per permutation, as
-    `_perms_with_cycles_along` builds them."""
+    Fixed points are unconstrained; one record (cycle lengths, sign) per
+    permutation, as `_perms_with_cycles_along` builds them."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
     return _perms_with_cycles_along(vs, [D.edges])
@@ -343,62 +343,58 @@ def perms_with_all_cycles_in(D: Digraph, verts=None) -> list:
 
 def perms_with_cycles_in_either(D: Digraph, verts=None) -> list:
     """Permutations whose nontrivial cycles are each a cycle of D or of its
-    complement; fixed points are unconstrained.  One record per
-    permutation; its sign twists only the cycles of D."""
+    complement; fixed points are unconstrained.  One record (cycle
+    lengths, sign) per permutation; its sign twists only the cycles of D."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
     return _perms_with_cycles_along(vs, [D.edges, complement(D).edges])
 
 
 def _perms_with_cycles_along(vs: list, edge_sets) -> list:
-    """Records (images, lengths, sign) of the permutations of vs whose
-    nontrivial cycles each run along the edges of one of edge_sets.
+    """Records (lengths, sign) of the permutations of vs whose nontrivial
+    cycles each run along the edges of one of edge_sets.
 
     The smallest unplaced vertex is either fixed or starts a cycle that
     grows through unplaced vertices along one digraph's edges and closes
     back on it; the last two, i < j, are fixed, then swapped if pair[i][j],
     the sign step of the edge set holding both i -> j and j -> i, is not 0.
-    images[k] is the image of vs[k]; lengths lists the cycle lengths in
-    the order of each cycle's smallest vertex, a fixed point as 1; sign is
-    (-1)^phi, phi summing length - 1 over the cycles of edge_sets[0].
+    lengths lists the cycle lengths in the order of each cycle's smallest
+    vertex, a fixed point as 1; sign is (-1)^phi, phi summing length - 1
+    over the cycles of edge_sets[0].
     """
     m = len(vs)
     if not m:
-        return [((), (), 1)]
-    # per edge set: the sign step per cycle vertex, successors (bit, index, image)
+        return [((), 1)]
+    # per edge set: the sign step per cycle vertex, successors (bit, index)
     succs, pair = [], [[0] * m for _ in range(m)]
     for t, edges in enumerate(edge_sets):
         step = -1 if t == 0 else 1
-        succ = [[(1 << j, j, v) for j, v in enumerate(vs)
+        succ = [[(1 << j, j) for j, v in enumerate(vs)
                  if j != i and (u, v) in edges] for i, u in enumerate(vs)]
         succs.append((step, succ))
         for i, row in enumerate(succ):
-            for _, j, v in row:
-                if (v, vs[i]) in edges:
+            for _, j in row:
+                if (vs[j], vs[i]) in edges:
                     pair[i][j] = step
     out: list = []
-    _place(0, 1, (), ((1 << m) - 1, vs, succs, pair, list(vs), out))
+    _place(0, 1, (), ((1 << m) - 1, succs, pair, out))
     return out
 
 
-# ctx is (full, vs, succs, pair, img, out); used is the bitmask of placed
-# indices; img[k] is the image of vs[k] once k is placed.
+# ctx is (full, succs, pair, out); used is the bitmask of placed indices.
 
 def _place(used, sign, lens, ctx) -> None:
-    full, vs, succs, pair, img, out = ctx
+    full, succs, pair, out = ctx
     rest = full ^ used
     i = (rest & -rest).bit_length() - 1
-    img[i] = vs[i]
     rest &= rest - 1
     if not rest:
-        out.append((tuple(img), lens + (1,), sign))
+        out.append((lens + (1,), sign))
     elif not rest & (rest - 1):  # i and j are the last two
+        out.append((lens + (1, 1), sign))
         j = rest.bit_length() - 1
-        img[j] = vs[j]
-        out.append((tuple(img), lens + (1, 1), sign))
         if pair[i][j]:
-            img[i], img[j] = vs[j], vs[i]
-            out.append((tuple(img), lens + (2,), sign * pair[i][j]))
+            out.append((lens + (2,), sign * pair[i][j]))
     else:
         _place(full ^ rest, sign, lens + (1,), ctx)
         for step, succ in succs:
@@ -406,14 +402,12 @@ def _place(used, sign, lens, ctx) -> None:
 
 
 def _grow(start, last, used, length, sign, step, succ, lens, ctx) -> None:
-    for bit, w, image in succ[last]:
+    for bit, w in succ[last]:
         if not used & bit:
-            ctx[4][last] = image
             _grow(start, w, used | bit, length + 1, sign * step, step, succ, lens, ctx)
         elif w == start:
-            ctx[4][last] = image
             if used == ctx[0]:
-                ctx[5].append((tuple(ctx[4]), lens + (length,), sign))
+                ctx[3].append((lens + (length,), sign))
             else:
                 _place(used, sign, lens + (length,), ctx)
 

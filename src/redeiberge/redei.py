@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations as _it_permutations, product
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .combinat import (
@@ -138,10 +137,10 @@ def u_via_path_covers(D: Digraph) -> SymFun:
 def u_via_powersum_GS(D: Digraph) -> SymFun:
     """Signed power sums over permutations each of whose nontrivial cycles
     is a cycle of D or a cycle of its complement; the sign twists each
-    D-cycle by (-1)^(length-1).  Each enumerated permutation comes with its
+    D-cycle by (-1)^(length-1).  Each enumerated permutation comes as its
     cycle lengths and that sign, tallied per (lengths, sign) pair first."""
     _admit("powersum-GS", D)
-    tally = Counter(map(itemgetter(1, 2), perms_with_cycles_in_either(D)))
+    tally = Counter(perms_with_cycles_in_either(D))
     return SymFun("p", _by_cycle_type((lens, s * c) for (lens, s), c in tally.items()))
 
 
@@ -291,7 +290,7 @@ def u_tournament(D: Digraph) -> SymFun:
     odd cycles of D, weighted by 2^(number of nontrivial cycles); the
     lengths are read off the enumerated records."""
     _admit("tournament", D)
-    counts = Counter(map(itemgetter(1), perms_with_all_cycles_in(D)))
+    counts = Counter(lens for lens, _ in perms_with_all_cycles_in(D))
     return SymFun("p", {
         lam: c << sum(1 for part in lam if part >= 2)
         for lam, c in _by_cycle_type(counts.items()).items()

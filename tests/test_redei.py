@@ -193,6 +193,21 @@ def test_powersum_gs_matches_other_routes_up_to_its_bound():
     assert to_p(u_acyclic(A, "powersum")) == redei.u_via_powersum_GS(A)
 
 
+def test_powersum_gs_matches_path_cover_at_its_bound():
+    # The walk's records carry only cycle lengths and signs.  At the bound,
+    # on digraphs whose complements are sparse (so path-cover stays quick),
+    # their signed tally must still equal the independent path-cover value,
+    # whose p-coefficients sum to the complement's Hamiltonian paths (6 on
+    # the first digraph, 0 on the second).
+    n = ROUTES["powersum-GS"].bound
+    assert n == 8
+    for p in (0.7, 0.85):
+        D = random_digraph(n, p, seed=480)
+        ok, common = routes_agree(u_all_routes(D, ["powersum-GS", "path-cover"]))
+        assert ok and len(common.terms) > 1
+        assert powersum_to_ones(common) == ham_dp(complement(D))
+
+
 def test_powersum_to_ones_counts_complement_ham_paths():
     for seed in range(12):
         D = random_digraph(5, 0.4, seed=seed)

@@ -699,10 +699,17 @@ def test_packed_series_det_small_n():
 
 def test_series_extraction_is_cycle_cover_sum():
     # full-support coefficient of det H_z(XA): sum of p_cyc over cycle
-    # covers; checked directly against the cover enumeration
-    D = digraph(3, [(1, 2), (2, 1), (3, 3), (1, 1), (2, 3)])
-    A = D.adjacency()
-    f = det_ring(matrix_series(A, "H"), 3)
-    got = to_p(series_coefficients(f, 3, "H")[0b111])
-    expect = enumerate_cycle_covers(D)
-    assert got.terms == {lam: Fraction(c) for (_, lam), c in expect.items()}
+    # covers; checked directly against the cover enumeration.  The two
+    # 4-vertex digraphs (4 and 14 cycle covers) catch a det_ring that keeps
+    # the products of terms whose supports overlap; the 3-vertex one does not.
+    cases = [
+        digraph(3, [(1, 2), (2, 1), (3, 3), (1, 1), (2, 3)]),
+        random_digraph(4, 0.6, seed=0),
+        random_digraph(4, 0.8, seed=1),
+    ]
+    for D in cases:
+        f = det_ring(matrix_series(D.adjacency(), "H"), D.n)
+        got = to_p(series_coefficients(f, D.n, "H")[(1 << D.n) - 1])
+        expect = enumerate_cycle_covers(D)
+        assert expect
+        assert got.terms == {lam: Fraction(c) for (_, lam), c in expect.items()}
