@@ -17,8 +17,10 @@ Permutations whose nontrivial cycles all follow edges of D, or each
 follow edges of D or of its complement, fix v or grow a cycle from it
 (`_perms_with_cycles_along`); the last two unplaced vertices are placed
 in one step, fixed and then swapped if a table of the 2-cycles (pair)
-holds them.  Each comes as one record (cycle lengths, sign), both set as
-each cycle closes: all that the power-sum routes read of a permutation.
+holds them.  Each permutation is one int, its cycle counts in 4-bit
+fields and its sign as the int's sign, both set as each cycle closes; the
+ints come as a tally by (cycle type, sign), all that the power-sum routes
+read of a permutation.
 """
 
 from __future__ import annotations
@@ -331,40 +333,41 @@ def enumerate_cycle_covers(D: Digraph, verts=None) -> Counter:
 
 # ------------------------------------------------- permutations tied to edges
 
-def perms_with_all_cycles_in(D: Digraph, verts=None) -> list:
+def perms_with_all_cycles_in(D: Digraph, verts=None) -> Counter:
     """Permutations of the vertex set whose nontrivial cycles are cycles of D.
 
-    Fixed points are unconstrained; one record (cycle lengths, sign) per
-    permutation, as `_perms_with_cycles_along` builds them."""
+    Fixed points are unconstrained; the permutations come tallied by
+    (cycle type, sign), as `_perms_with_cycles_along` builds them."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
     return _perms_with_cycles_along(vs, [D.edges])
 
 
-def perms_with_cycles_in_either(D: Digraph, verts=None) -> list:
+def perms_with_cycles_in_either(D: Digraph, verts=None) -> Counter:
     """Permutations whose nontrivial cycles are each a cycle of D or of its
-    complement; fixed points are unconstrained.  One record (cycle
-    lengths, sign) per permutation; its sign twists only the cycles of D."""
+    complement; fixed points are unconstrained.  Tallied by (cycle type,
+    sign); the sign twists only the cycles of D."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
     return _perms_with_cycles_along(vs, [D.edges, complement(D).edges])
 
 
-def _perms_with_cycles_along(vs: list, edge_sets) -> list:
-    """Records (lengths, sign) of the permutations of vs whose nontrivial
-    cycles each run along the edges of one of edge_sets.
+def _perms_with_cycles_along(vs: list, edge_sets) -> Counter:
+    """The permutations of vs whose nontrivial cycles each run along the
+    edges of one of edge_sets, tallied by (cycle type, sign).
 
     The smallest unplaced vertex is either fixed or starts a cycle that
     grows through unplaced vertices along one digraph's edges and closes
     back on it; the last two, i < j, are fixed, then swapped if pair[i][j],
     the sign step of the edge set holding both i -> j and j -> i, is not 0.
-    lengths lists the cycle lengths in the order of each cycle's smallest
-    vertex, a fixed point as 1; sign is (-1)^phi, phi summing length - 1
-    over the cycles of edge_sets[0].
+    Each permutation is one int: 4-bit field k - 1 counts its k-cycles
+    (the guard at 8 keeps each count below 16), and the int's sign is
+    (-1)^phi, phi summing length - 1 over the cycles of edge_sets[0].  The
+    distinct ints are decoded once, after the walk.
     """
     m = len(vs)
     if not m:
-        return [((), 1)]
+        return Counter({((), 1): 1})
     # per edge set: the sign step per cycle vertex, successors (bit, index)
     succs, pair = [], [[0] * m for _ in range(m)]
     for t, edges in enumerate(edge_sets):
@@ -377,39 +380,46 @@ def _perms_with_cycles_along(vs: list, edge_sets) -> list:
                 if (vs[j], vs[i]) in edges:
                     pair[i][j] = step
     out: list = []
-    _place(0, 1, (), ((1 << m) - 1, succs, pair, out))
-    return out
+    _place(0, 1, 0, ((1 << m) - 1, succs, pair, out))
+    tally = Counter()
+    for code, c in Counter(out).items():
+        a = abs(code)
+        lam = tuple(k for k in range(m, 0, -1) for _ in range((a >> 4 * (k - 1)) & 15))
+        tally[lam, 1 if code > 0 else -1] += c
+    return tally
 
 
-# ctx is (full, succs, pair, out); used is the bitmask of placed indices.
+# ctx is (full, succs, pair, out); used is the bitmask of placed indices;
+# code packs the cycle counts so far, field k - 1 (k = 1, 2, ...) at bit
+# 4(k - 1), and _grow carries the field of its open cycle's length.
 
-def _place(used, sign, lens, ctx) -> None:
+def _place(used, sign, code, ctx) -> None:
     full, succs, pair, out = ctx
     rest = full ^ used
     i = (rest & -rest).bit_length() - 1
     rest &= rest - 1
     if not rest:
-        out.append((lens + (1,), sign))
+        out.append(sign * (code + 1))
     elif not rest & (rest - 1):  # i and j are the last two
-        out.append((lens + (1, 1), sign))
+        out.append(sign * (code + 2))
         j = rest.bit_length() - 1
         if pair[i][j]:
-            out.append((lens + (2,), sign * pair[i][j]))
+            out.append(sign * pair[i][j] * (code + 16))
     else:
-        _place(full ^ rest, sign, lens + (1,), ctx)
+        _place(full ^ rest, sign, code + 1, ctx)
         for step, succ in succs:
-            _grow(i, i, full ^ rest, 1, sign, step, succ, lens, ctx)
+            _grow(i, i, full ^ rest, 1, sign, step, succ, code, ctx)
 
 
-def _grow(start, last, used, length, sign, step, succ, lens, ctx) -> None:
+def _grow(start, last, used, field, sign, step, succ, code, ctx) -> None:
     for bit, w in succ[last]:
         if not used & bit:
-            _grow(start, w, used | bit, length + 1, sign * step, step, succ, lens, ctx)
+            _grow(start, w, used | bit, field << 4, sign * step, step, succ, code, ctx)
         elif w == start:
             if used == ctx[0]:
-                ctx[3].append((lens + (length,), sign))
+                ctx[3].append(sign * (code + field))
             else:
-                _place(used, sign, lens + (length,), ctx)
+                _place(used, sign, code + field, ctx)
 
 
 # ------------------------------------------------------------- serialization

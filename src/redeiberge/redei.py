@@ -137,19 +137,13 @@ def u_via_path_covers(D: Digraph) -> SymFun:
 def u_via_powersum_GS(D: Digraph) -> SymFun:
     """Signed power sums over permutations each of whose nontrivial cycles
     is a cycle of D or a cycle of its complement; the sign twists each
-    D-cycle by (-1)^(length-1).  Each enumerated permutation comes as its
-    cycle lengths and that sign, tallied per (lengths, sign) pair first."""
+    D-cycle by (-1)^(length-1).  The walk tallies the permutations by
+    (cycle type, sign)."""
     _admit("powersum-GS", D)
-    tally = Counter(perms_with_cycles_in_either(D))
-    return SymFun("p", _by_cycle_type((lens, s * c) for (lens, s), c in tally.items()))
-
-
-def _by_cycle_type(weights) -> Counter:
-    """(sequence of cycle lengths, weight) pairs, summed by cycle type."""
     out = Counter()
-    for lens, w in weights:
-        out[tuple(sorted(lens, reverse=True))] += w
-    return out
+    for (lam, s), c in perms_with_cycles_in_either(D).items():
+        out[lam] += s * c
+    return SymFun("p", out)
 
 
 def u_via_subset_formula(D: Digraph) -> SymFun:
@@ -288,14 +282,13 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
 def u_tournament(D: Digraph) -> SymFun:
     """Odd-cycle power sum form: permutations all of whose cycles are
     odd cycles of D, weighted by 2^(number of nontrivial cycles); the
-    lengths are read off the enumerated records."""
+    cycle types are read off the walk's tally."""
     _admit("tournament", D)
-    counts = Counter(lens for lens, _ in perms_with_all_cycles_in(D))
-    return SymFun("p", {
-        lam: c << sum(1 for part in lam if part >= 2)
-        for lam, c in _by_cycle_type(counts.items()).items()
-        if all(part % 2 for part in lam)
-    })
+    out = Counter()
+    for (lam, _), c in perms_with_all_cycles_in(D).items():
+        if all(part % 2 for part in lam):
+            out[lam] += c << sum(1 for part in lam if part >= 2)
+    return SymFun("p", out)
 
 
 def powersum_to_ones(f: SymFun):

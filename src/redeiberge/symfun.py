@@ -301,11 +301,8 @@ def _p_term_to(basis: str, mu: Partition) -> dict:
     if basis == "e":
         return _fold_parts(mu, _pk_in_e)
     if basis == "s":
-        n = sum(mu)
         return {
-            lam: character(lam, mu)
-            for lam in partitions_of(n)
-            if character(lam, mu)
+            lam: chi for lam in partitions_of(sum(mu)) if (chi := character(lam, mu))
         }
     if basis == "mtilde":
         return dict(_p_to_mtilde(mu))

@@ -1,6 +1,7 @@
 """Command line interface: generator specs, subcommand payloads, exit
 codes, corpus plumbing, and artifact output."""
 
+import importlib
 import json
 import os
 import re
@@ -540,6 +541,10 @@ def test_run_corpus_starts_no_more_workers_than_items_or_cores(monkeypatch):
 
 
 def test_verify_json_and_jobs_determinism(capsys):
+    # Pool pickles cli._suite_worker by its module's name, so main must come
+    # from the module sys.modules holds now: bench/run.import_package, run
+    # by bench/tests, imports the package afresh after this file imported it
+    main = importlib.import_module("redeiberge.cli").main
     argv = ["verify", "--corpus", "exhaustive:2", "--artifacts", ""]
     code = main(argv + ["--jobs", "1"])
     first = capsys.readouterr().out

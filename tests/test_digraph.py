@@ -341,12 +341,10 @@ def test_covers_on_vertex_subset():
 
 # ------------------------------------------------- permutations tied to edges
 
-def _oracle_records(D, verts=None, either: bool = False) -> Counter:
-    """The filtering oracle's permutations as a Counter of records:
-    (cycle lengths in the order of each cycle's smallest vertex,
-    (-1)^phi)."""
+def _oracle_tally(D, verts=None, either: bool = False) -> Counter:
+    """The filtering oracle's permutations tallied by (cycle type, (-1)^phi)."""
     vs = sorted(D.vertices() if verts is None else set(verts))
-    records = Counter()
+    tally = Counter()
     for sigma in oracles.perms_with_cycles_oracle(D, verts, either):
         lengths, seen = [], set()
         for v in vs:
@@ -357,63 +355,66 @@ def _oracle_records(D, verts=None, either: bool = False) -> Counter:
                 seen.update(cycle)
                 lengths.append(len(cycle))
         one_line = tuple(sigma.get(v, v) for v in D.vertices())
-        records[tuple(lengths), (-1) ** oracles.phi(one_line, D)] += 1
-    return records
+        cycle_type = tuple(sorted(lengths, reverse=True))
+        tally[cycle_type, (-1) ** oracles.phi(one_line, D)] += 1
+    return tally
 
 
 def test_perms_with_cycles_in_digraph():
     D = digraph(3, [(1, 2), (2, 1)])
     # identity always allowed (fixed points unconstrained); swap 1,2 allowed.
-    # Records are (cycle lengths by smallest vertex, sign), and only the
-    # D-cycle (1 2) is twisted.
-    assert perms_with_all_cycles_in(D) == [((1, 1, 1), 1), ((2, 1), -1)]
+    # The tally is by (cycle type, sign), and only the D-cycle (1 2) is
+    # twisted.
+    assert perms_with_all_cycles_in(D) == {((1, 1, 1), 1): 1, ((2, 1), -1): 1}
     # transpositions (13), (23) live in the complement; the 3-cycles mix
     # edges of D and Dbar and are excluded.
-    assert perms_with_cycles_in_either(D) == [
-        ((1, 1, 1), 1),
-        ((1, 2), 1),
-        ((2, 1), -1),
-        ((2, 1), 1),
-    ]
+    assert perms_with_cycles_in_either(D) == {
+        ((1, 1, 1), 1): 1,
+        ((2, 1), -1): 1,
+        ((2, 1), 1): 2,
+    }
 
 
 def _vertex_subsets(D):
     return st.one_of(st.none(), st.sets(st.integers(1, D.n)) if D.n else st.none())
 
 
+def _check_tally(D, verts=None):
+    """Each family's tally is the oracle's, and counts only kept permutations."""
+    for family, either in (
+        (perms_with_all_cycles_in, False),
+        (perms_with_cycles_in_either, True),
+    ):
+        tally = family(D, verts)
+        assert tally and all(c > 0 for c in tally.values())
+        assert tally == _oracle_tally(D, verts, either)
+
+
 @given(digraphs(max_n=6), st.data())
 def test_perm_families_match_filtering_oracle(D, data):
+    _check_tally(D, data.draw(_vertex_subsets(D)))
+
+
+@given(digraphs(max_n=7), st.data())
+def test_perm_tally_sign_flips_by_sgn_under_complement(D, data):
+    # both walks keep the same permutations, one twisting the cycles of D
+    # and the other those of Dbar; the two twists multiply to sgn(sigma) =
+    # (-1)^(m - number of cycles), with no oracle involved
     verts = data.draw(_vertex_subsets(D))
-    for family, either in (
-        (perms_with_all_cycles_in, False),
-        (perms_with_cycles_in_either, True),
-    ):
-        assert Counter(family(D, verts)) == _oracle_records(D, verts, either)
-
-
-def _check_records(D, verts=None):
-    """Each family's records, with multiplicity, are the oracle's: lengths
-    ordered by smallest vertex, sign (-1)^phi."""
-    for family, either in (
-        (perms_with_all_cycles_in, False),
-        (perms_with_cycles_in_either, True),
-    ):
-        records = family(D, verts)
-        assert records
-        assert Counter(records) == _oracle_records(D, verts, either)
-
-
-@given(digraphs(max_n=6), st.data())
-def test_perm_records_carry_cycle_lengths_and_sign(D, data):
-    _check_records(D, data.draw(_vertex_subsets(D)))
+    m = len(set(D.vertices() if verts is None else verts))
+    twisted = Counter({
+        (lam, s * (-1) ** (m - len(lam))): c
+        for (lam, s), c in perms_with_cycles_in_either(D, verts).items()
+    })
+    assert perms_with_cycles_in_either(complement(D), verts) == twisted
 
 
 def test_perm_records_at_zero_vertices():
     D = digraph(3, [(1, 2), (2, 3), (3, 1)])
     for G, verts in ((empty_digraph(0), None), (D, ())):
-        _check_records(G, verts)
+        _check_tally(G, verts)
         for family in (perms_with_all_cycles_in, perms_with_cycles_in_either):
-            assert family(G, verts) == [((), 1)]
+            assert family(G, verts) == {((), 1): 1}
 
 
 @pytest.mark.parametrize("edges", [(), ((1, 2),), ((2, 1),), ((1, 2), (2, 1))])
@@ -423,7 +424,7 @@ def test_perm_records_on_two_vertices(edges, loops):
     # their 2-cycle if D holds both edges (sign -1) or neither (Dbar, +1)
     def expected(either):
         two = -1 if len(edges) == 2 else 1 if either and not edges else 0
-        return [((1, 1), 1)] + ([((2,), two)] if two else [])
+        return {((1, 1), 1): 1, **({((2,), two): 1} if two else {})}
 
     looped = ((1, 1), (2, 2)) if loops else ()
     D = digraph(2, edges + looped)
@@ -434,14 +435,29 @@ def test_perm_records_on_two_vertices(edges, loops):
     for H, verts in ((D, None), (G, [4, 2])):
         assert perms_with_all_cycles_in(H, verts) == expected(False)
         assert perms_with_cycles_in_either(H, verts) == expected(True)
-        _check_records(H, verts)
+        _check_tally(H, verts)
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_perm_families_match_the_oracle_at_seven_and_eight(n):
     cases = [random_digraph(n, p, 40 + n) for p in (0.15, 0.5, 0.85)]
     for D in cases + [random_tournament(n, 40 + n)]:
-        _check_records(D)
+        _check_tally(D)
+
+
+def test_perm_tally_in_closed_form_at_the_guard_bound():
+    # every permutation of [8] has its cycles in the complete digraph with
+    # loops, and each nontrivial one in the complement of the empty digraph
+    everything = {lam: factorial(8) // _z(lam) for lam in partitions_of(8)}
+    signed = {(lam, (-1) ** (8 - len(lam))): c for lam, c in everything.items()}
+    K = complete_digraph(8, loops=True)
+    assert perms_with_all_cycles_in(K) == signed
+    assert perms_with_cycles_in_either(K) == signed
+    assert perms_with_cycles_in_either(empty_digraph(8)) == {
+        (lam, 1): c for lam, c in everything.items()
+    }
+    # the identity alone fills the fixed-point count to 8
+    assert perms_with_all_cycles_in(empty_digraph(8)) == {((1,) * 8, 1): 1}
 
 
 def test_perm_families_keep_the_guard():
@@ -451,7 +467,7 @@ def test_perm_families_keep_the_guard():
         perms_with_all_cycles_in(empty_digraph(9))
     # every permutation's cycles are cycles of the complete complement
     eight = perms_with_cycles_in_either(empty_digraph(9), verts=range(1, 9))
-    assert len(eight) == factorial(8)
+    assert sum(eight.values()) == factorial(8)
 
 
 def test_vertex_subsets_out_of_range_raise():
@@ -469,10 +485,9 @@ def test_vertex_subsets_out_of_range_raise():
 @given(digraphs(max_n=4))
 def test_perm_families_nest(D):
     # a permutation whose cycles all follow D is kept by both families,
-    # with the same record: every record of the first is one of the second
+    # with the same cycle type and sign
     inner, outer = (
-        Counter(family(D))
-        for family in (perms_with_all_cycles_in, perms_with_cycles_in_either)
+        family(D) for family in (perms_with_all_cycles_in, perms_with_cycles_in_either)
     )
     assert inner <= outer
 
