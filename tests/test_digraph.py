@@ -395,6 +395,22 @@ def test_perm_families_match_filtering_oracle(D, data):
     _check_tally(D, data.draw(_vertex_subsets(D)))
 
 
+@given(digraphs(max_n=6), st.data())
+def test_perm_records_carry_cycle_lengths_and_sign(D, data):
+    # each key is a partition of the walked vertex count and a sign; when
+    # every nontrivial cycle lies in D, each cycle is twisted by
+    # (-1)^(length - 1), so the sign is sgn(sigma) = (-1)^(m - #cycles)
+    verts = data.draw(_vertex_subsets(D))
+    m = len(set(D.vertices() if verts is None else verts))
+    for family in (perms_with_all_cycles_in, perms_with_cycles_in_either):
+        for lam, s in family(D, verts):
+            assert sum(lam) == m and all(k > 0 for k in lam)
+            assert list(lam) == sorted(lam, reverse=True)
+            assert s in (1, -1)
+    for lam, s in perms_with_all_cycles_in(D, verts):
+        assert s == (-1) ** (m - len(lam))
+
+
 @given(digraphs(max_n=7), st.data())
 def test_perm_tally_sign_flips_by_sgn_under_complement(D, data):
     # both walks keep the same permutations, one twisting the cycles of D
