@@ -14,7 +14,6 @@ identities.  All arithmetic is exact.
 from .combinat import (
     character,
     conjugate,
-    cycle_type,
     partitions_of,
     record_partition,
     z_lambda,

@@ -1,13 +1,11 @@
-"""Integer partitions, permutations, and symmetric group characters.
+"""Integer partitions, records of words, and symmetric group characters.
 
 Conventions used throughout the package:
 
 - A partition is a tuple of weakly decreasing positive integers; the
   empty tuple is the unique partition of 0.
 - A permutation of [n] = {1, ..., n} is a tuple in one-line notation,
-  sigma[i-1] is the image of i.  Permutations of an arbitrary finite
-  subset of positive integers are dicts mapping each element to its
-  image.
+  sigma[i-1] is the image of i.
 - Partitions of equal weight are listed reverse-lexicographically,
   from (n) down to (1,)*n; across weights, smaller weight first.
 """
@@ -21,7 +19,6 @@ from math import factorial
 from .guards import guard
 
 Partition = tuple
-Permutation = tuple
 
 
 # ---------------------------------------------------------------- partitions
@@ -94,39 +91,6 @@ def hook_partition(i: int, n: int) -> Partition:
     if not 1 <= i <= n:
         raise ValueError("hook arm must satisfy 1 <= i <= n")
     return (i,) + (1,) * (n - i)
-
-
-# --------------------------------------------------------------- permutations
-
-def perm_to_dict(sigma: Permutation) -> dict:
-    return {i: v for i, v in enumerate(sigma, start=1)}
-
-
-def cycles_of(sigma) -> list:
-    """Disjoint cycles, each starting at its minimum, ordered by minimum.
-
-    Accepts one-line tuples (domain [n]) or dicts on any finite domain.
-    Successive entries follow sigma: cycle (c0, c1, ...) has sigma(ct) = c(t+1).
-    """
-    mapping = perm_to_dict(sigma) if isinstance(sigma, tuple) else sigma
-    seen = set()
-    cycles = []
-    for start in sorted(mapping):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = mapping[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
-def cycle_type(sigma) -> Partition:
-    return tuple(sorted((len(c) for c in cycles_of(sigma)), reverse=True))
 
 
 # -------------------------------------------------------------------- records

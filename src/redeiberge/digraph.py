@@ -5,22 +5,21 @@ A digraph is a vertex count n together with a set of directed edges in
 edges are not.  Vertices are labelled 1..n everywhere, including in
 vertex subsets, which keep their original labels.
 
-Path-cycle covers and permutations tied to edges are both built one
-component at a time from the smallest unplaced vertex v, so no finished
-cover or permutation is built twice or rejected.  A cover's component at
-v is a path, grown forward from v and then backward from v, or a cycle,
-grown through unplaced vertices and closed back on v (a loop is a cycle
-of length 1).  Only the component lengths are kept: the covers come as
-a tally by (path partition, cycle partition), all that U_D and Chow's
-path-cycle functions read of a cover.
-Permutations whose nontrivial cycles all follow edges of D, or each
-follow edges of D or of its complement, fix v or grow a cycle from it
-(`_perms_with_cycles_along`); the last two unplaced vertices are placed
-in one step, fixed and then swapped if a table of the 2-cycles (pair)
-holds them.  Each permutation is one int, its cycle counts in 4-bit
-fields and its sign as the int's sign, both set as each cycle closes; the
-ints come as a tally by (cycle type, sign), all that the power-sum routes
-read of a permutation.
+Path-cycle covers and permutations tied to edges are tallied by the set
+of unplaced vertices: what is left once a component closes depends only
+on that set, so it is tallied once per set, not once per cover or
+permutation.  The component at the smallest unplaced vertex v is grown
+by depth-first search, once per v over the vertices above it.  A cover's
+component is a path, grown forward from v and then backward from v, or a
+cycle closed back on v (a loop is a cycle of length 1); a permutation's
+is v fixed or a cycle from v along the edges of D (or of its
+complement).  Components are counted by their vertex set and a packed
+code, one 4-bit count per component kind and length; the tally of a set
+R adds each component inside R, through R's smallest vertex, to the
+memoized tally of what it leaves, by adding codes.  The codes are
+decoded once, at the end: covers come as a tally by (path partition,
+cycle partition) and permutations by (cycle type, sign), all that U_D
+and Chow's path-cycle functions read of them.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .guards import guard
@@ -260,67 +260,23 @@ def enumerate_path_cycle_covers(
 
     Every vertex lies in exactly one component; singleton paths need no
     edges, so the all-singletons cover is always counted when paths are
-    allowed.  Each cover is built once, one component at a time (see
+    allowed.  The covers are tallied by the set of unplaced vertices (see
     the module docstring); the flags drop the path or the cycle branch.
     """
     vs = _vertex_subset(D, verts)
     guard("covers", len(vs), 8)
-    bit = {v: 1 << k for k, v in enumerate(vs)}
-    # per vertex: out- and in-neighbours inside vs, as (bit, vertex)
-    succ = {v: [(bit[w], w) for w in D.out_neighbors(v) if w in bit] for v in vs}
-    pred = {v: [(bit[u], u) for u in vs if (u, v) in D.edges] for v in vs}
-    raw: dict = {}
-    ctx = ((1 << len(vs)) - 1, vs, succ, pred, allow_paths, allow_cycles, raw)
-    _cover(0, (), (), ctx)
+    at = {v: k for k, v in enumerate(vs)}
+    # per position: out- and in-neighbours inside vs, as (bit, position)
+    succ = [[(1 << at[w], at[w]) for w in D.out_neighbors(v) if w in at] for v in vs]
+    pred = [[(1 << k, k) for k, u in enumerate(vs) if (u, v) in D.edges] for v in vs]
+    # a path of length L counts in the 4-bit field L - 1, a cycle 32 bits up
+    fields = [0] + [1 << 4 * k for k in range(len(vs))]
+    ctx = (_cover_parts, succ, pred, allow_paths, allow_cycles, fields,
+           [f << 32 for f in fields])
     tally = Counter()
-    for lens, c in raw.items():
-        tally[tuple(tuple(sorted(k, reverse=True)) for k in lens)] += c
+    for code, c in _tally(len(vs), ctx).items():
+        tally[_lengths(code & _LOW), _lengths(code >> 32)] += c
     return tally
-
-
-# The steps of both generators are module functions, not closures: closures
-# that call each other form a reference cycle that would keep `raw` or `out`
-# alive until the cycle collector runs.  Here ctx is (full, vs, succ, pred,
-# allow_paths, allow_cycles, raw); used is the bitmask of placed positions
-# in vs; paths and cycles hold the lengths of the finished components in
-# the order they were built, and raw counts the finished covers by them.
-
-def _cover(used, paths, cycles, ctx) -> None:
-    full, vs, succ, pred, allow_paths, allow_cycles, raw = ctx
-    if used == full:
-        key = (paths, cycles)
-        raw[key] = raw.get(key, 0) + 1
-        return
-    low = ~used & (used + 1)
-    v = vs[low.bit_length() - 1]
-    if allow_paths:
-        _forward(v, 1, v, used | low, paths, cycles, ctx)
-    if allow_cycles:
-        _cycle(v, 1, v, used | low, paths, cycles, ctx)
-
-
-def _forward(first, length, last, used, paths, cycles, ctx) -> None:
-    """Stop the path at last and grow it backward, or extend it past last."""
-    _backward(first, length, used, paths, cycles, ctx)
-    for b, w in ctx[2][last]:
-        if not used & b:
-            _forward(first, length + 1, w, used | b, paths, cycles, ctx)
-
-
-def _backward(first, length, used, paths, cycles, ctx) -> None:
-    """Finish the path at first, or extend it before first."""
-    _cover(used, paths + (length,), cycles, ctx)
-    for b, u in ctx[3][first]:
-        if not used & b:
-            _backward(u, length + 1, used | b, paths, cycles, ctx)
-
-
-def _cycle(start, length, last, used, paths, cycles, ctx) -> None:
-    for b, w in ctx[2][last]:
-        if not used & b:
-            _cycle(start, length + 1, w, used | b, paths, cycles, ctx)
-        elif w == start:
-            _cover(used, paths, cycles + (length,), ctx)
 
 
 def enumerate_path_covers(D: Digraph, verts=None) -> Counter:
@@ -349,77 +305,132 @@ def perms_with_cycles_in_either(D: Digraph, verts=None) -> Counter:
     sign); the sign twists only the cycles of D."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
-    return _perms_with_cycles_along(vs, [D.edges, complement(D).edges])
+    return _perms_with_cycles_along(vs, [D.edges, set(product(vs, repeat=2)) - D.edges])
 
 
 def _perms_with_cycles_along(vs: list, edge_sets) -> Counter:
     """The permutations of vs whose nontrivial cycles each run along the
     edges of one of edge_sets, tallied by (cycle type, sign).
 
-    The smallest unplaced vertex is either fixed or starts a cycle that
-    grows through unplaced vertices along one digraph's edges and closes
-    back on it; the last two, i < j, are fixed, then swapped if pair[i][j],
-    the sign step of the edge set holding both i -> j and j -> i, is not 0.
-    Each permutation is one int: 4-bit field k - 1 counts its k-cycles
-    (the guard at 8 keeps each count below 16), and the int's sign is
-    (-1)^phi, phi summing length - 1 over the cycles of edge_sets[0].  The
-    distinct ints are decoded once, after the walk.
+    The component at the smallest unplaced vertex is that vertex fixed or
+    a cycle grown from it along one edge set (see the module docstring).
+    A k-cycle counts in the 4-bit field k - 1, and an even cycle along
+    edge_sets[0] also adds 1 at bit 32: the parity there is that of phi,
+    the sum of length - 1 over those cycles, and the sign is (-1)^phi.
     """
-    m = len(vs)
-    if not m:
-        return Counter({((), 1): 1})
-    # per edge set: the sign step per cycle vertex, successors (bit, index)
-    succs, pair = [], [[0] * m for _ in range(m)]
-    for t, edges in enumerate(edge_sets):
-        step = -1 if t == 0 else 1
-        succ = [[(1 << j, j) for j, v in enumerate(vs)
-                 if j != i and (u, v) in edges] for i, u in enumerate(vs)]
-        succs.append((step, succ))
-        for i, row in enumerate(succ):
-            for _, j in row:
-                if (vs[j], vs[i]) in edges:
-                    pair[i][j] = step
-    out: list = []
-    _place(0, 1, 0, ((1 << m) - 1, succs, pair, out))
+    fields = [0] + [1 << 4 * k for k in range(len(vs))]
+    # per edge set: successors (bit, position) without loops, and the code
+    # of a cycle by its length
+    walks = [
+        ([[(1 << j, j) for j, v in enumerate(vs) if j != i and (u, v) in edges]
+          for i, u in enumerate(vs)],
+         [f | (t == 0 and k % 2 == 0) << 32 for k, f in enumerate(fields)])
+        for t, edges in enumerate(edge_sets)
+    ]
     tally = Counter()
-    for code, c in Counter(out).items():
-        a = abs(code)
-        lam = tuple(k for k in range(m, 0, -1) for _ in range((a >> 4 * (k - 1)) & 15))
-        tally[lam, 1 if code > 0 else -1] += c
+    for code, c in _tally(len(vs), (_perm_parts, walks)).items():
+        tally[_lengths(code & _LOW), -1 if code >> 32 & 1 else 1] += c
     return tally
 
 
-# ctx is (full, succs, pair, out); used is the bitmask of placed indices;
-# code packs the cycle counts so far, field k - 1 (k = 1, 2, ...) at bit
-# 4(k - 1), and _grow carries the field of its open cycle's length.
+# ------------------------------------------------- tallies by unplaced set
 
-def _place(used, sign, code, ctx) -> None:
-    full, succs, pair, out = ctx
-    rest = full ^ used
-    i = (rest & -rest).bit_length() - 1
-    rest &= rest - 1
-    if not rest:
-        out.append(sign * (code + 1))
-    elif not rest & (rest - 1):  # i and j are the last two
-        out.append(sign * (code + 2))
-        j = rest.bit_length() - 1
-        if pair[i][j]:
-            out.append(sign * pair[i][j] * (code + 16))
-    else:
-        _place(full ^ rest, sign, code + 1, ctx)
-        for step, succ in succs:
-            _grow(i, i, full ^ rest, 1, sign, step, succ, code, ctx)
+# Both enumerators run through _tally.  Positions index the sorted vertex
+# subset, and a set of positions is a bitmask.  ctx is (grow, ...):
+# grow(i, placed, parts, ctx) counts each component through position i
+# that avoids the positions in placed as parts[used, code], used adding
+# the component's positions to placed and code being its packed lengths.
+# The steps are module functions, not closures: closures that call each
+# other form a reference cycle that would keep the memo alive until the
+# cycle collector runs.
+
+_LOW = (1 << 32) - 1  # covers' paths and permutations' cycles; the rest above
 
 
-def _grow(start, last, used, field, sign, step, succ, code, ctx) -> None:
-    for bit, w in succ[last]:
-        if not used & bit:
-            _grow(start, w, used | bit, field << 4, sign * step, step, succ, code, ctx)
+def _tally(m: int, ctx) -> dict:
+    """The packed codes of the objects on m positions, with their counts."""
+    memo = {0: {0: 1}}
+    full = (1 << m) - 1
+    return _tally_rest(full, [None] * m, memo, ctx) if m else memo[0]
+
+
+def _tally_rest(rest, starts, memo, ctx) -> dict:
+    """The tally on the unplaced positions rest, memoized.
+
+    The components through rest's lowest position i are grown once per i,
+    over every position from i up (starts[i] holds them as (mask, code,
+    count)); those inside rest are combined with the tally of the
+    positions they leave by adding codes.
+    """
+    low = rest & -rest
+    i = low.bit_length() - 1
+    parts = starts[i]
+    if parts is None:
+        found: dict = {}
+        ctx[0](i, low - 1 | low, found, ctx)
+        parts = starts[i] = [(used ^ low - 1, code, c)
+                             for (used, code), c in found.items()]
+    tally: dict = {}
+    for mask, code, c in parts:
+        if mask | rest != rest:
+            continue
+        left = rest ^ mask
+        sub = memo.get(left)
+        if sub is None:
+            sub = _tally_rest(left, starts, memo, ctx)
+        for code2, c2 in sub.items():
+            key = code + code2
+            tally[key] = tally.get(key, 0) + c * c2
+    memo[rest] = tally
+    return tally
+
+
+@lru_cache(maxsize=None)  # its codes are those of the 67 partitions of 0..8
+def _lengths(code: int) -> tuple:
+    """The partition with as many parts k as 4-bit field k - 1 of code."""
+    return tuple(k for k in range(8, 0, -1) for _ in range(code >> 4 * (k - 1) & 15))
+
+
+def _cover_parts(i, placed, parts, ctx) -> None:
+    """The paths through i, grown forward then backward, and the cycles."""
+    if ctx[3]:
+        _forward(i, i, placed, 1, parts, ctx)
+    if ctx[4]:
+        _cycle(i, i, placed, 1, ctx[1], ctx[6], parts)
+
+
+def _perm_parts(i, placed, parts, ctx) -> None:
+    """i fixed, and the cycles from i along each edge set."""
+    parts[placed, 1] = 1
+    for succ, codes in ctx[1]:
+        _cycle(i, i, placed, 1, succ, codes, parts)
+
+
+def _forward(first, last, used, length, parts, ctx) -> None:
+    """Stop the path at last and grow it backward, or extend it past last."""
+    _backward(first, used, length, parts, ctx)
+    for b, w in ctx[1][last]:
+        if not used & b:
+            _forward(first, w, used | b, length + 1, parts, ctx)
+
+
+def _backward(first, used, length, parts, ctx) -> None:
+    """Finish the path at first, or extend it before first."""
+    key = used, ctx[5][length]
+    parts[key] = parts.get(key, 0) + 1
+    for b, u in ctx[2][first]:
+        if not used & b:
+            _backward(u, used | b, length + 1, parts, ctx)
+
+
+def _cycle(start, last, used, length, succ, codes, parts) -> None:
+    """Extend the cycle from start past last, or close it back on start."""
+    for b, w in succ[last]:
+        if not used & b:
+            _cycle(start, w, used | b, length + 1, succ, codes, parts)
         elif w == start:
-            if used == ctx[0]:
-                ctx[3].append(sign * (code + field))
-            else:
-                _place(used, sign, code + field, ctx)
+            key = used, codes[length]
+            parts[key] = parts.get(key, 0) + 1
 
 
 # ------------------------------------------------------------- serialization

@@ -22,8 +22,6 @@ from math import prod
 
 from redeiberge.combinat import (
     character,
-    cycle_type,
-    cycles_of,
     multiplicity_factorial,
     sgn_of_type,
     z_lambda,
@@ -841,8 +839,8 @@ def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
 #
 # Small conveniences the package itself never calls.  character_degree and
 # inner_product read the package's character table and p-basis conversion,
-# sgn, psi and foata_linearize its cycle decomposition, and is_p_positive
-# its p-basis conversion, so they test those, not stand in for them.
+# and is_p_positive its p-basis conversion, so they test those, not stand
+# in for them.  sgn, psi and foata_linearize read cycles_of here.
 # variable, induced and symfun_from_json_dict build inputs through the
 # package's validating constructors, and gamma reads its walk counts.
 # walk_series and denominator_series read the determinant series and
@@ -851,6 +849,37 @@ def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
 def permutations_of(n: int):
     """All permutations of [n] in one-line notation, lexicographic."""
     return permutations(range(1, n + 1))
+
+
+def perm_to_dict(sigma: tuple) -> dict:
+    return {i: v for i, v in enumerate(sigma, start=1)}
+
+
+def cycles_of(sigma) -> list:
+    """Disjoint cycles, each starting at its minimum, ordered by minimum.
+
+    Accepts one-line tuples (domain [n]) or dicts on any finite domain.
+    Successive entries follow sigma: cycle (c0, c1, ...) has sigma(ct) = c(t+1).
+    """
+    mapping = perm_to_dict(sigma) if isinstance(sigma, tuple) else sigma
+    seen = set()
+    cycles = []
+    for start in sorted(mapping):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        cur = mapping[start]
+        while cur != start:
+            cyc.append(cur)
+            seen.add(cur)
+            cur = mapping[cur]
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def cycle_type(sigma) -> tuple:
+    return tuple(sorted((len(c) for c in cycles_of(sigma)), reverse=True))
 
 
 def perm_from_cycles(n: int, cycles) -> tuple:

@@ -10,6 +10,7 @@ from functools import wraps
 from oracles import (
     all_tournaments,
     bareiss_det,
+    cycle_type,
     hook_descent_count,
     identity_minus_xa,
     identity_plus_xa,
@@ -26,7 +27,6 @@ from oracles import (
 from redeiberge.cli import build_corpus, run_corpus
 from redeiberge.combinat import (
     character,
-    cycle_type,
     hook_partition,
     partitions_of,
     z_lambda,

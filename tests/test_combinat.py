@@ -10,6 +10,8 @@ from gens import partitions, perms
 from oracles import (
     character_degree,
     composition_descents,
+    cycle_type,
+    cycles_of,
     descent_composition,
     dominates,
     foata_linearize,
@@ -23,8 +25,6 @@ from oracles import (
 from redeiberge.combinat import (
     character,
     conjugate,
-    cycle_type,
-    cycles_of,
     hook_partition,
     is_partition,
     multiplicity_factorial,

@@ -436,8 +436,8 @@ def test_perm_records_at_zero_vertices():
 @pytest.mark.parametrize("edges", [(), ((1, 2),), ((2, 1),), ((1, 2), (2, 1))])
 @pytest.mark.parametrize("loops", [False, True])
 def test_perm_records_on_two_vertices(edges, loops):
-    # the walk places the last two vertices in one step: both fixed, then
-    # their 2-cycle if D holds both edges (sign -1) or neither (Dbar, +1)
+    # the two vertices are both fixed, or swapped as a 2-cycle if D holds
+    # both edges (sign -1) or neither (Dbar, +1); loops change nothing
     def expected(either):
         two = -1 if len(edges) == 2 else 1 if either and not edges else 0
         return {((1, 1), 1): 1, **({((2,), two): 1} if two else {})}

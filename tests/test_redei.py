@@ -18,6 +18,7 @@ from redeiberge.combinat import (
 from redeiberge.digraph import (
     all_digraphs,
     complement,
+    complete_digraph,
     digraph,
     directed_path_digraph,
     empty_digraph,
@@ -182,8 +183,9 @@ def test_all_routes_agree(D):
 
 def test_powersum_gs_matches_other_routes_up_to_its_bound():
     # The route comparisons above and in the acceptance gate stop at n = 5.
-    # path-cover of a sparse D is slow at n = 8, so densities there are >= 0.5.
-    for n, densities in ((7, (0.2, 0.5, 0.8)), (8, (0.5, 0.7, 0.9))):
+    # A sparse D has a dense complement, whose path covers path-cover
+    # tallies by vertex set, so sparse digraphs at n = 8 are quick too.
+    for n, densities in ((7, (0.2, 0.5, 0.8)), (8, (0.1, 0.25, 0.5, 0.7, 0.9))):
         for seed, p in enumerate(densities):
             D = random_digraph(n, p, seed=40 + seed)
             assert to_p(redei.u_via_path_covers(D)) == redei.u_via_powersum_GS(D)
@@ -528,6 +530,67 @@ def test_kernel_routes_enumerate_no_covers(monkeypatch):
     for D, (u, xi_p) in zip(cases, want):
         assert redei.u_via_subset_formula(D) == u
         assert chow_xi(D, "powersum") == xi_p
+
+
+def test_enumerators_call_no_ringmat_kernel(monkeypatch):
+    # powersum-GS, path-cover, tournament, acyclic-powersum and Chow's
+    # direct Xi read these enumerators; each check of them against
+    # subset-formula or the powersum Xi compares two different algorithms
+    # only while the enumerators stay off ringmat's DPs
+    digraph_module = importlib.import_module("redeiberge.digraph")
+    cases = [random_digraph(6, p, seed=430 + i) for i, p in enumerate((0.3, 0.5, 0.7))]
+    families = (
+        digraph_module.perms_with_all_cycles_in,
+        digraph_module.perms_with_cycles_in_either,
+        digraph_module.enumerate_path_cycle_covers,
+        digraph_module.enumerate_path_covers,
+        digraph_module.enumerate_cycle_covers,
+    )
+    want = [[family(D) for family in families] for D in cases]
+    assert all(all(tallies) for tallies in want)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("ringmat kernel called")
+
+    ringmat = importlib.import_module("redeiberge.ringmat")
+    for name in ("_anchored_cycle_weights", "subset_exp", "path_counts"):
+        monkeypatch.setattr(ringmat, name, boom)
+        monkeypatch.setattr(digraph_module, name, boom, raising=False)
+    for D, tallies in zip(cases, want):
+        assert [family(D) for family in families] == tallies
+
+
+_TRANSITIVE_8 = digraph(8, [(j, i) for j in range(1, 9) for i in range(1, j)])
+
+
+@pytest.mark.parametrize(
+    "D, names, want",
+    [
+        (
+            empty_digraph(8),
+            ["path-cover", "powersum-GS", "acyclic-powersum", "acyclic-records"],
+            SymFun("h", {(8,): math.factorial(8)}),
+        ),
+        (complete_digraph(8), ["path-cover", "powersum-GS"],
+         SymFun("e", {(8,): math.factorial(8)})),
+        (complete_digraph(8, loops=True), ["path-cover", "powersum-GS"],
+         SymFun("e", {(8,): math.factorial(8)})),
+        (
+            _TRANSITIVE_8,
+            ["path-cover", "powersum-GS", "acyclic-powersum", "acyclic-records",
+             "tournament"],
+            SymFun("p", {(1,) * 8: 1}),
+        ),
+    ],
+    ids=["empty", "complete", "complete-with-loops", "transitive-tournament"],
+)
+def test_closed_forms_at_the_bound(D, names, want):
+    # every route that admits these 8-vertex digraphs gives 8! h_8, 8! e_8
+    # or p_1^8; 8 fixed points or singleton paths fill the packed count of
+    # length 1 furthest
+    assert applicable_routes(D) == names
+    for name in names:
+        assert to_p(ROUTES[name].fn(D)) == to_p(want), name
 
 
 def test_subset_formula_matches_powersum_gs_at_its_bound():

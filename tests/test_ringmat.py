@@ -16,6 +16,8 @@ from oracles import (
     bareiss_det,
     coeff_extract,
     cycle_cover_sums,
+    cycle_type,
+    cycles_of,
     det_ring_leibniz,
     equals,
     identity_minus_xa,
@@ -30,7 +32,7 @@ from oracles import (
     variable,
 )
 from redeiberge import ringmat
-from redeiberge.combinat import cycle_type, cycles_of, partitions_of
+from redeiberge.combinat import partitions_of
 from redeiberge.digraph import (
     complement,
     complete_digraph,
