@@ -10,6 +10,10 @@ Exit codes: 0 success, 2 parse or input error, 3 size guard violation,
 4 route disagreement or verification failure.  Output is deterministic
 for a fixed configuration and seed; timing fields appear only with
 --timings so that default output is byte-stable.
+
+`verify` checks on each digraph the rows of the IDENTITIES table that
+admit it; a row that reads U_D runs only once routes-agree has passed
+(identity_suite states the rule).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .digraph import (
 )
 from .guards import DisagreementError, GuardError, guard
 from .hamilton import (
+    DP_BOUND,
     PARITY_BOUND,
     WISEMAN_BOUND,
     ham_dp,
@@ -62,15 +67,10 @@ from .redei import (
     u_all_routes,
     u_from_chow,
     u_digraph,
-    u_tournament,
     verify_chow_identities,
 )
 from .symfun import BASES, SymFun, convert, omega, to_p
 from .walks import verify_walk_identity
-
-# The identity suite checks the walk identity only up to this n, though
-# verify_walk_identity admits 8.
-WALK_IDENTITY_SUITE_BOUND = 6
 
 
 # ------------------------------------------------------------ digraph input
@@ -78,6 +78,9 @@ WALK_IDENTITY_SUITE_BOUND = 6
 def parse_generator(spec: str, seed) -> Digraph:
     kind, _, rest = spec.partition(":")
     try:
+        # no entry point admits n > DP_BOUND: refuse it before building edges
+        if kind in ("empty", "complete", "tournament", "random", "path"):
+            guard("generator", int(rest.split(",")[0]), DP_BOUND)
         if kind == "empty":
             return empty_digraph(int(rest))
         if kind == "complete":
@@ -94,6 +97,7 @@ def parse_generator(spec: str, seed) -> Digraph:
             sizes = [int(x) for x in rest.split(",")]
             if any(s <= 0 for s in sizes):
                 raise ValueError("star block sizes must be positive")
+            guard("generator", sum(sizes), DP_BOUND)
             blocks, start = [], 1
             for s in sizes:
                 blocks.append(range(start, start + s))
@@ -103,6 +107,8 @@ def parse_generator(spec: str, seed) -> Digraph:
             return directed_path_digraph(int(rest))
         if kind == "poset":
             return _poset_from_file(rest)
+    except GuardError:
+        raise
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown generator {kind!r}")
@@ -112,6 +118,7 @@ def _poset_from_file(path: str) -> Digraph:
     """Poset on the `n` line's [n], from `a b` lines meaning a < b."""
     with open(path, "r", encoding="utf-8") as fh:
         relations = digraph_from_text(fh.read())
+    guard("generator", relations.n, DP_BOUND)
     return poset_digraph(relations.n, relations.sorted_edges())
 
 
@@ -127,113 +134,17 @@ def digraph_from_args(args) -> Digraph:
 
 # ------------------------------------------------------------ identity suite
 
-def identity_suite(D: Digraph) -> dict:
-    """Run every identity the guards allow; map name -> None (pass) or detail.
+def _require(ok: bool, detail: str) -> None:
+    if not ok:
+        raise DisagreementError(detail)
 
-    routes-agree runs only when at least two routes admit D, and the
-    identities that use its U_D (hooks-readoff: the schur-JT result) only
-    when it passed.  An identity that
-    raises is recorded as failed, its detail starting with the exception's
-    type name, so one bad digraph never aborts a corpus run.  Raises
-    GuardError when no identity admits D.
-    """
-    results: dict = {}
 
-    def run(name: str, fn):
-        try:
-            fn()
-            results[name] = None
-        except Exception as exc:
-            results[name] = f"{type(exc).__name__}: {exc}"
-
-    n = D.n
-    routes = applicable_routes(D)
-    u_ref = None  # U_D in the p basis, once routes-agree has passed
-    by_route: dict = {}  # route name -> U_D, likewise
-
-    def check_routes():
-        nonlocal u_ref
-        computed = u_all_routes(D)
-        u_ref, why = compare_routes(computed)
-        if why:
-            raise DisagreementError(why)
-        by_route.update((r.route, r.value) for r in computed)
-
-    if len(routes) >= 2:
-        run("routes-agree", check_routes)
-        if u_ref is None:
-            return results
-
-    if u_ref is not None and DEFAULT_ROUTE in routes:
-        run(
-            "omega-complement",
-            lambda: _assert_equal_p(
-                omega(u_ref),
-                u_digraph(complement(D)),
-                "omega(U_D) vs U of complement",
-            ),
-        )
-        run(
-            "opposite-invariance",
-            lambda: _assert_equal_p(
-                u_ref,
-                u_digraph(opposite(D)),
-                "U_D vs U of opposite",
-            ),
-        )
-    if n <= PARITY_BOUND:
-        def check_parity():
-            par = parity_suite(D)
-            if not par["berge_ok"]:
-                raise DisagreementError(f"parity violation: {par}")
-            if par["is_tournament"] and not par["redei_ok"]:
-                raise DisagreementError(f"tournament with even count: {par}")
-
-        run("berge-parity", check_parity)
-    if "schur-JT" in by_route and n >= 1:
-        def check_hook_readoffs():
-            hooks = check_hooks(D, by_route["schur-JT"])
-            lo, hi = hooks[0], hooks[-1]
-            if lo != ham_dp(D) or hi != ham_dp(complement(D)):
-                raise DisagreementError(f"hook read-off mismatch: {lo}, {hi}")
-
-        run("hooks-readoff", check_hook_readoffs)
-    if u_ref is not None and n <= CHOW_BOUND:
-        run(
-            "u-from-path-cycle",
-            lambda: _assert_equal_p(
-                u_ref, u_from_chow(D), "U_D vs y=0 path-cycle function"
-            ),
-        )
-    if n <= CHOW_IDENTITIES_BOUND:
-        def check_chow():
-            report = verify_chow_identities(D)
-            if not report.ok:
-                raise DisagreementError("; ".join(report.failures))
-
-        run("chow-identities", check_chow)
-    if n <= WALK_IDENTITY_SUITE_BOUND:
-        def check_walks():
-            report = verify_walk_identity(D, trials=2, seed=7)
-            if not report.ok:
-                raise DisagreementError("; ".join(report.failures))
-
-        run("walk-identity", check_walks)
-    if "tournament" in routes:
-        def check_tournament_ones():
-            value = powersum_to_ones(u_tournament(D))
-            expected = ham_dp(complement(D))
-            if value != expected:
-                raise DisagreementError(
-                    f"tournament evaluation {value} != ham of complement {expected}"
-                )
-
-        run("tournament-ones", check_tournament_ones)
-    if is_acyclic(D) and n <= WISEMAN_BOUND:
-        run("wiseman-acyclic", lambda: wiseman_check(D))
-    if not results:
-        raise GuardError(f"no identity admits n = {n}")
-    return results
+def _agreed(D: Digraph) -> dict:
+    """Every applicable route's U_D by name, and "p": their common p form."""
+    computed = u_all_routes(D)
+    u_ref, why = compare_routes(computed)
+    _require(why is None, why)
+    return {"p": u_ref, **{r.route: r.value for r in computed}}
 
 
 def _assert_equal_p(f: SymFun, g: SymFun, label: str) -> None:
@@ -242,6 +153,101 @@ def _assert_equal_p(f: SymFun, g: SymFun, label: str) -> None:
     fp, gp = to_p(f), to_p(g)
     if fp.terms != gp.terms:
         raise DisagreementError(_first_difference(label, fp, gp))
+
+
+def _parity(D: Digraph) -> None:
+    par = parity_suite(D)
+    _require(par["berge_ok"], f"parity violation: {par}")
+    # redei_ok is None unless D is a tournament
+    _require(par["redei_ok"] is not False, f"tournament with even count: {par}")
+
+
+def _hooks(D: Digraph, u_schur: SymFun) -> None:
+    hooks = check_hooks(D, u_schur)
+    lo, hi = hooks[0], hooks[-1]
+    ok = lo == ham_dp(D) and hi == ham_dp(complement(D))
+    _require(ok, f"hook read-off mismatch: {lo}, {hi}")
+
+
+def _ones(D: Digraph, u_tour: SymFun) -> None:
+    got, want = powersum_to_ones(u_tour), ham_dp(complement(D))
+    _require(got == want, f"tournament evaluation {got} != ham of complement {want}")
+
+
+def _passed(report) -> None:
+    _require(report.ok, "; ".join(report.failures))
+
+
+# Identity name -> (admits(D), the U_D it reads, check(D, u)); see
+# identity_suite.  Rows look their functions up by name when called, so a
+# wrapper put on a module's function (a test stub, bench/tracer.py) runs.
+IDENTITIES = {
+    "routes-agree": (
+        lambda D: len(applicable_routes(D)) >= 2, None, lambda D, u: _agreed(D)
+    ),
+    "omega-complement": (
+        lambda D: DEFAULT_ROUTE in applicable_routes(D),
+        "p",
+        lambda D, u: _assert_equal_p(
+            omega(u), u_digraph(complement(D)), "omega(U_D) vs U of complement"
+        ),
+    ),
+    "opposite-invariance": (
+        lambda D: DEFAULT_ROUTE in applicable_routes(D),
+        "p",
+        lambda D, u: _assert_equal_p(u, u_digraph(opposite(D)), "U_D vs U of opposite"),
+    ),
+    "berge-parity": (lambda D: D.n <= PARITY_BOUND, None, lambda D, u: _parity(D)),
+    "hooks-readoff": (lambda D: D.n >= 1, "schur-JT", lambda D, u: _hooks(D, u)),
+    "u-from-path-cycle": (
+        lambda D: D.n <= CHOW_BOUND,
+        "p",
+        lambda D, u: _assert_equal_p(
+            u, u_from_chow(D), "U_D vs y=0 path-cycle function"
+        ),
+    ),
+    "chow-identities": (
+        lambda D: D.n <= CHOW_IDENTITIES_BOUND,
+        None,
+        lambda D, u: _passed(verify_chow_identities(D)),
+    ),
+    # checked up to n = 6 here, though verify_walk_identity admits 8
+    "walk-identity": (
+        lambda D: D.n <= 6,
+        None,
+        lambda D, u: _passed(verify_walk_identity(D, trials=2, seed=7)),
+    ),
+    "tournament-ones": (lambda D: True, "tournament", lambda D, u: _ones(D, u)),
+    "wiseman-acyclic": (
+        lambda D: D.n <= WISEMAN_BOUND and is_acyclic(D),
+        None,
+        lambda D, u: wiseman_check(D) and None,  # raises on failure
+    ),
+}
+
+
+def identity_suite(D: Digraph) -> dict:
+    """Run the IDENTITIES rows in order; map name -> None (pass) or detail.
+
+    A row runs when the U_D it reads came out and admits(D) holds; admits
+    tests n against its bound before any property of D.  A row reads no U_D
+    (None), "p" (the routes' common p form) or a route's result (its name);
+    only routes-agree, the first row, returns these, and only if it passes.
+    A row that raises is recorded as failed, its detail starting with the
+    exception's type name, so one bad digraph never aborts a corpus run.
+    Raises GuardError when no identity ran."""
+    results: dict = {}
+    u_read: dict = {None: None}
+    for name, (admits, reads, check) in IDENTITIES.items():
+        if reads in u_read and admits(D):
+            try:
+                u_read.update(check(D, u_read[reads]) or {})
+                results[name] = None
+            except Exception as exc:
+                results[name] = f"{type(exc).__name__}: {exc}"
+    if not results:
+        raise GuardError(f"no identity admits n = {D.n}")
+    return results
 
 
 # ------------------------------------------------------------------- corpus
@@ -259,6 +265,7 @@ def build_corpus(spec: str, seed=0) -> list:
         n, count = int(n_str), int(count_str)
         if count < 1:
             raise ValueError(f"corpus count must be at least 1, got {count}")
+        guard("generator", n, DP_BOUND)
         rng = random.Random(seed)
         densities = (0.15, 0.3, 0.5, 0.7, 0.85)
         return [
@@ -398,15 +405,7 @@ def cmd_verify(args) -> int:
     artifacts = []
     if summary["failures"] and args.artifacts:
         artifacts = write_artifacts(summary["failures"], args.artifacts)
-    payload = {
-        "command": "verify",
-        "corpus": args.corpus,
-        "seed": args.seed,
-        "items": summary["items"],
-        "identities": summary["identities"],
-        "failed_items": summary["failed_items"],
-        "failures": summary["failures"],
-    }
+    payload = {"command": "verify", "corpus": args.corpus, "seed": args.seed, **summary}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

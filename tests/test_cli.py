@@ -164,6 +164,19 @@ def test_exit_codes(tmp_path):
     assert main(argv + ["--jobs", "-1"]) == 2
 
 
+def test_generated_digraphs_are_guarded_before_they_are_built(monkeypatch, capsys):
+    # no entry point admits n = 23, so no edge of such a digraph is built
+    def no_build(*args):
+        raise AssertionError("a digraph past every bound was built")
+
+    for name in ("complete_digraph", "random_digraph"):
+        monkeypatch.setattr(cli, name, no_build)
+    assert main(["u", "--gen", "complete:23"]) == 3
+    assert main(["verify", "--corpus", "random:23,1", "--artifacts", ""]) == 3
+    err = capsys.readouterr().err
+    assert err.count("guard: generator: size 23 exceeds bound 22") == 2
+
+
 def test_argparse_exits_map_to_codes(capsys):
     assert main([]) == 2
     assert main(["nosuchcommand"]) == 2
@@ -348,8 +361,10 @@ def test_hooks_readoff_computes_each_hook_once(monkeypatch):
 def test_identity_suite_builds_each_table_once(monkeypatch):
     # One xi pair, for the schur-JT route, whose table hooks-readoff
     # reads; the two path-cycle cover tallies of verify_chow_identities
-    # and none for u-from-path-cycle.
-    counts = {"xi": 0, "enumerate_path_cycle_covers": 0}
+    # and none for u-from-path-cycle.  On a tournament, tournament-ones
+    # reads the tournament route's U_D: u_tournament runs once, counted
+    # wherever a module holds it by name.
+    counts = {"xi": 0, "enumerate_path_cycle_covers": 0, "u_tournament": 0}
     for name in counts:
         original = getattr(redei, name)
 
@@ -358,9 +373,16 @@ def test_identity_suite_builds_each_table_once(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(redei, name, counted)
+        if name == "u_tournament":
+            monkeypatch.setattr(cli, name, counted, raising=False)
     results = identity_suite(random_digraph(5, 0.5, seed=3))
     assert all(v is None for v in results.values())
-    assert counts == {"xi": 2, "enumerate_path_cycle_covers": 2}
+    assert counts == {"xi": 2, "enumerate_path_cycle_covers": 2, "u_tournament": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    results = identity_suite(random_tournament(5, 2))
+    assert results["tournament-ones"] is None
+    assert all(v is None for v in results.values())
+    assert counts["u_tournament"] == 1
 
 
 def test_immanant_lr_calls_immanant_once_per_submatrix(monkeypatch):
@@ -447,10 +469,17 @@ def test_routes_agree_failure_names_the_first_differing_route(monkeypatch):
     routes = applicable_routes(EXAMPLE3)
     assert routes[0] == "F-definition" and "matrix-det" in routes
     c = u_digraph(EXAMPLE3).coefficient((2, 1))
-    assert identity_suite(EXAMPLE3)["routes-agree"] == (
+    results = identity_suite(EXAMPLE3)
+    assert results.pop("routes-agree") == (
         "DisagreementError: routes disagree: matrix-det differs from"
         f" F-definition: coefficient at (2, 1) differs, {c + 1} vs {c}"
     )
+    # the failure holds back the identities that read U_D, and only those
+    assert results == {
+        "berge-parity": None,
+        "chow-identities": None,
+        "walk-identity": None,
+    }
 
 
 def test_default_route_is_named_once(monkeypatch, capsys):
@@ -504,6 +533,72 @@ def test_verify_skips_route_agreement_without_two_routes(capsys):
     assert code == 0
     assert payload["identities"] == {"berge-parity": {"checked": 2, "failed": 0}}
     assert identity_suite(empty_digraph(9)) == {"berge-parity": None}
+
+
+def test_identity_suite_tests_the_size_bound_before_acyclicity(monkeypatch):
+    # at n = 13 no identity admits D, and no property of D is computed
+    def no_scan(D):
+        raise AssertionError("is_acyclic ran past every bound")
+
+    monkeypatch.setattr(cli, "is_acyclic", no_scan)
+    with pytest.raises(GuardError, match="no identity admits n = 13"):
+        identity_suite(empty_digraph(13))
+
+
+# The identities the suite runs on random_digraph(n, 0.5, 1),
+# random_tournament(n, 2) and directed_path_digraph(n), written out rather
+# than read from cli.IDENTITIES, so that a row edit that changes which
+# identity runs at which n has to change them here too.
+_BASE = {
+    "routes-agree",
+    "omega-complement",
+    "opposite-invariance",
+    "berge-parity",
+    "hooks-readoff",
+    "u-from-path-cycle",
+    "chow-identities",
+    "walk-identity",
+}
+_AT_N = {
+    0: _BASE - {"hooks-readoff"},
+    **dict.fromkeys(range(1, 6), _BASE),
+    6: _BASE - {"chow-identities"},
+    7: _BASE - {"chow-identities", "u-from-path-cycle", "walk-identity"},
+    8: {"routes-agree", "omega-complement", "opposite-invariance", "berge-parity"},
+    **dict.fromkeys(range(9, 13), {"berge-parity"}),
+}
+# family -> (generator, largest n with tournament-ones, with wiseman-acyclic)
+_FAMILIES = {
+    "random": (lambda n: random_digraph(n, 0.5, 1), 0, 0),
+    "tournament": (lambda n: random_tournament(n, 2), 8, 3),
+    "path": (directed_path_digraph, 2, 8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_identities_run_at_each_n(family):
+    make, tournament_to, acyclic_to = _FAMILIES[family]
+    for n in range(13):
+        want = set(_AT_N[n])
+        if n <= tournament_to:
+            want.add("tournament-ones")
+        if n <= acyclic_to:
+            want.add("wiseman-acyclic")
+        results = identity_suite(make(n))
+        assert set(results) == want, n
+        assert all(v is None for v in results.values()), n
+    with pytest.raises(GuardError):
+        identity_suite(make(13))
+
+
+def test_identities_checked_on_every_digraph_on_three_vertices():
+    tally = run_corpus(build_corpus("exhaustive:3"))["identities"]
+    assert {k: v["checked"] for k, v in tally.items()} == {
+        **dict.fromkeys(_BASE, 512),
+        "tournament-ones": 8,
+        "wiseman-acyclic": 25,
+    }
+    assert not any(v["failed"] for v in tally.values())
 
 
 def test_run_corpus_starts_no_more_workers_than_items_or_cores(monkeypatch):
