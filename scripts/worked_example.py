@@ -30,8 +30,8 @@ class DemoConfig:
 
 def show_u(D, label: str, config: DemoConfig) -> None:
     results = u_all_routes(D)
-    ok, ref = routes_agree(results)
-    print(f"{label}: {len(results)} routes, agree: {'yes' if ok else 'NO'}")
+    ref = routes_agree(results)  # raises DisagreementError if they differ
+    print(f"{label}: {len(results)} routes, agree: yes")
     for res in results:
         stamp = f"  [{res.elapsed_ms:.1f} ms]" if config.timings else ""
         print(f"  {res.route:<16} {res.value!r}{stamp}")

@@ -13,7 +13,9 @@ for a fixed configuration and seed; timing fields appear only with
 
 `verify` checks on each digraph the rows of the IDENTITIES table that
 admit it; a row that reads U_D runs only once routes-agree has passed
-(identity_suite states the rule).
+(identity_suite states the rule).  Each row calls a library check that
+raises DisagreementError naming what failed; only routes-agree returns
+a value, the U_D that later rows read.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from .redei import (
     _first_difference,
     applicable_routes,
     check_hooks,
-    compare_routes,
     powersum_to_ones,
+    routes_agree,
     u_all_routes,
     u_from_chow,
     u_digraph,
@@ -134,17 +136,10 @@ def digraph_from_args(args) -> Digraph:
 
 # ------------------------------------------------------------ identity suite
 
-def _require(ok: bool, detail: str) -> None:
-    if not ok:
-        raise DisagreementError(detail)
-
-
 def _agreed(D: Digraph) -> dict:
     """Every applicable route's U_D by name, and "p": their common p form."""
     computed = u_all_routes(D)
-    u_ref, why = compare_routes(computed)
-    _require(why is None, why)
-    return {"p": u_ref, **{r.route: r.value for r in computed}}
+    return {"p": routes_agree(computed), **{r.route: r.value for r in computed}}
 
 
 def _assert_equal_p(f: SymFun, g: SymFun, label: str) -> None:
@@ -155,27 +150,12 @@ def _assert_equal_p(f: SymFun, g: SymFun, label: str) -> None:
         raise DisagreementError(_first_difference(label, fp, gp))
 
 
-def _parity(D: Digraph) -> None:
-    par = parity_suite(D)
-    _require(par["berge_ok"], f"parity violation: {par}")
-    # redei_ok is None unless D is a tournament
-    _require(par["redei_ok"] is not False, f"tournament with even count: {par}")
-
-
-def _hooks(D: Digraph, u_schur: SymFun) -> None:
-    hooks = check_hooks(D, u_schur)
-    lo, hi = hooks[0], hooks[-1]
-    ok = lo == ham_dp(D) and hi == ham_dp(complement(D))
-    _require(ok, f"hook read-off mismatch: {lo}, {hi}")
-
-
 def _ones(D: Digraph, u_tour: SymFun) -> None:
     got, want = powersum_to_ones(u_tour), ham_dp(complement(D))
-    _require(got == want, f"tournament evaluation {got} != ham of complement {want}")
-
-
-def _passed(report) -> None:
-    _require(report.ok, "; ".join(report.failures))
+    if got != want:
+        raise DisagreementError(
+            f"tournament evaluation {got} != ham of complement {want}"
+        )
 
 
 # Identity name -> (admits(D), the U_D it reads, check(D, u)); see
@@ -197,8 +177,8 @@ IDENTITIES = {
         "p",
         lambda D, u: _assert_equal_p(u, u_digraph(opposite(D)), "U_D vs U of opposite"),
     ),
-    "berge-parity": (lambda D: D.n <= PARITY_BOUND, None, lambda D, u: _parity(D)),
-    "hooks-readoff": (lambda D: D.n >= 1, "schur-JT", lambda D, u: _hooks(D, u)),
+    "berge-parity": (lambda D: D.n <= PARITY_BOUND, None, lambda D, u: parity_suite(D)),
+    "hooks-readoff": (lambda D: D.n >= 1, "schur-JT", lambda D, u: check_hooks(D, u)),
     "u-from-path-cycle": (
         lambda D: D.n <= CHOW_BOUND,
         "p",
@@ -209,19 +189,19 @@ IDENTITIES = {
     "chow-identities": (
         lambda D: D.n <= CHOW_IDENTITIES_BOUND,
         None,
-        lambda D, u: _passed(verify_chow_identities(D)),
+        lambda D, u: verify_chow_identities(D),
     ),
     # checked up to n = 6 here, though verify_walk_identity admits 8
     "walk-identity": (
         lambda D: D.n <= 6,
         None,
-        lambda D, u: _passed(verify_walk_identity(D, trials=2, seed=7)),
+        lambda D, u: verify_walk_identity(D, trials=2, seed=7),
     ),
     "tournament-ones": (lambda D: True, "tournament", lambda D, u: _ones(D, u)),
     "wiseman-acyclic": (
         lambda D: D.n <= WISEMAN_BOUND and is_acyclic(D),
         None,
-        lambda D, u: wiseman_check(D) and None,  # raises on failure
+        lambda D, u: wiseman_check(D),
     ),
 }
 
@@ -348,9 +328,12 @@ def cmd_u(args) -> int:
     else:
         routes = [r.strip() for r in args.routes.split(",") if r.strip()]
     results = u_all_routes(D, routes)
-    ref, why = compare_routes(results)
-    ok = why is None
-    value = convert(ref, args.basis) if ok else None
+    failure = None
+    try:
+        value = convert(routes_agree(results), args.basis)
+    except DisagreementError as exc:
+        failure = exc
+    ok = failure is None
     # one route has nothing to agree with: null, not a vacuous true
     agree = None if ok and len(results) == 1 else ok
     payload = {
@@ -376,8 +359,7 @@ def cmd_u(args) -> int:
         verdict = "n/a (one route)" if agree is None else "yes" if ok else "NO"
         print(f"agree: {verdict}")
     if not ok:
-        print(f"disagreement: {why}", file=sys.stderr)
-        return 4
+        raise failure  # main reports it and exits 4
     return 0
 
 

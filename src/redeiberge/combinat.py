@@ -42,12 +42,12 @@ def _partitions(n: int, max_part: int) -> tuple:
     return tuple(out)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> list:
+def partitions_of(n: int) -> list:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     guard("partitions_of", n, 25)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_partitions(n, n if max_part is None else min(max_part, n)))
+    return list(_partitions(n, n))
 
 
 def partition_key(lam: Partition):

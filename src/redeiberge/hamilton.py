@@ -6,18 +6,20 @@ ham(D), the number of Hamiltonian paths, satisfies
 
 with A the adjacency matrix, Abar its complement (loops included), and
 the 0x0 determinant and permanent both 1.  Hamiltonian cycles admit two
-companion expressions: for any fixed vertex i,
+companion expressions:
 
-    (a)  sum over S avoiding i of (-1)^|S| det A[S] * per A[S^c]
+    (a)  sum over S avoiding vertex 1 of (-1)^|S| det A[S] * per A[S^c]
     (b)  (1/n) sum over all S of (-1)^|S| |S^c| det A[S] * per A[S^c]
 
-where (b) must divide exactly.  The path sum, grouped by vertex sets, is
-one sum over set partitions of cycle weights, with no minor table; the
-cycle formulas share per A and det A.  ham_dp, the full-set value of
-the endpoint DP ringmat.path_counts, and DFS enumeration cross-check
-everything; parity utilities package Berge's congruence
-ham(D) = ham(Dbar) mod 2 and the fact (Redei) that tournaments have an
-odd number of Hamiltonian paths.
+where (a) holds with any fixed vertex in place of 1 and (b) must divide
+exactly.  The path sum, grouped by vertex sets, is one sum over set
+partitions of cycle weights, with no minor table; the cycle formulas
+share per A and det A.  ham_dp, the full-set value of the endpoint DP
+ringmat.path_counts, and DFS enumeration cross-check everything.
+parity_suite checks Berge's congruence ham(D) = ham(Dbar) mod 2 and the
+fact (Redei) that tournaments have an odd number of Hamiltonian paths,
+wiseman_check the counts of an acyclic digraph's complement; both raise
+DisagreementError on a failure.
 """
 
 from __future__ import annotations
@@ -141,13 +143,11 @@ def ham_cycles_bruteforce(D: Digraph) -> int:
     return count
 
 
-def ham_cycles(
-    D: Digraph, route: str = "formula_a", i: int = 1, tables: dict | None = None
-) -> int:
+def ham_cycles(D: Digraph, route: str = "formula_a", tables: dict | None = None) -> int:
     """Hamiltonian cycle count by formula_a or formula_b; enumeration is
     ham_cycles_bruteforce.
 
-    formula_a needs a vertex i to exclude (the result is i-independent);
+    formula_a excludes vertex 1 (the result is the same for any vertex);
     formula_b divides the weighted alternating sum by n and insists the
     division is exact.  Both read det A and per A from tables (see
     _minors), or build both and drop them when tables is None.
@@ -158,8 +158,6 @@ def ham_cycles(
         raise ValueError("formula routes need n >= 1")
     if route not in ("formula_a", "formula_b"):
         raise ValueError(f"unknown route {route!r}")
-    if route == "formula_a" and not 1 <= i <= n:
-        raise ValueError("excluded vertex out of range")
     tables = {} if tables is None else tables
     det_a, per_a = _minors(D, "det", tables), _minors(D, "per", tables)
     # (-1)^|S| det A[S] * per A[S^c] by S; per_a reversed is read at S^c
@@ -169,7 +167,7 @@ def ham_cycles(
         if d
     }
     if route == "formula_a":
-        return sum(t for S, t in terms.items() if not S >> (i - 1) & 1)
+        return sum(t for S, t in terms.items() if not S & 1)
     total = sum(t * (n - S.bit_count()) for S, t in terms.items())
     if total % n:
         raise DisagreementError(
@@ -210,15 +208,15 @@ class HamReport:
 # What ham_report runs: (kind, name, run(D, tables), the n it runs it at).
 # Each run looks its function up by name when it runs, so a wrapper put
 # on a module function from outside is the one the report calls.  Brute
-# force stops at 8 there, below its guard, because it costs n!; the
-# cycle formulas need a vertex to anchor at.
+# force stops at 8 there, below its guard, because it costs n!; formula
+# (a) needs a vertex to anchor at.
 _FORMULA_NS = range(1, CYCLE_FORMULA_BOUND + 1)
 REPORT_ROUTES = (
     ("paths", "detper", lambda D, t: ham_detper(D, t), range(DETPER_BOUND + 1)),
     ("paths", "dp", lambda D, t: ham_dp(D), range(DP_BOUND + 1)),
     ("paths", "bruteforce", lambda D, t: ham_paths_bruteforce(D), range(9)),
-    ("cycles", "formula_a", lambda D, t: ham_cycles(D, "formula_a", 1, t), _FORMULA_NS),
-    ("cycles", "formula_b", lambda D, t: ham_cycles(D, "formula_b", 1, t), _FORMULA_NS),
+    ("cycles", "formula_a", lambda D, t: ham_cycles(D, "formula_a", t), _FORMULA_NS),
+    ("cycles", "formula_b", lambda D, t: ham_cycles(D, "formula_b", t), _FORMULA_NS),
     ("cycles", "bruteforce", lambda D, t: ham_cycles_bruteforce(D), range(9)),
 )
 
@@ -265,41 +263,30 @@ def ham_report(D: Digraph, cycles: bool = False) -> HamReport:
 
 # ------------------------------------------------------------------- parity
 
-def parity_suite(D: Digraph) -> dict:
-    """Berge parity (always) and Redei oddness (for tournaments)."""
+def parity_suite(D: Digraph) -> None:
+    """Berge parity, ham(D) = ham(Dbar) mod 2, and for a tournament
+    Redei's odd ham(D); DisagreementError names both counts."""
     guard("parity_suite", D.n, PARITY_BOUND)
-    paths = ham_dp(D)
-    paths_bar = ham_dp(complement(D))
-    tourney = is_tournament(D)
-    out = {
-        "n": D.n,
-        "digraph": digraph_hash(D),
-        "ham_paths": paths,
-        "ham_paths_complement": paths_bar,
-        "berge_ok": (paths - paths_bar) % 2 == 0,
-        "is_tournament": tourney,
-    }
-    out["redei_ok"] = (paths % 2 == 1) if tourney else None
-    return out
+    paths, paths_bar = ham_dp(D), ham_dp(complement(D))
+    counts = f"ham(D) = {paths}, ham(Dbar) = {paths_bar}"
+    if (paths - paths_bar) % 2:
+        raise DisagreementError(f"parity violation: {counts}")
+    if is_tournament(D) and paths % 2 == 0:
+        raise DisagreementError(f"tournament with even count: {counts}")
 
 
-def wiseman_check(D: Digraph) -> dict:
+def wiseman_check(D: Digraph) -> None:
     """For acyclic D: ham(Dbar) equals per(Abar) equals the number of
-    cycle covers of Dbar."""
+    cycle covers of Dbar; DisagreementError lists the four counts."""
     guard("wiseman", D.n, WISEMAN_BOUND)
     if not is_acyclic(D):
         raise ValueError("wiseman_check needs an acyclic digraph")
     Dbar = complement(D)
-    ham_bar = ham_detper(Dbar)
-    ham_bar_dp = ham_dp(Dbar)
-    per_bar = permanent_ryser(Dbar.adjacency())
-    covers = sum(enumerate_cycle_covers(Dbar).values())
     values = {
-        "ham_detper(complement)": ham_bar,
-        "ham_dp(complement)": ham_bar_dp,
-        "per(adjacency(complement))": per_bar,
-        "cycle covers of complement": covers,
+        "ham_detper(complement)": ham_detper(Dbar),
+        "ham_dp(complement)": ham_dp(Dbar),
+        "per(adjacency(complement))": permanent_ryser(Dbar.adjacency()),
+        "cycle covers of complement": sum(enumerate_cycle_covers(Dbar).values()),
     }
     if len(set(values.values())) != 1:
         raise DisagreementError(f"acyclic complement counts disagree: {values}")
-    return {"n": D.n, "digraph": digraph_hash(D), "count": ham_bar, "values": values}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations as _it_permutations, product
 from typing import Callable, NamedTuple
@@ -53,6 +53,7 @@ from .digraph import (
     perms_with_cycles_in_either,
 )
 from .guards import DisagreementError, guard
+from .hamilton import ham_dp
 from .ringmat import (
     _anchored_cycle_weights,
     _signed_cycles,
@@ -309,18 +310,20 @@ def hook_coefficient(D: Digraph) -> list:
     return [counts[frozenset(range(i, n))] for i in range(1, n + 1)]
 
 
-def check_hooks(D: Digraph, u_schur: SymFun) -> list:
-    """[s_(i,1^(n-i))] u_schur for i = 1..n, once each equals
-    hook_coefficient(D)[i-1], its descent count; u_schur is U_D in the
-    Schur basis, as schur-JT gives it.  DisagreementError names the first
-    hook that differs."""
+def check_hooks(D: Digraph, u_schur: SymFun) -> None:
+    """Check each hook [s_(i,1^(n-i))] u_schur, i = 1..n, against its
+    descent count hook_coefficient(D)[i-1], then the end hooks against
+    ham_dp of D (i = 1) and of its complement (i = n); u_schur is U_D in
+    the Schur basis, as schur-JT gives it.  DisagreementError names the
+    first hook that differs.  At n = 0 there is no hook to read."""
     hooks = [u_schur.coefficient(hook_partition(i, D.n)) for i in range(1, D.n + 1)]
     for i, (value, count) in enumerate(zip(hooks, hook_coefficient(D)), start=1):
         if value != count:
             raise DisagreementError(
                 f"hook {i}: determinant {value} != descent count {count}"
             )
-    return hooks
+    if hooks and (hooks[0], hooks[-1]) != (ham_dp(D), ham_dp(complement(D))):
+        raise DisagreementError(f"hook read-off mismatch: {hooks[0]}, {hooks[-1]}")
 
 
 # ------------------------------------------------------------- Chow functions
@@ -379,41 +382,34 @@ def u_from_chow(D: Digraph) -> SymFun:
     return chow_xi(complement(D), "powersum").y_to_zero().z_part()
 
 
-@dataclass
-class ChowReport:
-    n: int
-    ok: bool = True
-    failures: list = field(default_factory=list)
-
-    def record(self, message: str) -> None:
-        self.ok = False
-        self.failures.append(message)
-
-
-def verify_chow_identities(D: Digraph) -> ChowReport:
+def verify_chow_identities(D: Digraph) -> None:
     """Complementation identities for the path-cycle functions.
 
     Checks that omega on z after y -> -y, then substituting the union
-    alphabet for z, turns Xi of the complement into Xi of D; and the
-    analogous statement for Xi_hat without the final substitution.
+    alphabet for z, turns Xi of the complement into Xi of D; the
+    analogous statement for Xi_hat without the final substitution; and
+    that the direct Xi of D equals its powersum route.  Raises
+    DisagreementError naming every check that fails.
     """
     guard("chow_identities", D.n, CHOW_IDENTITIES_BOUND)
-    report = ChowReport(n=D.n)
     # Xi and Xi_hat of D and of its complement, from one tally each
     covers = enumerate_path_cycle_covers(D)
     covers_bar = enumerate_path_cycle_covers(complement(D))
     lhs = _chow_weigh(covers_bar, 1).negate_y().omega_z().z_to_zy()
     rhs = _chow_weigh(covers, 1)
-    if lhs != rhs:
-        report.record(_first_difference("full transform", lhs, rhs))
     lhs_hat = _chow_weigh(covers, -2).z_to_zy().negate_y().omega_z()
     rhs_hat = _chow_weigh(covers_bar, -2).z_to_zy()
-    if lhs_hat != rhs_hat:
-        report.record(_first_difference("hat transform", lhs_hat, rhs_hat))
-    via_powersum = chow_xi(D, "powersum")
-    if rhs != via_powersum:
-        report.record(_first_difference("powersum route", rhs, via_powersum))
-    return report
+    failures = [
+        _first_difference(label, a, b)
+        for label, a, b in (
+            ("full transform", lhs, rhs),
+            ("hat transform", lhs_hat, rhs_hat),
+            ("powersum route", rhs, chow_xi(D, "powersum")),
+        )
+        if a != b
+    ]
+    if failures:
+        raise DisagreementError("; ".join(failures))
 
 
 def _first_difference(label: str, a, b) -> str:
@@ -522,32 +518,23 @@ def u_all_routes(D: Digraph, routes=None) -> list:
     return [compute_route(D, r) for r in routes]
 
 
-def routes_agree(results) -> tuple:
-    """(all equal as symmetric functions, common p form or None).
+def routes_agree(results) -> SymFun:
+    """The route results' common p form.
 
-    Raises ValueError when there is nothing to compare.
+    DisagreementError names the first route that differs from the first
+    one and the first partition where they differ; ValueError means there
+    is nothing to compare.
     """
     if not results:
         raise ValueError("no route results to compare")
-    reference = to_p(results[0].value)
-    for res in results[1:]:
-        if to_p(res.value).terms != reference.terms:
-            return False, None
-    return True, reference
-
-
-def compare_routes(results) -> tuple:
-    """(common p form, None) when routes_agree, else (None, a message
-    naming the first route that differs from the first one and the first
-    partition where they differ)."""
-    ok, reference = routes_agree(results)
-    if ok:
-        return reference, None
     first, *rest = results
     want = to_p(first.value)
-    got, res = next((g, r) for r in rest if (g := to_p(r.value)) != want)
-    label = f"routes disagree: {res.route} differs from {first.route}"
-    return None, _first_difference(label, got, want)
+    for res in rest:
+        got = to_p(res.value)
+        if got.terms != want.terms:
+            label = f"routes disagree: {res.route} differs from {first.route}"
+            raise DisagreementError(_first_difference(label, got, want))
+    return want
 
 
 def u_digraph(D: Digraph, basis: str = "p") -> SymFun:

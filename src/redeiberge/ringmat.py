@@ -389,11 +389,10 @@ def subset_exp(*weights) -> dict:
     return out[full]
 
 
-def submatrix(M, rows, cols=None) -> list:
-    """Submatrix on sorted 1-based index sets (cols defaults to rows)."""
+def submatrix(M, rows) -> list:
+    """Principal submatrix on a 1-based index set, in sorted order."""
     rs = sorted(rows)
-    cs = rs if cols is None else sorted(cols)
-    return [[M[r - 1][c - 1] for c in cs] for r in rs]
+    return [[M[r - 1][c - 1] for c in rs] for r in rs]
 
 
 # --------------------------------------------------------------------- immanants

@@ -1008,6 +1008,12 @@ def dominates(lam, mu) -> bool:
     return True
 
 
+def swap_labels(D: Digraph, i: int, j: int) -> Digraph:
+    """D with the labels of vertices i and j exchanged."""
+    swap = {i: j, j: i}
+    return Digraph(D.n, frozenset((swap.get(u, u), swap.get(v, v)) for u, v in D.edges))
+
+
 def induced(D: Digraph, verts) -> Digraph:
     """Restrict the edge set to verts x verts; labels are kept."""
     vs = set(_vertex_subset(D, verts))

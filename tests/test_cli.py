@@ -1,10 +1,12 @@
 """Command line interface: generator specs, subcommand payloads, exit
 codes, corpus plumbing, and artifact output."""
 
+import hashlib
 import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 import redeiberge.cli as cli
 import redeiberge.hamilton as hamilton
 import redeiberge.redei as redei
+import redeiberge.walks as walks
 from redeiberge.cli import (
     build_corpus,
     digraph_from_args,
@@ -38,7 +41,7 @@ from redeiberge.digraph import (
     random_digraph,
     random_tournament,
 )
-from redeiberge.guards import GuardError
+from redeiberge.guards import DisagreementError, GuardError
 from redeiberge.redei import applicable_routes, u_digraph
 from redeiberge.symfun import SymFun, convert, omega, to_p
 
@@ -216,6 +219,25 @@ def test_u_output_is_deterministic_and_timings_opt_in(capsys):
     assert all("elapsed_ms" in r for r in payload["routes"])
 
 
+# sha256 of the standard output of three default commands.  A change that
+# alters any of these outputs must say so and update the digest here.
+_PINNED_STDOUT = {
+    "verify --corpus random:5,40 --seed 22 --artifacts ''":
+        "0bc2438c833ddfc1fbfd0833f6f0d1047b77410865eca5a05e54eb6be6f4420a",
+    "u --routes all --gen random:6,0.4 --seed 5":
+        "ef76489dd97d894cce21d0961ee4555a5e2aed06ee5c0b67e8b8b81ce043d461",
+    "ham --cycles --gen random:10,0.5 --seed 1":
+        "f1fce5aac4f3e9e14700b15ab3e95f92fdf9e7756535e5f4eeb4abc902bc2a74",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_STDOUT))
+def test_default_outputs_are_pinned_byte_for_byte(capsys, command):
+    assert main(shlex.split(command)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[command]
+
+
 def test_u_table_format(capsys):
     assert main(["u", "--gen", "empty:3", "--format", "table"]) == 0
     out = capsys.readouterr().out
@@ -245,7 +267,10 @@ def test_u_with_one_route_does_not_claim_agreement(capsys):
 
 
 def test_u_disagreement_exit(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "compare_routes", lambda results: (None, "stub"))
+    def disagree(results):
+        raise DisagreementError("stub")
+
+    monkeypatch.setattr(cli, "routes_agree", disagree)
     code = main(["u", "--gen", "empty:2"])
     out, err = capsys.readouterr()
     payload = json.loads(out)
@@ -601,6 +626,62 @@ def test_identities_checked_on_every_digraph_on_three_vertices():
     assert not any(v["failed"] for v in tally.values())
 
 
+# The transitive tournament on [4] (edges j -> i for j > i) is acyclic,
+# so every IDENTITIES row runs on it.
+_TRANSITIVE4 = digraph(4, [(j, i) for j in range(1, 5) for i in range(1, j)])
+
+# Row -> (module, name, fake(real)): the one function the row's check
+# compares against, changed so that the row must fail.  ham_dp and chow_xi
+# change on _TRANSITIVE4 alone, since other rows call them on the
+# complement.
+_PERTURBED = {
+    "omega-complement": (cli, "omega", lambda real: lambda f: real(f) * 2),
+    "opposite-invariance": (cli, "opposite", lambda real: lambda D: empty_digraph(D.n)),
+    "berge-parity": (
+        hamilton, "ham_dp", lambda real: lambda D: real(D) + (D == _TRANSITIVE4)
+    ),
+    "hooks-readoff": (
+        redei, "hook_coefficient", lambda real: lambda D: [c + 1 for c in real(D)]
+    ),
+    "u-from-path-cycle": (cli, "u_from_chow", lambda real: lambda D: real(D) * 2),
+    "chow-identities": (
+        redei,
+        "chow_xi",
+        lambda real: lambda D, route="direct": real(D, route) * (1 + (D == _TRANSITIVE4)),
+    ),
+    "walk-identity": (
+        walks, "_walk_counts", lambda real: lambda *args: [c + 1 for c in real(*args)]
+    ),
+    "tournament-ones": (cli, "powersum_to_ones", lambda real: lambda f: real(f) + 1),
+    "wiseman-acyclic": (hamilton, "permanent_ryser", lambda real: lambda M: real(M) + 1),
+}
+
+
+@pytest.mark.parametrize("row", [name for name in cli.IDENTITIES if name != "routes-agree"])
+def test_every_identity_fails_when_what_it_compares_against_changes(monkeypatch, row):
+    # a row without an entry in _PERTURBED fails here with a KeyError
+    module, name, fake = _PERTURBED[row]
+    baseline = identity_suite(_TRANSITIVE4)
+    assert baseline == dict.fromkeys(cli.IDENTITIES)
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    results = identity_suite(_TRANSITIVE4)
+    assert results.pop(row).startswith("DisagreementError: ")
+    assert results == {k: v for k, v in baseline.items() if k != row}
+
+
+def test_identity_checks_other_than_routes_agree_return_none():
+    # identity_suite adds what a check returns to the U_D the later rows
+    # read; only routes-agree may return anything
+    u_read: dict = {None: None}
+    for name, (admits, reads, check) in cli.IDENTITIES.items():
+        assert admits(_TRANSITIVE4), name
+        value = check(_TRANSITIVE4, u_read[reads])
+        if name == "routes-agree":
+            u_read.update(value)
+        else:
+            assert value is None, name
+
+
 def test_run_corpus_starts_no_more_workers_than_items_or_cores(monkeypatch):
     # a fake Pool records the size it is asked for and maps in-process,
     # so no test starts worker processes
@@ -766,5 +847,4 @@ def test_readme_library_block_runs_and_its_reprs_hold():
         if m:
             assert repr(eval(m[1], namespace)) == m[2], line
             checked += 1
-    assert checked == 3
-    assert namespace["ok"] is True
+    assert checked == 4

@@ -56,10 +56,6 @@ def test_partitions_are_valid_and_reverse_lex():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
-def test_partitions_max_part_filter():
-    assert partitions_of(5, max_part=2) == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
-
-
 def test_partitions_guard():
     with pytest.raises(GuardError):
         partitions_of(26)

@@ -83,7 +83,9 @@ def test_cycle_routes_match_oracle(D):
 
 @given(digraphs(min_n=1, max_n=5))
 def test_cycle_formula_a_is_anchor_independent(D):
-    values = {ham_cycles(D, "formula_a", i=i) for i in range(1, D.n + 1)}
+    # formula (a) anchors at vertex 1; moving each vertex i to label 1 in
+    # turn anchors it at i
+    values = {ham_cycles(oracles.swap_labels(D, 1, i), "formula_a") for i in D.vertices()}
     assert len(values) == 1
 
 
@@ -105,11 +107,9 @@ def test_cycle_formulas_reject_bad_arguments_before_any_table(monkeypatch):
 
     for name in ("principal_permanents", "principal_determinants"):
         monkeypatch.setattr(hamilton, name, no_work)
-    D = complete_digraph(5)
-    bad = (("bogus", 1), ("bruteforce", 1), ("formula_a", 0), ("formula_a", D.n + 1))
-    for route, i in bad:
+    for route in ("bogus", "bruteforce"):
         with pytest.raises(ValueError):
-            ham_cycles(D, route, i)
+            ham_cycles(complete_digraph(5), route)
 
 
 # ----------------------------------------------------------------- reports
@@ -235,30 +235,58 @@ def test_ham_report_agrees_with_oracle(D):
 
 # ------------------------------------------------------------------- parity
 
+def _ham_dp_plus_one_on(monkeypatch, *targets):
+    """Make hamilton.ham_dp count one path more on the given digraphs."""
+    real = hamilton.ham_dp
+    monkeypatch.setattr(hamilton, "ham_dp", lambda D: real(D) + (D in targets))
+
+
 @given(digraphs(max_n=5))
 def test_berge_parity_on_random_digraphs(D):
-    out = parity_suite(D)
-    assert out["berge_ok"]
-    assert out["ham_paths"] == oracles.ham_paths_oracle(D)
+    assert parity_suite(D) is None
 
 
-def test_redei_oddness_on_tournaments():
+def test_berge_parity_failure_names_both_counts(monkeypatch):
+    D = random_digraph(5, 0.5, 3)
+    paths, paths_bar = ham_dp(D), ham_dp(complement(D))
+    _ham_dp_plus_one_on(monkeypatch, D)
+    with pytest.raises(DisagreementError) as exc:
+        parity_suite(D)
+    assert str(exc.value) == (
+        f"parity violation: ham(D) = {paths + 1}, ham(Dbar) = {paths_bar}"
+    )
+
+
+def test_redei_oddness_on_tournaments(monkeypatch):
     for seed in range(40):
-        T = random_tournament(seed % 7 + 1, seed)
-        out = parity_suite(T)
-        assert out["is_tournament"]
-        assert out["redei_ok"]
-    out = parity_suite(digraph(2, [(1, 2), (2, 1)]))
-    assert out["redei_ok"] is None
+        assert parity_suite(random_tournament(seed % 7 + 1, seed)) is None
+    # two paths, none in the complement: even, but not a tournament
+    assert parity_suite(digraph(2, [(1, 2), (2, 1)])) is None
+    # one path more on T and on its complement keeps Berge parity and
+    # leaves the tournament an even count
+    T = random_tournament(5, 1)
+    paths, paths_bar = ham_dp(T), ham_dp(complement(T))
+    _ham_dp_plus_one_on(monkeypatch, T, complement(T))
+    with pytest.raises(DisagreementError) as exc:
+        parity_suite(T)
+    assert str(exc.value) == (
+        f"tournament with even count: ham(D) = {paths + 1}, ham(Dbar) = {paths_bar + 1}"
+    )
 
 
 # ------------------------------------------------------------------ acyclic
 
-def test_wiseman_on_acyclic_digraphs():
+def test_wiseman_on_acyclic_digraphs(monkeypatch):
     for seed in range(25):
-        D = random_acyclic_digraph(seed % 6 + 1, 0.5, seed)
-        out = wiseman_check(D)
-        assert out["count"] == ham_dp(complement(D))
+        assert wiseman_check(random_acyclic_digraph(seed % 6 + 1, 0.5, seed)) is None
+    # one more permanent of the complement than its Hamiltonian paths
+    D = random_acyclic_digraph(5, 0.5, 3)
+    count = ham_dp(complement(D))
+    real = hamilton.permanent_ryser
+    monkeypatch.setattr(hamilton, "permanent_ryser", lambda M: real(M) + 1)
+    with pytest.raises(DisagreementError, match="acyclic complement counts disagree") as exc:
+        wiseman_check(D)
+    assert f"'per(adjacency(complement))': {count + 1}" in str(exc.value)
     with pytest.raises(ValueError):
         wiseman_check(digraph(1, [(1, 1)]))
     with pytest.raises(GuardError):

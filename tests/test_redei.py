@@ -119,9 +119,7 @@ def test_example3_complement_goldens():
 def test_example3_all_routes_agree_on_golden():
     results = u_all_routes(EXAMPLE3)
     assert [r.route for r in results] == list(CORE_ROUTES)
-    ok, common = routes_agree(results)
-    assert ok
-    assert common == SymFun("p", {(1, 1, 1): 1, (2, 1): 1, (3,): 1})
+    assert routes_agree(results) == SymFun("p", {(1, 1, 1): 1, (2, 1): 1, (3,): 1})
 
 
 def test_tree_schur_golden_three_ways():
@@ -176,9 +174,7 @@ def test_u_invariant_under_opposite(D):
 @settings(max_examples=15)
 @given(digraphs(max_n=4))
 def test_all_routes_agree(D):
-    ok, common = routes_agree(u_all_routes(D))
-    assert ok
-    assert common == u_digraph(D)
+    assert routes_agree(u_all_routes(D)) == u_digraph(D)
 
 
 def test_powersum_gs_matches_other_routes_up_to_its_bound():
@@ -205,8 +201,8 @@ def test_powersum_gs_matches_path_cover_at_its_bound():
     assert n == 8
     for p in (0.7, 0.85):
         D = random_digraph(n, p, seed=480)
-        ok, common = routes_agree(u_all_routes(D, ["powersum-GS", "path-cover"]))
-        assert ok and len(common.terms) > 1
+        common = routes_agree(u_all_routes(D, ["powersum-GS", "path-cover"]))
+        assert len(common.terms) > 1
         assert powersum_to_ones(common) == ham_dp(complement(D))
 
 
@@ -477,10 +473,7 @@ def test_chow_xi_loop_and_hat_loop():
 def test_chow_identities_on_randoms():
     for seed in range(10):
         D = random_digraph(4, 0.45, seed=400 + seed)
-        report = verify_chow_identities(D)
-        assert report.ok, report.failures
-        assert report.n == 4
-        assert report.failures == []
+        assert verify_chow_identities(D) is None
 
 
 @settings(max_examples=20)
@@ -506,8 +499,7 @@ def test_chow_identities_build_each_direct_function_once(monkeypatch):
     monkeypatch.setattr(redei, "chow_xi", counted_xi)
     monkeypatch.setattr(redei, "enumerate_path_cycle_covers", counted_enum)
     D = random_digraph(4, 0.45, seed=401)
-    report = verify_chow_identities(D)
-    assert report.ok, report.failures
+    assert verify_chow_identities(D) is None
     assert len(enumerated) == 2 and set(enumerated) == {D, complement(D)}
     assert routes == ["powersum"]
 
@@ -717,15 +709,23 @@ def test_schur_jt_route_builds_each_path_polynomial_list_once(monkeypatch):
     assert calls == [complement(D), D]
 
 
-def test_hook_disagreement_is_guarded():
+def test_hook_disagreement_is_guarded(monkeypatch):
     # check_hooks compares each Jacobi-Trudi hook with its descent count:
-    # the schur-JT route's hooks pass and match the oracle, and one
+    # the schur-JT route's hooks match the oracle and pass, and one
     # perturbed determinant fails the check, naming that hook.
     P4 = directed_path_digraph(4)
     u = u_via_schur_JT(P4)
-    assert check_hooks(P4, u) == [
+    assert [u.coefficient(hook_partition(i, 4)) for i in (1, 2, 3, 4)] == [
         oracles.hook_descent_count(P4, i) for i in (1, 2, 3, 4)
     ]
+    assert check_hooks(P4, u) is None
     perturbed = u + SymFun.element("s", hook_partition(3, 4))
     with pytest.raises(DisagreementError, match=r"^hook 3: determinant 4 != descent count 3$"):
         check_hooks(P4, perturbed)
+    # the end hooks are also Hamiltonian path counts of D and its complement
+    real = redei.ham_dp
+    monkeypatch.setattr(redei, "ham_dp", lambda D: real(D) + (D == P4))
+    with pytest.raises(DisagreementError, match=r"^hook read-off mismatch: 1, 11$"):
+        check_hooks(P4, u)
+    # at n = 0 there is no hook to read
+    assert check_hooks(empty_digraph(0), SymFun.const(1, "s")) is None

@@ -513,10 +513,10 @@ def test_guards_ignore_the_environment(monkeypatch):
         principal_determinants([[1] * 19 for _ in range(19)])
 
 
-def test_submatrix_rectangular():
+def test_submatrix_principal():
     M = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     assert submatrix(M, [1, 3]) == [[1, 3], [7, 9]]
-    assert submatrix(M, [2], [1, 3]) == [[4, 6]]
+    assert submatrix(M, [3, 1]) == [[1, 3], [7, 9]]
 
 
 # ------------------------------------------------------------------ immanants

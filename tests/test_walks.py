@@ -19,7 +19,7 @@ from redeiberge.digraph import (
     empty_digraph,
     random_digraph,
 )
-from redeiberge.guards import GuardError
+from redeiberge.guards import DisagreementError, GuardError
 from redeiberge.hamilton import ham_dp
 from redeiberge.walks import verify_walk_identity, xi
 
@@ -132,19 +132,19 @@ def test_acyclic_denominator_is_one():
 
 @given(digraphs(max_n=5))
 def test_walk_identity_report_passes(D):
-    from redeiberge.digraph import is_acyclic
-
-    report = verify_walk_identity(D, trials=2, seed=11)
-    assert report.ok, report.failures
-    assert report.K == 2 * D.n + 1
-    assert report.acyclic == is_acyclic(D)
+    assert verify_walk_identity(D, trials=2, seed=11) is None
 
 
 def test_walk_identity_guards():
     with pytest.raises(GuardError):
         verify_walk_identity(empty_digraph(9))
-    with pytest.raises(GuardError):
-        verify_walk_identity(empty_digraph(4), K=30)
+
+
+def _walk_identity_failures(D) -> list:
+    """The failures verify_walk_identity joins into its DisagreementError."""
+    with pytest.raises(DisagreementError) as exc:
+        verify_walk_identity(D, trials=2, seed=5)
+    return str(exc.value).split("; ")
 
 
 def test_walk_identity_checks_reciprocity_on_the_walk_counts(monkeypatch):
@@ -159,7 +159,7 @@ def test_walk_identity_checks_reciprocity_on_the_walk_counts(monkeypatch):
         return [counts[0], counts[1] + 1, *counts[2:]]
 
     monkeypatch.setattr(walks, "_walk_counts", off_counts)
-    failures = verify_walk_identity(D, trials=2, seed=5).failures
+    failures = _walk_identity_failures(D)
     assert any("reciprocity" in f for f in failures), failures
     monkeypatch.setattr(walks, "_walk_counts", real_counts)
 
@@ -167,7 +167,7 @@ def test_walk_identity_checks_reciprocity_on_the_walk_counts(monkeypatch):
         return [d + 7 if S.bit_count() == 2 else d for S, d in enumerate(real_dets(M))]
 
     monkeypatch.setattr(walks, "principal_determinants", off_dets)
-    failures = verify_walk_identity(D, trials=2, seed=5).failures
+    failures = _walk_identity_failures(D)
     assert any(": series" in f for f in failures), failures
     assert any("complement series" in f for f in failures), failures
     assert not any("reciprocity" in f for f in failures), failures
@@ -184,5 +184,5 @@ def test_walk_identity_builds_two_determinant_tables_per_trial(monkeypatch):
     monkeypatch.setattr(walks, "principal_determinants", counted)
     for D in (random_digraph(4, 0.5, 2), random_acyclic_digraph(4, 0.5, 2)):
         calls.clear()
-        assert verify_walk_identity(D, trials=3, seed=1).ok
+        assert verify_walk_identity(D, trials=3, seed=1) is None
         assert calls == [4] * 6
