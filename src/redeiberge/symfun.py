@@ -14,12 +14,13 @@ Coefficients are ints, and Fractions only where a value is not an
 integer.  Only the public constructors (SymFun(...), SymFun.element/const,
 TwoAlphabetSymFun(...)) validate; results built here
 have partition keys by construction.  Products in p, h or e concatenate
-partitions; other conversions route through p.  Into p, s, h and e
-go by their integer pairings <b_lam, p_mu> (characters for s), summed
-per class mu and divided once by z_mu; out of p, h and e go by Newton's
-identities and s by characters.  The monomial bases go both ways by a
-unitriangular transition (built from the rule p_r * mtilde_lam = sum
-over slots + new part).
+partitions; other conversions route through p, which is orthogonal
+for the Hall inner product: <p_lam, p_mu> = z_mu if lam = mu, else 0.
+Into p, each basis b has one integer table <b_lam, p_mu>, summed per
+class mu and divided once by z_mu.  Out of p, [b_lam] p_mu = <p_mu,
+b*_lam> for the dual basis b*: s is self-dual (characters), h and m are
+dual (Newton's identities for h, transposed for m), e = omega(h) and
+mtilde_lam = (multiplicities of lam)! m_lam.
 
 A TwoAlphabetSymFun is an element of the tensor square, stored in the
 p(z) (x) p(y) normal form; it supports the alphabet operations needed
@@ -194,6 +195,14 @@ def _coeff_str(c) -> str:
 
 # ------------------------------------------------------- conversion to/from p
 
+def _exact(c, d: int) -> int:
+    """c / d for an int or Fraction c that d must divide, else ArithmeticError."""
+    q = Fraction(c, d)
+    if q.denominator != 1:
+        raise ArithmeticError(f"{c} / {d} is not an integer")
+    return q.numerator
+
+
 @lru_cache(maxsize=None)
 def _pk_in_h(k: int) -> tuple:
     """p_k (k >= 1) expanded in the h basis, via Newton's identity."""
@@ -206,52 +215,8 @@ def _pk_in_h(k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _pk_in_e(k: int) -> tuple:
-    """p_k (k >= 1) in the e basis: omega maps h_lam to e_lam and p_k to
-    (-1)^(k-1) p_k, so p_k = (-1)^(k-1) omega(p_k in h)."""
-    sign = (-1) ** (k - 1)
-    return tuple((lam, sign * c) for lam, c in _pk_in_h(k))
-
-
-@lru_cache(maxsize=None)
-def _pk_times_mtilde(r: int, lam: Partition) -> tuple:
-    """p_r * mtilde_lam: add r to one slot of lam, or append r as a new part."""
-    out: dict = {}
-    for t in range(len(lam)):
-        key = _merge(lam[:t] + (lam[t] + r,) + lam[t + 1:])
-        out[key] = out.get(key, 0) + 1
-    key = _merge(lam + (r,))
-    out[key] = out.get(key, 0) + 1
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
-def _p_to_mtilde(mu: Partition) -> tuple:
-    """p_mu expanded in the mtilde basis (integer, unitriangular)."""
-    cur = {(): 1}
-    for r in mu:
-        nxt: dict = {}
-        for lam, c in cur.items():
-            for key, mult in _pk_times_mtilde(r, lam):
-                nxt[key] = nxt.get(key, 0) + c * mult
-        cur = nxt
-    return tuple(sorted(cur.items()))
-
-
-@lru_cache(maxsize=None)
-def _mtilde_to_p(lam: Partition) -> tuple:
-    """mtilde_lam expanded in the p basis by unitriangular back-substitution.
-
-    Every mtilde term of p_lam other than mtilde_lam itself strictly
-    dominates lam, so the recursion terminates at the one-row partition.
-    """
-    out = {lam: 1}
-    for nu, c in _p_to_mtilde(lam):
-        if nu == lam:
-            continue
-        for rho, d in _mtilde_to_p(nu):
-            out[rho] = out.get(rho, 0) - c * d
-    return tuple(sorted((k, v) for k, v in out.items() if v))
+def _hk_in_p(k: int) -> tuple:
+    return tuple((mu, Fraction(1, z_lambda(mu))) for mu in partitions_of(k))
 
 
 def _fold_parts(parts, pk_expansion) -> dict:
@@ -268,76 +233,74 @@ def _fold_parts(parts, pk_expansion) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _hk_in_p(k: int) -> tuple:
-    return tuple((mu, Fraction(1, z_lambda(mu))) for mu in partitions_of(k))
-
-
-@lru_cache(maxsize=None)
-def _ek_in_p(k: int) -> tuple:
-    return tuple(
-        (mu, Fraction(sgn_of_type(mu), z_lambda(mu))) for mu in partitions_of(k)
-    )
-
-
-@lru_cache(maxsize=None)
 def _pairings(basis: str, lam: Partition) -> tuple:
-    """(mu, <b_lam, p_mu>) over the classes mu where it is not 0, for b_lam
-    = s_lam, h_lam or e_lam: an integer, chi^lam(mu) for s and
-    z_mu [p_mu] b_lam for h and e."""
+    """(mu, <b_lam, p_mu>) pairs, integers, over the classes mu where the
+    pairing is not 0, for any basis b but p.  s: chi^lam(mu).  h: z_mu
+    [p_mu] h_lam.  e: sgn(mu) times h's, as e_lam = omega(h_lam).  m, dual
+    to h: [h_lam] p_mu, the Newton table transposed.  mtilde: m's times
+    the multiplicity factorial of lam."""
     if basis == "s":
         return tuple(
             (mu, chi) for mu in partitions_of(sum(lam)) if (chi := character(lam, mu))
         )
-    by_mu = _fold_parts(lam, _hk_in_p if basis == "h" else _ek_in_p)
-    return tuple((mu, int(c * z_lambda(mu))) for mu, c in by_mu.items() if c)
-
-
-def _p_term_to(basis: str, mu: Partition) -> dict:
-    """Expansion of p_mu in the target basis."""
-    if basis == "p":
-        return {mu: 1}
     if basis == "h":
-        return _fold_parts(mu, _pk_in_h)
+        by_mu = _fold_parts(lam, _hk_in_p)
+        return tuple((mu, _exact(c * z_lambda(mu), 1)) for mu, c in by_mu.items() if c)
     if basis == "e":
-        return _fold_parts(mu, _pk_in_e)
-    if basis == "s":
-        return {
-            lam: chi for lam in partitions_of(sum(mu)) if (chi := character(lam, mu))
-        }
-    if basis == "mtilde":
-        return dict(_p_to_mtilde(mu))
+        return tuple((mu, sgn_of_type(mu) * c) for mu, c in _pairings("h", lam))
     if basis == "m":
-        return {
-            lam: c * multiplicity_factorial(lam) for lam, c in _p_to_mtilde(mu)
-        }
-    raise ValueError(basis)
+        rows = ((mu, _p_term_to("h", mu)) for mu in partitions_of(sum(lam)))
+        return tuple((mu, c) for mu, row in rows for nu, c in row if nu == lam)
+    scale = multiplicity_factorial(lam)
+    return tuple((mu, scale * c) for mu, c in _pairings("m", lam))
 
 
-def to_p(f: SymFun) -> SymFun:
-    """f in p.  From s, h or e, [p_mu] sums c_lam <b_lam, p_mu> over the
-    terms and divides once by z_mu; from mtilde or m it sums their
-    unitriangular expansions."""
-    guard("convert", f.weight(), 14)
-    if f.basis == "p":
-        return _with_terms(SymFun("p"), f.terms)
-    out: dict = {}
-    if f.basis in ("mtilde", "m"):
-        for lam, c in f.terms.items():
-            if f.basis == "m":
-                c = Fraction(c, multiplicity_factorial(lam))
-            for mu, d in _mtilde_to_p(lam):
-                out[mu] = out.get(mu, 0) + c * d
-        return _with_terms(SymFun("p"), out)
-    for lam, c in f.terms.items():
-        for mu, chi in _pairings(f.basis, lam):
-            out[mu] = out.get(mu, 0) + c * chi
-    return _with_terms(
-        SymFun("p"), {mu: Fraction(c, z_lambda(mu)) for mu, c in out.items()}
+@lru_cache(maxsize=None)
+def _p_term_to(basis: str, mu: Partition) -> tuple:
+    """(lam, [b_lam] p_mu) pairs for b = h, e, m or mtilde, read as
+    <p_mu, b*_lam> for the dual basis b*.  h: Newton's identities.  e:
+    sgn(mu) times h's, as omega(p_mu) = sgn(mu) p_mu.  m, dual to h:
+    <h_lam, p_mu>, the h pairings transposed.  mtilde: m's divided by the
+    multiplicity factorial of lam."""
+    if basis == "h":
+        return tuple((lam, c) for lam, c in _fold_parts(mu, _pk_in_h).items() if c)
+    if basis == "e":
+        return tuple((lam, sgn_of_type(mu) * c) for lam, c in _p_term_to("h", mu))
+    if basis == "m":
+        rows = ((lam, _pairings("h", lam)) for lam in partitions_of(sum(mu)))
+        return tuple((lam, c) for lam, row in rows for nu, c in row if nu == mu)
+    return tuple(
+        (lam, _exact(c, multiplicity_factorial(lam))) for lam, c in _p_term_to("m", mu)
     )
 
 
+@lru_cache(maxsize=None)
+def _mtilde_to_p(lam: Partition) -> tuple:
+    """mtilde_lam in p as (mu, <mtilde_lam, p_mu> / z_mu) pairs, integers."""
+    return tuple((mu, _exact(c, z_lambda(mu))) for mu, c in _pairings("mtilde", lam))
+
+
+def to_p(f: SymFun) -> SymFun:
+    """f in p: [p_mu] f sums c_lam <b_lam, p_mu> over the terms and divides
+    once by z_mu; from mtilde, where that quotient is an integer per term,
+    it sums the integer expansions."""
+    guard("convert", f.weight(), 14)
+    if f.basis == "p":
+        return _with_terms(SymFun("p"), f.terms)
+    integral = f.basis == "mtilde"
+    out: dict = {}
+    for lam, c in f.terms.items():
+        for mu, d in _mtilde_to_p(lam) if integral else _pairings(f.basis, lam):
+            out[mu] = out.get(mu, 0) + c * d
+    if not integral:
+        out = {mu: Fraction(c, z_lambda(mu)) for mu, c in out.items()}
+    return _with_terms(SymFun("p"), out)
+
+
 def convert(f: SymFun, basis: str) -> SymFun:
-    """Exact change of basis."""
+    """Exact change of basis, through p.  Out of p, s is self-dual, so
+    [s_lam] p_mu = chi^lam(mu), read from combinat's cached character
+    table; the other bases read _p_term_to."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     guard("convert", f.weight(), 14)
@@ -348,7 +311,12 @@ def convert(f: SymFun, basis: str) -> SymFun:
         return g
     out: dict = {}
     for mu, c in g.terms.items():
-        for lam, d in _p_term_to(basis, mu).items():
+        if basis == "s":
+            lams = partitions_of(sum(mu))
+            row = ((lam, chi) for lam in lams if (chi := character(lam, mu)))
+        else:
+            row = _p_term_to(basis, mu)
+        for lam, d in row:
             out[lam] = out.get(lam, 0) + c * d
     return _with_terms(SymFun(basis), out)
 

@@ -6,8 +6,9 @@ recurrences), sharing no code with the package internals beyond the
 Digraph container, so that agreement is meaningful.  Elements of the
 multilinear ring are term dicts, as in the package, multiplied here by
 ring_mul, a product loop of the tests' own.
-specialize (and lift_to_mtilde, its inverse) and inner_product read a
-SymFun through the library's basis conversion.  schur_coeff_JT is not an
+specialize (and lift_to_mtilde, its inverse) evaluates a SymFun in its
+own basis, with no basis conversion; inner_product reads a SymFun
+through the library's conversion to p.  schur_coeff_JT is not an
 oracle: it reads one partition off the schur-JT route's _schur_JT, for
 the tests that pin single Schur coefficients.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import prod
 
 from redeiberge.combinat import (
@@ -29,7 +30,7 @@ from redeiberge.combinat import (
 from redeiberge.digraph import Digraph, _vertex_subset, complement
 from redeiberge.guards import guard
 from redeiberge.redei import _schur_JT
-from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, convert, to_p
+from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, to_p
 from redeiberge.walks import _det_series, _flip, _ratio, _walk_counts
 
 
@@ -180,15 +181,52 @@ def _distinct_arrangements(values, nslots: int):
     yield from rec(0)
 
 
-def specialize(f: SymFun, nvars: int) -> MultivarPoly:
-    """Evaluate with z_{nvars+1} = z_{nvars+2} = ... = 0, exactly."""
-    fm = convert(f, "m")
+@lru_cache(maxsize=None)
+def _basis_poly(basis: str, lam, nvars: int) -> MultivarPoly:
+    """p_lam, h_lam, e_lam or m_lam in nvars variables, built from
+    monomials: m_lam by its distinct exponent arrangements, and the others
+    as products over parts of z_i^k summed over i, or the monomials of k
+    indices chosen with (h) or without (e) repetition."""
     out = MultivarPoly.zero(nvars)
-    for lam, c in fm.terms.items():
-        if len(lam) > nvars:
-            continue
-        for exp in _distinct_arrangements(lam, nvars):
-            out.add_term(exp, c)
+    if basis == "m":
+        if len(lam) <= nvars:
+            for exp in _distinct_arrangements(lam, nvars):
+                out.add_term(exp, 1)
+        return out
+    if len(lam) != 1:
+        out = MultivarPoly.monomial(nvars, (0,) * nvars)
+        for k in lam:
+            out = out * _basis_poly(basis, (k,), nvars)
+        return out
+    k = lam[0]
+    if basis == "p":
+        choices = [(i,) * k for i in range(nvars)]
+    elif basis == "h":
+        choices = combinations_with_replacement(range(nvars), k)
+    else:
+        choices = combinations(range(nvars), k)
+    for idx in choices:
+        out.add_term(tuple(idx.count(i) for i in range(nvars)), 1)
+    return out
+
+
+def specialize(f: SymFun, nvars: int) -> MultivarPoly:
+    """Evaluate with z_{nvars+1} = z_{nvars+2} = ... = 0, exactly, in f's
+    own basis, with no basis conversion: mtilde_lam as (multiplicities of
+    lam)! m_lam, and s_lam as the sum over mu of chi^lam(mu) / z_mu p_mu,
+    with characters from irreducible_characters_oracle."""
+    out = MultivarPoly.zero(nvars)
+    for lam, c in f.terms.items():
+        basis, terms = f.basis, [(lam, c)]
+        if basis == "mtilde":
+            basis, terms = "m", [(lam, c * multiplicity_factorial(lam))]
+        elif basis == "s":
+            chars = irreducible_characters_oracle(sum(lam))[lam]
+            basis = "p"
+            terms = [(mu, Fraction(c * chi, _z_of(mu))) for mu, chi in chars.items()]
+        for mu, d in terms:
+            for exp, v in _basis_poly(basis, mu, nvars).terms.items():
+                out.add_term(exp, d * v)
     return out
 
 

@@ -219,8 +219,9 @@ def test_u_output_is_deterministic_and_timings_opt_in(capsys):
     assert all("elapsed_ms" in r for r in payload["routes"])
 
 
-# sha256 of the standard output of three default commands.  A change that
-# alters any of these outputs must say so and update the digest here.
+# sha256 of the standard output of three default commands, and of u in
+# every output basis.  A change that alters any of these outputs must say
+# so and update the digest here.
 _PINNED_STDOUT = {
     "verify --corpus random:5,40 --seed 22 --artifacts ''":
         "0bc2438c833ddfc1fbfd0833f6f0d1047b77410865eca5a05e54eb6be6f4420a",
@@ -228,6 +229,19 @@ _PINNED_STDOUT = {
         "ef76489dd97d894cce21d0961ee4555a5e2aed06ee5c0b67e8b8b81ce043d461",
     "ham --cycles --gen random:10,0.5 --seed 1":
         "f1fce5aac4f3e9e14700b15ab3e95f92fdf9e7756535e5f4eeb4abc902bc2a74",
+    # U_D in every output basis but p
+    "u --gen random:8,0.5 --seed 2 --basis h":
+        "dfd8d1cd3bb9a345fae62ef1c729ea964d8237bfa94b2556ab9c9a0ea8a01a85",
+    "u --gen random:8,0.5 --seed 2 --basis e":
+        "f0175789617f2371e0ba20444399397d633e30297515fe847eecb6d6efe8633a",
+    "u --gen random:8,0.5 --seed 2 --basis s":
+        "54331d37ab68bf5a43dbe3993c9ed961f9b5147bc6ccb274919e467b895e14f4",
+    "u --gen random:8,0.5 --seed 2 --basis m":
+        "7393a87d6a0db9c10db3e3859aa6f48b1d4926e225c6a16d0a11d53f3e8bae02",
+    "u --gen random:8,0.5 --seed 2 --basis mtilde":
+        "ae5bb590c5b7687c2a8ab4997be295ec277c047e2095c262bc67bcd1c8494be4",
+    "u --routes all --gen random:5,0.5 --seed 3 --basis mtilde":
+        "106505f1d83b2689766479781734a578741994f8accc33b66e85a18cbee561c9",
 }
 
 

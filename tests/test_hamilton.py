@@ -3,7 +3,6 @@ from math import factorial
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
 import redeiberge.hamilton as hamilton

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from redeiberge.combinat import (
     conjugate,
     hook_partition,
-    partitions_of,
 )
 from redeiberge.digraph import (
     all_digraphs,

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
@@ -265,12 +265,35 @@ def test_inner_product_orthogonality():
 # ------------------------------------------------------------ specialization
 
 def test_schur_specialization_counts_tableaux():
+    # specialize reads each basis directly, so this checks the library's
+    # conversion of s_lam into every basis against the tableau count
     for n in range(1, 6):
         for lam in partitions_of(n):
+            s_lam = SymFun.element("s", lam)
             for nvars in (2, 3):
-                lib = specialize(SymFun.element("s", lam), nvars)
-                ref = oracles.schur_poly_oracle(lam, nvars)
-                assert {e: int(c) for e, c in lib.terms.items()} == ref
+                ref = MultivarPoly(nvars, oracles.schur_poly_oracle(lam, nvars))
+                for b in BASES:
+                    assert specialize(convert(s_lam, b), nvars) == ref, (lam, b)
+
+
+def test_p_to_monomial_is_the_permutation_module_character():
+    # [m_lam] p_mu counts the ways to place the cycles of a type-mu
+    # permutation into blocks of sizes lam
+    for n in range(8):
+        for mu in partitions_of(n):
+            want = {
+                lam: c
+                for lam in partitions_of(n)
+                if (c := oracles.permutation_module_character(lam, mu))
+            }
+            quotients = {}
+            for lam, c in want.items():
+                q, r = divmod(c, multiplicity_factorial(lam))
+                assert r == 0, (lam, mu)
+                quotients[lam] = q
+            p_mu = SymFun.element("p", mu)
+            assert convert(p_mu, "m").terms == want, mu
+            assert convert(p_mu, "mtilde").terms == quotients, mu
 
 
 def test_monomial_specialization():
