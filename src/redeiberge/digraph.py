@@ -5,21 +5,18 @@ A digraph is a vertex count n together with a set of directed edges in
 edges are not.  Vertices are labelled 1..n everywhere, including in
 vertex subsets, which keep their original labels.
 
-Path-cycle covers and permutations tied to edges are tallied by the set
-of unplaced vertices: what is left once a component closes depends only
-on that set, so it is tallied once per set, not once per cover or
-permutation.  The component at the smallest unplaced vertex v is grown
-by depth-first search, once per v over the vertices above it.  A cover's
-component is a path, grown forward from v and then backward from v, or a
-cycle closed back on v (a loop is a cycle of length 1); a permutation's
-is v fixed or a cycle from v along the edges of D (or of its
-complement).  Components are counted by their vertex set and a packed
-code, one 4-bit count per component kind and length; the tally of a set
-R adds each component inside R, through R's smallest vertex, to the
-memoized tally of what it leaves, by adding codes.  The codes are
-decoded once, at the end: covers come as a tally by (path partition,
-cycle partition) and permutations by (cycle type, sign), all that U_D
-and Chow's path-cycle functions read of them.
+Path-cycle covers and permutations tied to edges are counted per vertex
+set.  Positions index the sorted vertex subset and a set of them is a
+bitmask.  Each component is grown by depth-first search from its lowest
+position i, along successor masks cut once per i to the positions from i
+up: a cover's path forward then backward from i, or a cycle closed at
+each step onto a vertex with an edge back to i.  Loops and fixed points
+are 1-cycles.  A component's packed code, a 4-bit count per kind and
+length, depends only on its kind and size, so the walks just count
+components in a flat list per kind, by vertex set.  The tally of a set R
+adds each component inside R through R's lowest position to the memoized
+tally of what it leaves, by adding codes, decoded once at the end: covers
+by (path partition, cycle partition), permutations by (cycle type, sign).
 """
 
 from __future__ import annotations
@@ -260,21 +257,23 @@ def enumerate_path_cycle_covers(
 
     Every vertex lies in exactly one component; singleton paths need no
     edges, so the all-singletons cover is always counted when paths are
-    allowed.  The covers are tallied by the set of unplaced vertices (see
-    the module docstring); the flags drop the path or the cycle branch.
+    allowed.  The flags drop the path or the cycle kind.
     """
     vs = _vertex_subset(D, verts)
-    guard("covers", len(vs), 8)
-    at = {v: k for k, v in enumerate(vs)}
-    # per position: out- and in-neighbours inside vs, as (bit, position)
-    succ = [[(1 << at[w], at[w]) for w in D.out_neighbors(v) if w in at] for v in vs]
-    pred = [[(1 << k, k) for k, u in enumerate(vs) if (u, v) in D.edges] for v in vs]
-    # a path of length L counts in the 4-bit field L - 1, a cycle 32 bits up
-    fields = [0] + [1 << 4 * k for k in range(len(vs))]
-    ctx = (_cover_parts, succ, pred, allow_paths, allow_cycles, fields,
-           [f << 32 for f in fields])
+    m = len(vs)
+    guard("covers", m, 8)
+    succ = _successors(vs, D.edges)
+    # a path on k vertices counts in the 4-bit field k - 1, a cycle 32 bits up
+    fields = [0] + [1 << 4 * k for k in range(m)]
+    kinds = []
+    if allow_paths:
+        pred = _successors(vs, opposite(D).edges)
+        kinds.append((_path_counts(m, succ, pred), fields))
+    if allow_cycles:
+        loops = [s >> i & 1 for i, s in enumerate(succ)]
+        kinds.append((_cycle_counts(m, succ, loops), [f << 32 for f in fields]))
     tally = Counter()
-    for code, c in _tally(len(vs), ctx).items():
+    for code, c in _tally(m, kinds).items():
         tally[_lengths(code & _LOW), _lengths(code >> 32)] += c
     return tally
 
@@ -290,13 +289,11 @@ def enumerate_cycle_covers(D: Digraph, verts=None) -> Counter:
 # ------------------------------------------------- permutations tied to edges
 
 def perms_with_all_cycles_in(D: Digraph, verts=None) -> Counter:
-    """Permutations of the vertex set whose nontrivial cycles are cycles of D.
-
-    Fixed points are unconstrained; the permutations come tallied by
-    (cycle type, sign), as `_perms_with_cycles_along` builds them."""
+    """Permutations of the vertex set whose nontrivial cycles are cycles of
+    D; fixed points are unconstrained.  Tallied by (cycle type, sign)."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
-    return _perms_with_cycles_along(vs, [D.edges])
+    return _perms_with_cycles_along(len(vs), [_successors(vs, D.edges)])
 
 
 def perms_with_cycles_in_either(D: Digraph, verts=None) -> Counter:
@@ -305,84 +302,76 @@ def perms_with_cycles_in_either(D: Digraph, verts=None) -> Counter:
     sign); the sign twists only the cycles of D."""
     vs = _vertex_subset(D, verts)
     guard("perms", len(vs), 8)
-    return _perms_with_cycles_along(vs, [D.edges, set(product(vs, repeat=2)) - D.edges])
+    succ = _successors(vs, D.edges)
+    # ~s: the complement's successors; the walks read no bit past the last position
+    return _perms_with_cycles_along(len(vs), [succ, [~s for s in succ]])
 
 
-def _perms_with_cycles_along(vs: list, edge_sets) -> Counter:
-    """The permutations of vs whose nontrivial cycles each run along the
-    edges of one of edge_sets, tallied by (cycle type, sign).
+def _perms_with_cycles_along(m: int, succs) -> Counter:
+    """The permutations of m positions whose nontrivial cycles each run
+    along one of the successor masks succs, tallied by (cycle type, sign).
 
-    The component at the smallest unplaced vertex is that vertex fixed or
-    a cycle grown from it along one edge set (see the module docstring).
     A k-cycle counts in the 4-bit field k - 1, and an even cycle along
-    edge_sets[0] also adds 1 at bit 32: the parity there is that of phi,
-    the sum of length - 1 over those cycles, and the sign is (-1)^phi.
-    """
-    fields = [0] + [1 << 4 * k for k in range(len(vs))]
-    # per edge set: successors (bit, position) without loops, and the code
-    # of a cycle by its length
-    walks = [
-        ([[(1 << j, j) for j, v in enumerate(vs) if j != i and (u, v) in edges]
-          for i, u in enumerate(vs)],
-         [f | (t == 0 and k % 2 == 0) << 32 for k, f in enumerate(fields)])
-        for t, edges in enumerate(edge_sets)
-    ]
+    succs[0] also adds 1 at bit 32: the parity there is that of phi, the
+    sum of length - 1 over those cycles, and the sign is (-1)^phi.  Fixed
+    points are the 1-cycles of succs[0], whatever the loops."""
+    kinds = [(_cycle_counts(m, succ, [int(t == 0)] * m),
+              [0] + [1 << 4 * k | (t == 0 and k % 2) << 32 for k in range(m)])
+             for t, succ in enumerate(succs)]
     tally = Counter()
-    for code, c in _tally(len(vs), (_perm_parts, walks)).items():
+    for code, c in _tally(m, kinds).items():
         tally[_lengths(code & _LOW), -1 if code >> 32 & 1 else 1] += c
     return tally
 
 
 # ------------------------------------------------- tallies by unplaced set
 
-# Both enumerators run through _tally.  Positions index the sorted vertex
-# subset, and a set of positions is a bitmask.  ctx is (grow, ...):
-# grow(i, placed, parts, ctx) counts each component through position i
-# that avoids the positions in placed as parts[used, code], used adding
-# the component's positions to placed and code being its packed lengths.
-# The steps are module functions, not closures: closures that call each
-# other form a reference cycle that would keep the memo alive until the
-# cycle collector runs.
-
 _LOW = (1 << 32) - 1  # covers' paths and permutations' cycles; the rest above
 
-
-def _tally(m: int, ctx) -> dict:
-    """The packed codes of the objects on m positions, with their counts."""
-    memo = {0: {0: 1}}
-    full = (1 << m) - 1
-    return _tally_rest(full, [None] * m, memo, ctx) if m else memo[0]
+_BITS: list = []  # per mask on at most 8 positions, its bits as (bit, position)
 
 
-def _tally_rest(rest, starts, memo, ctx) -> dict:
-    """The tally on the unplaced positions rest, memoized.
+def _successors(vs: list, edges) -> list:
+    """Per position i, the positions j with (vs[i], vs[j]) in edges, as a mask."""
+    if not _BITS:  # filled on first use, so that an import stays cheap
+        _BITS.extend([(1 << k, k) for k in range(8) if s >> k & 1] for s in range(256))
+    return [sum(1 << j for j, v in enumerate(vs) if (u, v) in edges) for u in vs]
 
-    The components through rest's lowest position i are grown once per i,
-    over every position from i up (starts[i] holds them as (mask, code,
-    count)); those inside rest are combined with the tally of the
-    positions they leave by adding codes.
-    """
+
+def _tally(m: int, kinds) -> dict:
+    """The packed codes of the objects on m positions, with their counts;
+    kinds holds (count, codes): count[mask] components lie on the positions
+    in mask, each coded codes[k] for its k positions."""
+    parts = [[] for _ in range(1 << m)]
+    for count, codes in kinds:
+        for mask, c in enumerate(count):
+            if c:
+                parts[mask].append((codes[len(_BITS[mask])], c))
+    memo = [{0: 1}] + [None] * ((1 << m) - 1)
+    return _tally_rest((1 << m) - 1, parts, memo) if m else memo[0]
+
+
+def _tally_rest(rest, parts, memo) -> dict:
+    """The tally on the unplaced positions rest, memoized: each component
+    through rest's lowest position that lies inside rest, its code added
+    to each code of what it leaves."""
     low = rest & -rest
-    i = low.bit_length() - 1
-    parts = starts[i]
-    if parts is None:
-        found: dict = {}
-        ctx[0](i, low - 1 | low, found, ctx)
-        parts = starts[i] = [(used ^ low - 1, code, c)
-                             for (used, code), c in found.items()]
+    free = left = rest ^ low
     tally: dict = {}
-    for mask, code, c in parts:
-        if mask | rest != rest:
-            continue
-        left = rest ^ mask
-        sub = memo.get(left)
-        if sub is None:
-            sub = _tally_rest(left, starts, memo, ctx)
-        for code2, c2 in sub.items():
-            key = code + code2
-            tally[key] = tally.get(key, 0) + c * c2
-    memo[rest] = tally
-    return tally
+    while True:  # left runs over the subsets of free
+        found = parts[rest ^ left]
+        if found:
+            sub = memo[left]
+            if sub is None:
+                sub = _tally_rest(left, parts, memo)
+            for code, c in found:
+                for code2, c2 in sub.items():
+                    key = code + code2
+                    tally[key] = tally.get(key, 0) + c * c2
+        if not left:
+            memo[rest] = tally
+            return tally
+        left = left - 1 & free
 
 
 @lru_cache(maxsize=None)  # its codes are those of the 67 partitions of 0..8
@@ -391,46 +380,55 @@ def _lengths(code: int) -> tuple:
     return tuple(k for k in range(8, 0, -1) for _ in range(code >> 4 * (k - 1) & 15))
 
 
-def _cover_parts(i, placed, parts, ctx) -> None:
-    """The paths through i, grown forward then backward, and the cycles."""
-    if ctx[3]:
-        _forward(i, i, placed, 1, parts, ctx)
-    if ctx[4]:
-        _cycle(i, i, placed, 1, ctx[1], ctx[6], parts)
+# The walks count each component by the free positions it leaves, then
+# reverse the counts; as closures they would form a reference cycle.
+
+def _path_counts(m: int, succ, pred) -> list:
+    """count[mask]: the paths along succ on the positions in mask."""
+    count = [0] * (1 << m)
+    for i in range(m):
+        low = 1 << i
+        cut = [x & -low for x in succ], [x & -low for x in pred]
+        _forward(i, i, (1 << m) - 1 ^ low, *cut, count)
+    return count[::-1]
 
 
-def _perm_parts(i, placed, parts, ctx) -> None:
-    """i fixed, and the cycles from i along each edge set."""
-    parts[placed, 1] = 1
-    for succ, codes in ctx[1]:
-        _cycle(i, i, placed, 1, succ, codes, parts)
+def _cycle_counts(m: int, succ, ones) -> list:
+    """count[mask]: the cycles along succ on the positions in mask, with
+    ones[i] cycles on i alone."""
+    count = [0] * (1 << m)
+    for i in range(m):
+        low = 1 << i
+        free = (1 << m) - 1 ^ low
+        count[free] = ones[i]
+        _cycle(low, i, free, [x & -low for x in succ], count)
+    return count[::-1]
 
 
-def _forward(first, last, used, length, parts, ctx) -> None:
+def _forward(first, last, free, succ, pred, count) -> None:
     """Stop the path at last and grow it backward, or extend it past last."""
-    _backward(first, used, length, parts, ctx)
-    for b, w in ctx[1][last]:
-        if not used & b:
-            _forward(first, w, used | b, length + 1, parts, ctx)
+    _backward(first, free, pred, count)
+    for b, w in _BITS[succ[last] & free]:
+        _forward(first, w, free ^ b, succ, pred, count)
 
 
-def _backward(first, used, length, parts, ctx) -> None:
+def _backward(first, free, pred, count) -> None:
     """Finish the path at first, or extend it before first."""
-    key = used, ctx[5][length]
-    parts[key] = parts.get(key, 0) + 1
-    for b, u in ctx[2][first]:
-        if not used & b:
-            _backward(u, used | b, length + 1, parts, ctx)
+    count[free] += 1
+    for b, u in _BITS[pred[first] & free]:
+        _backward(u, free ^ b, pred, count)
 
 
-def _cycle(start, last, used, length, succ, codes, parts) -> None:
-    """Extend the cycle from start past last, or close it back on start."""
-    for b, w in succ[last]:
-        if not used & b:
-            _cycle(start, w, used | b, length + 1, succ, codes, parts)
-        elif w == start:
-            key = used, codes[length]
-            parts[key] = parts.get(key, 0) + 1
+def _cycle(start, last, free, succ, count) -> None:
+    """Step from last to each free successor w: close the cycle if w has
+    an edge back to start, and go on if w has a free successor."""
+    for b, w in _BITS[succ[last] & free]:
+        left = free ^ b
+        s = succ[w]
+        if s & start:
+            count[left] += 1
+        if s & left:
+            _cycle(start, w, left, succ, count)
 
 
 # ------------------------------------------------------------- serialization

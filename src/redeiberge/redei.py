@@ -507,13 +507,15 @@ def compute_route(D: Digraph, route: str) -> URouteResult:
 def u_all_routes(D: Digraph, routes=None) -> list:
     """Results of the given routes, default every applicable one.
 
-    Given routes are all admitted (known name, bound, precondition)
-    before any of them runs.
+    Given routes, each named once, are all admitted (known name, bound,
+    precondition) before any of them runs.
     """
     if routes is None:
         routes = applicable_routes(D)
     else:
-        for r in routes:
+        for k, r in enumerate(routes):
+            if r in routes[:k]:
+                raise ValueError(f"route {r!r} is given twice")
             _admit(r, D)
     return [compute_route(D, r) for r in routes]
 

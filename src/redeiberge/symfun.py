@@ -12,15 +12,15 @@ partitions, in one of six bases:
 
 Coefficients are ints, and Fractions only where a value is not an
 integer.  Only the public constructors (SymFun(...), SymFun.element/const,
-TwoAlphabetSymFun(...)) validate; results built here
-have partition keys by construction.  Products in p, h or e concatenate
-partitions; other conversions route through p, which is orthogonal
-for the Hall inner product: <p_lam, p_mu> = z_mu if lam = mu, else 0.
-Into p, each basis b has one integer table <b_lam, p_mu>, summed per
-class mu and divided once by z_mu.  Out of p, [b_lam] p_mu = <p_mu,
-b*_lam> for the dual basis b*: s is self-dual (characters), h and m are
-dual (Newton's identities for h, transposed for m), e = omega(h) and
-mtilde_lam = (multiplicities of lam)! m_lam.
+TwoAlphabetSymFun(...)) validate; results built here have partition keys
+by construction.  Products in p, h or e concatenate partitions; other
+conversions route through p, which is orthogonal for the Hall inner
+product: <p_lam, p_mu> = z_mu if lam = mu, else 0.  Into p, each basis b
+has one integer table <b_lam, p_mu>, summed per class mu and divided
+once by z_mu.  Out of p, [b_lam] p_mu = <p_mu, b*_lam> for the dual
+basis b*: s is self-dual (characters), h and m are dual (Newton's
+identities for h; for m, maps from the parts of mu onto the rows of
+lam), e = omega(h) and mtilde_lam = (multiplicities of lam)! m_lam.
 
 A TwoAlphabetSymFun is an element of the tensor square, stored in the
 p(z) (x) p(y) normal form; it supports the alphabet operations needed
@@ -214,11 +214,6 @@ def _pk_in_h(k: int) -> tuple:
     return tuple(sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
-def _hk_in_p(k: int) -> tuple:
-    return tuple((mu, Fraction(1, z_lambda(mu))) for mu in partitions_of(k))
-
-
 def _fold_parts(parts, pk_expansion) -> dict:
     """Product over parts of single-part expansions, concatenating partitions."""
     cur = {(): 1}
@@ -235,22 +230,20 @@ def _fold_parts(parts, pk_expansion) -> dict:
 @lru_cache(maxsize=None)
 def _pairings(basis: str, lam: Partition) -> tuple:
     """(mu, <b_lam, p_mu>) pairs, integers, over the classes mu where the
-    pairing is not 0, for any basis b but p.  s: chi^lam(mu).  h: z_mu
-    [p_mu] h_lam.  e: sgn(mu) times h's, as e_lam = omega(h_lam).  m, dual
-    to h: [h_lam] p_mu, the Newton table transposed.  mtilde: m's times
-    the multiplicity factorial of lam."""
+    pairing is not 0, for any basis b but p.  s: chi^lam(mu).  h and m,
+    dual to each other: [m_lam] p_mu and [h_lam] p_mu, the tables out of p
+    transposed.  e: sgn(mu) times h's, as e_lam = omega(h_lam).  mtilde:
+    m's times the multiplicity factorial of lam."""
     if basis == "s":
         return tuple(
             (mu, chi) for mu in partitions_of(sum(lam)) if (chi := character(lam, mu))
         )
-    if basis == "h":
-        by_mu = _fold_parts(lam, _hk_in_p)
-        return tuple((mu, _exact(c * z_lambda(mu), 1)) for mu, c in by_mu.items() if c)
+    if basis in ("h", "m"):
+        dual = "m" if basis == "h" else "h"
+        rows = ((mu, _p_term_to(dual, mu)) for mu in partitions_of(sum(lam)))
+        return tuple((mu, c) for mu, row in rows for nu, c in row if nu == lam)
     if basis == "e":
         return tuple((mu, sgn_of_type(mu) * c) for mu, c in _pairings("h", lam))
-    if basis == "m":
-        rows = ((mu, _p_term_to("h", mu)) for mu in partitions_of(sum(lam)))
-        return tuple((mu, c) for mu, row in rows for nu, c in row if nu == lam)
     scale = multiplicity_factorial(lam)
     return tuple((mu, scale * c) for mu, c in _pairings("m", lam))
 
@@ -259,19 +252,26 @@ def _pairings(basis: str, lam: Partition) -> tuple:
 def _p_term_to(basis: str, mu: Partition) -> tuple:
     """(lam, [b_lam] p_mu) pairs for b = h, e, m or mtilde, read as
     <p_mu, b*_lam> for the dual basis b*.  h: Newton's identities.  e:
-    sgn(mu) times h's, as omega(p_mu) = sgn(mu) p_mu.  m, dual to h:
-    <h_lam, p_mu>, the h pairings transposed.  mtilde: m's divided by the
-    multiplicity factorial of lam."""
+    sgn(mu) times h's, as omega(p_mu) = sgn(mu) p_mu.  mtilde: the set
+    partitions of the parts of mu with block sums lam.  m, dual to h:
+    <h_lam, p_mu>, the maps from the parts of mu to the rows of lam that
+    fill each row exactly, mtilde's times the ways to put blocks in rows."""
     if basis == "h":
         return tuple((lam, c) for lam, c in _fold_parts(mu, _pk_in_h).items() if c)
     if basis == "e":
         return tuple((lam, sgn_of_type(mu) * c) for lam, c in _p_term_to("h", mu))
     if basis == "m":
-        rows = ((lam, _pairings("h", lam)) for lam in partitions_of(sum(mu)))
-        return tuple((lam, c) for lam, row in rows for nu, c in row if nu == mu)
-    return tuple(
-        (lam, _exact(c, multiplicity_factorial(lam))) for lam, c in _p_term_to("m", mu)
-    )
+        rows = _p_term_to("mtilde", mu)
+        return tuple((lam, multiplicity_factorial(lam) * c) for lam, c in rows)
+    ways = {(): 1}
+    for k in mu:
+        nxt: dict = {}
+        for sums, c in ways.items():
+            for i, s in enumerate(sums + (0,)):  # k joins block i or opens one
+                key = _merge(sums[:i] + (s + k,) + sums[i + 1:])
+                nxt[key] = nxt.get(key, 0) + c
+        ways = nxt
+    return tuple(ways.items())
 
 
 @lru_cache(maxsize=None)

@@ -1151,6 +1151,27 @@ def schur_coeff_JT(D: Digraph, lam) -> int:
     return _schur_JT(D, [lam])[lam]
 
 
+@lru_cache(maxsize=None)
+def _hk_in_p(k: int) -> tuple:
+    """h_k as (nu, 1 / z_nu) pairs over the partitions nu of k."""
+    return tuple((nu, Fraction(1, _z_of(nu))) for nu in _partitions_revlex(k))
+
+
+def h_pairings_oracle(lam) -> dict:
+    """{mu: <h_lam, p_mu>} over the mu where it is not 0, as z_mu times
+    [p_mu] of the product of the Fraction expansions _hk_in_p(k) over the
+    parts k of lam."""
+    cur = {(): Fraction(1)}
+    for k in lam:
+        nxt: dict = {}
+        for mu1, c1 in cur.items():
+            for mu2, c2 in _hk_in_p(k):
+                key = tuple(sorted(mu1 + mu2, reverse=True))
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        cur = nxt
+    return {mu: c * _z_of(mu) for mu, c in cur.items() if c}
+
+
 def to_p_by_pairings_oracle(f: SymFun) -> dict:
     """The p terms of f in the s, h or e basis, one term at a time: b_lam
     is the sum over the classes mu of <b_lam, p_mu> / z_mu p_mu, with

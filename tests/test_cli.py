@@ -141,6 +141,8 @@ def test_exit_codes(tmp_path):
     assert main(["u", "--gen", "empty:3", "--basis", "q"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", "bogus"]) == 2
     assert main(["u", "--gen", "empty:3", "--routes", ","]) == 2
+    # a route compared with itself would make a vacuous agreement
+    assert main(["u", "--gen", "empty:3", "--routes", "powersum-GS,powersum-GS"]) == 2
     assert main(["u", "--edges", "/nonexistent/file.dg"]) == 2
     # JSON labels are taken as given, never truncated to ints
     bad = tmp_path / "bad.json"

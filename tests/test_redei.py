@@ -368,6 +368,19 @@ def test_unknown_route_rejected():
         u_all_routes(EXAMPLE3, routes=["powersum-GS", "bogus"])
 
 
+def test_repeated_route_rejected_before_any_route_runs(monkeypatch):
+    # a route compared with itself would agree vacuously
+    def no_run(D):
+        raise AssertionError("a route ran")
+
+    for name in ("u_via_powersum_GS", "u_via_path_covers"):
+        monkeypatch.setattr(redei, name, no_run)
+    with pytest.raises(ValueError, match="'powersum-GS' is given twice"):
+        u_all_routes(EXAMPLE3, ["powersum-GS", "path-cover", "powersum-GS"])
+    with pytest.raises(ValueError, match="'path-cover' is given twice"):
+        u_all_routes(EXAMPLE3, ("path-cover", "path-cover"))
+
+
 def _meeting_precondition(route, n):
     """An n-vertex digraph the route's precondition accepts."""
     transitive = digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, u)])
@@ -551,37 +564,34 @@ def test_enumerators_call_no_ringmat_kernel(monkeypatch):
         assert [family(D) for family in families] == tallies
 
 
-_TRANSITIVE_8 = digraph(8, [(j, i) for j in range(1, 9) for i in range(1, j)])
+def _closed_forms(n):
+    """Digraphs on [n] whose U_D has a closed form, with that form."""
+    transitive = digraph(n, [(j, i) for j in range(1, n + 1) for i in range(1, j)])
+    fact = math.factorial(n)
+    return {
+        "empty": (empty_digraph(n), SymFun("h", {(n,): fact})),
+        "complete": (complete_digraph(n), SymFun("e", {(n,): fact})),
+        "complete-with-loops": (
+            complete_digraph(n, loops=True), SymFun("e", {(n,): fact})
+        ),
+        "transitive-tournament": (transitive, SymFun("p", {(1,) * n: 1})),
+    }
 
 
-@pytest.mark.parametrize(
-    "D, names, want",
-    [
-        (
-            empty_digraph(8),
-            ["path-cover", "powersum-GS", "acyclic-powersum", "acyclic-records"],
-            SymFun("h", {(8,): math.factorial(8)}),
-        ),
-        (complete_digraph(8), ["path-cover", "powersum-GS"],
-         SymFun("e", {(8,): math.factorial(8)})),
-        (complete_digraph(8, loops=True), ["path-cover", "powersum-GS"],
-         SymFun("e", {(8,): math.factorial(8)})),
-        (
-            _TRANSITIVE_8,
-            ["path-cover", "powersum-GS", "acyclic-powersum", "acyclic-records",
-             "tournament"],
-            SymFun("p", {(1,) * 8: 1}),
-        ),
-    ],
-    ids=["empty", "complete", "complete-with-loops", "transitive-tournament"],
-)
-def test_closed_forms_at_the_bound(D, names, want):
-    # every route that admits these 8-vertex digraphs gives 8! h_8, 8! e_8
-    # or p_1^8; 8 fixed points or singleton paths fill the packed count of
-    # length 1 furthest
-    assert applicable_routes(D) == names
-    for name in names:
-        assert to_p(ROUTES[name].fn(D)) == to_p(want), name
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_closed_forms_at_the_bound(name):
+    # each route gives n! h_n, n! e_n or p_1^n at its own bound n on every
+    # one of these digraphs that its precondition admits; at n = 8, 8 fixed
+    # points or singleton paths fill the packed count of length 1 furthest
+    route = ROUTES[name]
+    admitted = []
+    for label, (D, want) in _closed_forms(route.bound).items():
+        if route.precondition is None or route.precondition(D):
+            assert name in applicable_routes(D), label
+            assert to_p(route.fn(D)) == to_p(want), label
+            admitted.append(label)
+    # a route with no precondition admits all four, any other at least one
+    assert len(admitted) == 4 if route.precondition is None else admitted
 
 
 def test_subset_formula_matches_powersum_gs_at_its_bound():

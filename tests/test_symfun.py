@@ -296,6 +296,25 @@ def test_p_to_monomial_is_the_permutation_module_character():
             assert convert(p_mu, "mtilde").terms == quotients, mu
 
 
+def test_h_pairings_count_maps_of_parts_onto_rows():
+    # <h_lam, p_mu>, counted in integers, against the Fraction product of
+    # the expansions h_k = sum of p_nu / z_nu
+    for n in range(9):
+        for lam in partitions_of(n):
+            got = dict(symfun._pairings("h", lam))
+            assert all(type(c) is int for c in got.values()), lam
+            assert got == oracles.h_pairings_oracle(lam), lam
+
+
+def test_exact_division_raises_on_a_remainder():
+    with pytest.raises(ArithmeticError):
+        symfun._exact(7, 2)
+    with pytest.raises(ArithmeticError):
+        symfun._exact(Fraction(7, 2), 1)
+    q = symfun._exact(12, 3)
+    assert q == 4 and type(q) is int
+
+
 def test_monomial_specialization():
     m21 = specialize(SymFun.element("m", (2, 1)), 3)
     assert m21.coeff((2, 1, 0)) == 1
