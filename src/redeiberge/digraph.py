@@ -41,13 +41,14 @@ class Digraph:
         # type(...) is int, not isinstance: True and False are ints too
         if type(self.n) is not int or self.n < 0:
             raise ValueError(f"vertex count {self.n!r} is not a nonnegative int")
+        n = self.n
         for e in self.edges:
-            if (
-                not isinstance(e, tuple)
-                or len(e) != 2
-                or not all(type(v) is int and 1 <= v <= self.n for v in e)
+            if not (
+                isinstance(e, tuple) and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int
+                and 0 < e[0] <= n and 0 < e[1] <= n
             ):
-                raise ValueError(f"edge {e!r} not inside [1, {self.n}]^2")
+                raise ValueError(f"edge {e!r} not inside [1, {n}]^2")
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges

@@ -6,7 +6,7 @@ is an edge of D.  It is symmetric, and this module computes it by
 several structurally different algorithms that are checked against each
 other:
 
-- "F-definition"   literal sum of fundamentals, read off the M basis
+- "F-definition"   literal definition: a descent-set DP, read off the M basis
 - "path-cover"     augmented monomials over path covers of the complement
 - "powersum-GS"    signed power sums over permutations whose nontrivial
                    cycles lie in D or its complement
@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations as _it_permutations, product
+from math import factorial
 from typing import Callable, NamedTuple
 
 from .combinat import (
@@ -82,25 +83,48 @@ CHOW_IDENTITIES_BOUND = 5
 
 # --------------------------------------------------------------- fundamentals
 
+def _descent_counts(D: Digraph) -> list:
+    """c[S], S a bitmask on [n-1] (bit i-1 for position i): the number of
+    permutations of [n] whose D-descent set is S.  T[R][v] packs in W-bit
+    fields, W = (n!).bit_length(), the orderings of the vertex set R that
+    end at v, field d counting those with descent mask d.  Appending w
+    outside R adds T[R][v] to T[R | w][w], shifted by W * 2^(|R|-1) when
+    v -> w is an edge of D (a descent at position |R|); loops are ignored."""
+    n = D.n
+    if n == 0:
+        return [1]
+    W = factorial(n).bit_length()
+    A = D.adjacency()
+    preds = [[u for u in range(n) if A[u][w] and u != w] for w in range(n)]
+    T = [[0] * n for _ in range(1 << n)]
+    for v in range(n):
+        T[1 << v][v] = 1
+    for R in range(1, (1 << n) - 1):
+        row, total, shift = T[R], sum(T[R]), W << (R.bit_count() - 1)
+        for w in range(n):
+            if not R >> w & 1:
+                b = sum([row[v] for v in preds[w]])
+                T[R | 1 << w][w] += total - b + (b << shift)
+    packed, mask = sum(T[-1]), (1 << W) - 1
+    return [packed >> W * d & mask for d in range(1 << (n - 1))]
+
+
 def u_via_fundamental(D: Digraph) -> SymFun:
     """Literal definition, read off the quasisymmetric M basis.
 
-    Counts the permutations by D-descent set S (a bitmask on [n-1]); as
-    F_S is the sum of M_T over T containing S, one subset-sum pass gives
-    the M coefficient a_T of U_D.  U_D is symmetric, so every composition
+    Counts the permutations by D-descent set S (_descent_counts); as F_S
+    is the sum of M_T over T containing S, one subset-sum pass gives the
+    M coefficient a_T of U_D.  U_D is symmetric, so every composition
     alpha (T its set of partial sums) that rearranges lam must carry the
     same a_T, which is then [m_lam] U_D; a composition that differs raises
     ValueError.
     """
     n = D.n
     _admit("F-definition", D)
-    size = 1 << max(n - 1, 0)
-    a = [0] * size
-    for pi in _it_permutations(range(1, n + 1)):
-        a[sum(1 << (i - 1) for i in d_descent_set(D, pi))] += 1
+    a = _descent_counts(D)
     for i in range(n - 1):
         bit = 1 << i
-        for T in range(size):
+        for T in range(len(a)):
             if T & bit:
                 a[T] += a[T ^ bit]
     m_coeff: dict = {}
@@ -302,12 +326,12 @@ def powersum_to_ones(f: SymFun):
 
 def hook_coefficient(D: Digraph) -> list:
     """[s_(i,1^(n-i))] U_D for i = 1..n, read off the descents: the number
-    of permutations whose D-descent set is exactly {i, ..., n-1}, from one
-    tally over S_n.  Admits the n that schur-JT admits."""
+    of permutations whose D-descent set is exactly {i, ..., n-1}, read
+    off _descent_counts.  Admits the n that schur-JT admits."""
     n = D.n
     guard("u_hooks", n, ROUTES["schur-JT"].bound)
-    counts = Counter(d_descent_set(D, pi) for pi in _it_permutations(range(1, n + 1)))
-    return [counts[frozenset(range(i, n))] for i in range(1, n + 1)]
+    c = _descent_counts(D)
+    return [c[(1 << (n - 1)) - (1 << (i - 1))] for i in range(1, n + 1)]
 
 
 def check_hooks(D: Digraph, u_schur: SymFun) -> None:

@@ -514,6 +514,16 @@ def ham_cycles_oracle(D) -> int:
     return count
 
 
+def descent_set_counts(D) -> list:
+    """c[S], S a bitmask on [n-1] (bit j-1 for position j): the
+    permutations whose D-descent set is S, by tallying S_n."""
+    n = D.n
+    c = [0] * (1 << max(n - 1, 0))
+    for pi in permutations(range(1, n + 1)):
+        c[sum(1 << (j - 1) for j in range(1, n) if (pi[j - 1], pi[j]) in D.edges)] += 1
+    return c
+
+
 def hook_descent_count(D, i: int) -> int:
     """Permutations whose D-descent set (positions j with
     (pi_j, pi_{j+1}) an edge of D) is exactly {i, ..., n-1}: the hook

@@ -244,6 +244,9 @@ _PINNED_STDOUT = {
         "ae5bb590c5b7687c2a8ab4997be295ec277c047e2095c262bc67bcd1c8494be4",
     "u --routes all --gen random:5,0.5 --seed 3 --basis mtilde":
         "106505f1d83b2689766479781734a578741994f8accc33b66e85a18cbee561c9",
+    # F-definition at its bound
+    "u --routes all --gen random:7,0.5 --seed 9 --basis e":
+        "0d428b06d5a918a1f42d921915f2e35c912ac53809c42472fe355539366019b9",
 }
 
 

@@ -71,9 +71,10 @@ def test_labels_must_be_ints_not_floats_bools_or_strings():
             digraph(bad, [])
         with pytest.raises(ValueError):
             digraph_from_json_dict({"n": bad, "edges": []})
-    for bad in (1.9, 1.0, True, "1"):
-        with pytest.raises(ValueError):
-            digraph(3, [(bad, 2)])
+    for bad in (1.9, 1.0, True, "1", 0, 4):
+        for edge in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match=r"edge .* not inside \[1, 3\]\^2"):
+                digraph(3, [edge])
         with pytest.raises(ValueError):
             digraph_from_json_dict({"n": 3, "edges": [[2, bad]]})
     with pytest.raises(ValueError):

@@ -155,9 +155,26 @@ def test_fundamental_route_matches_lifted_definition():
 def test_fundamental_route_rejects_asymmetric_m_coefficients(monkeypatch):
     # every permutation descends at position 1 only: F_{1} alone is not
     # symmetric, as M_(1,2) and M_(2,1) get different coefficients
-    monkeypatch.setattr(redei, "d_descent_set", lambda D, pi: frozenset({1}))
+    monkeypatch.setattr(redei, "_descent_counts", lambda D: [0, 6, 0, 0])
     with pytest.raises(ValueError, match="not symmetric"):
         redei.u_via_fundamental(empty_digraph(3))
+
+
+def test_descent_counts_match_the_permutation_tally():
+    corpus = list(all_digraphs(3))
+    for n in range(8):
+        for p in (0.3, 0.6, 0.9):
+            D = random_digraph(n, p, seed=10 * n)
+            corpus += [D, digraph(n, D.edges | {(v, v) for v in D.vertices()})]
+    for D in corpus:
+        assert redei._descent_counts(D) == oracles.descent_set_counts(D)
+
+
+def test_descent_counts_fill_a_whole_field_at_n7():
+    # all 7! = 5040 permutations descend at every position of the complete
+    # digraph and at none of the empty one; 5040 needs every bit of a field
+    assert redei._descent_counts(complete_digraph(7)) == [0] * 63 + [5040]
+    assert redei._descent_counts(empty_digraph(7)) == [5040] + [0] * 63
 
 
 @given(digraphs(max_n=4))
