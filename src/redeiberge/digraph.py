@@ -2,19 +2,19 @@
 
 A digraph is a vertex count n together with a set of directed edges in
 [n] x [n]; loops are allowed, antiparallel pairs are allowed, multiple
-edges are not.  Vertices are labelled 1..n everywhere, including in
-vertex subsets, which keep their original labels.
+edges are not.  Vertices are labelled 1..n everywhere.
 
 Path-cycle covers and permutations tied to edges are counted per vertex
-set.  Positions index the sorted vertex subset and a set of them is a
-bitmask.  Each component is grown by depth-first search from its lowest
-position i, along successor masks cut once per i to the positions from i
-up: a cover's path forward then backward from i, or a cycle closed at
+set.  Vertex i is bit i - 1 of a mask, and each vertex's successors form
+one.  A path is grown by depth-first search from its first vertex, only
+forward, and counted at each step, so each path is counted once, on its
+own vertex set.  A cycle is grown from its lowest vertex i, along
+successor masks cut once per i to the vertices from i up, and closed at
 each step onto a vertex with an edge back to i.  Loops and fixed points
 are 1-cycles.  A component's packed code, a 4-bit count per kind and
 length, depends only on its kind and size, so the walks just count
 components in a flat list per kind, by vertex set.  The tally of a set R
-adds each component inside R through R's lowest position to the memoized
+adds each component inside R through R's lowest vertex to the memoized
 tally of what it leaves, by adding codes, decoded once at the end: covers
 by (path partition, cycle partition), permutations by (cycle type, sign).
 """
@@ -92,16 +92,6 @@ def complement(D: Digraph) -> Digraph:
 
 def opposite(D: Digraph) -> Digraph:
     return Digraph(D.n, frozenset((v, u) for (u, v) in D.edges))
-
-
-def _vertex_subset(D: Digraph, verts) -> list:
-    """The sorted vertex subset (all of [n] when verts is None)."""
-    if verts is None:
-        return list(D.vertices())
-    vs = sorted(set(verts))
-    if not all(v in D.vertices() for v in vs):
-        raise ValueError("vertex subset out of range")
-    return vs
 
 
 def is_acyclic(D: Digraph) -> bool:
@@ -251,25 +241,23 @@ def all_digraphs(n: int):
 # ------------------------------------------------------------------- covers
 
 def enumerate_path_cycle_covers(
-    D: Digraph, verts=None, allow_paths: bool = True, allow_cycles: bool = True
+    D: Digraph, allow_paths: bool = True, allow_cycles: bool = True
 ) -> Counter:
-    """The covers of the vertex set by disjoint paths/cycles along edges of
-    D, tallied by (path partition, cycle partition).
+    """The covers of [n] by disjoint paths/cycles along edges of D,
+    tallied by (path partition, cycle partition).
 
     Every vertex lies in exactly one component; singleton paths need no
     edges, so the all-singletons cover is always counted when paths are
     allowed.  The flags drop the path or the cycle kind.
     """
-    vs = _vertex_subset(D, verts)
-    m = len(vs)
+    m = D.n
     guard("covers", m, 8)
-    succ = _successors(vs, D.edges)
+    succ = _successors(D)
     # a path on k vertices counts in the 4-bit field k - 1, a cycle 32 bits up
     fields = [0] + [1 << 4 * k for k in range(m)]
     kinds = []
     if allow_paths:
-        pred = _successors(vs, opposite(D).edges)
-        kinds.append((_path_counts(m, succ, pred), fields))
+        kinds.append((_path_counts(m, succ), fields))
     if allow_cycles:
         loops = [s >> i & 1 for i, s in enumerate(succ)]
         kinds.append((_cycle_counts(m, succ, loops), [f << 32 for f in fields]))
@@ -279,33 +267,31 @@ def enumerate_path_cycle_covers(
     return tally
 
 
-def enumerate_path_covers(D: Digraph, verts=None) -> Counter:
-    return enumerate_path_cycle_covers(D, verts, allow_cycles=False)
+def enumerate_path_covers(D: Digraph) -> Counter:
+    return enumerate_path_cycle_covers(D, allow_cycles=False)
 
 
-def enumerate_cycle_covers(D: Digraph, verts=None) -> Counter:
-    return enumerate_path_cycle_covers(D, verts, allow_paths=False)
+def enumerate_cycle_covers(D: Digraph) -> Counter:
+    return enumerate_path_cycle_covers(D, allow_paths=False)
 
 
 # ------------------------------------------------- permutations tied to edges
 
-def perms_with_all_cycles_in(D: Digraph, verts=None) -> Counter:
-    """Permutations of the vertex set whose nontrivial cycles are cycles of
-    D; fixed points are unconstrained.  Tallied by (cycle type, sign)."""
-    vs = _vertex_subset(D, verts)
-    guard("perms", len(vs), 8)
-    return _perms_with_cycles_along(len(vs), [_successors(vs, D.edges)])
+def perms_with_all_cycles_in(D: Digraph) -> Counter:
+    """Permutations of [n] whose nontrivial cycles are cycles of D; fixed
+    points are unconstrained.  Tallied by (cycle type, sign)."""
+    guard("perms", D.n, 8)
+    return _perms_with_cycles_along(D.n, [_successors(D)])
 
 
-def perms_with_cycles_in_either(D: Digraph, verts=None) -> Counter:
+def perms_with_cycles_in_either(D: Digraph) -> Counter:
     """Permutations whose nontrivial cycles are each a cycle of D or of its
     complement; fixed points are unconstrained.  Tallied by (cycle type,
     sign); the sign twists only the cycles of D."""
-    vs = _vertex_subset(D, verts)
-    guard("perms", len(vs), 8)
-    succ = _successors(vs, D.edges)
-    # ~s: the complement's successors; the walks read no bit past the last position
-    return _perms_with_cycles_along(len(vs), [succ, [~s for s in succ]])
+    guard("perms", D.n, 8)
+    succ = _successors(D)
+    # ~s: the complement's successors; the walks read no bit past vertex n
+    return _perms_with_cycles_along(D.n, [succ, [~s for s in succ]])
 
 
 def _perms_with_cycles_along(m: int, succs) -> Counter:
@@ -332,11 +318,15 @@ _LOW = (1 << 32) - 1  # covers' paths and permutations' cycles; the rest above
 _BITS: list = []  # per mask on at most 8 positions, its bits as (bit, position)
 
 
-def _successors(vs: list, edges) -> list:
-    """Per position i, the positions j with (vs[i], vs[j]) in edges, as a mask."""
+def _successors(D: Digraph) -> list:
+    """Per vertex u, at index u - 1, the mask with bit v - 1 set for each
+    edge (u, v)."""
     if not _BITS:  # filled on first use, so that an import stays cheap
         _BITS.extend([(1 << k, k) for k in range(8) if s >> k & 1] for s in range(256))
-    return [sum(1 << j for j, v in enumerate(vs) if (u, v) in edges) for u in vs]
+    succ = [0] * D.n
+    for u, v in D.edges:
+        succ[u - 1] |= 1 << v - 1
+    return succ
 
 
 def _tally(m: int, kinds) -> dict:
@@ -384,13 +374,11 @@ def _lengths(code: int) -> tuple:
 # The walks count each component by the free positions it leaves, then
 # reverse the counts; as closures they would form a reference cycle.
 
-def _path_counts(m: int, succ, pred) -> list:
+def _path_counts(m: int, succ) -> list:
     """count[mask]: the paths along succ on the positions in mask."""
     count = [0] * (1 << m)
     for i in range(m):
-        low = 1 << i
-        cut = [x & -low for x in succ], [x & -low for x in pred]
-        _forward(i, i, (1 << m) - 1 ^ low, *cut, count)
+        _path(i, (1 << m) - 1 ^ 1 << i, succ, count)
     return count[::-1]
 
 
@@ -406,18 +394,11 @@ def _cycle_counts(m: int, succ, ones) -> list:
     return count[::-1]
 
 
-def _forward(first, last, free, succ, pred, count) -> None:
-    """Stop the path at last and grow it backward, or extend it past last."""
-    _backward(first, free, pred, count)
-    for b, w in _BITS[succ[last] & free]:
-        _forward(first, w, free ^ b, succ, pred, count)
-
-
-def _backward(first, free, pred, count) -> None:
-    """Finish the path at first, or extend it before first."""
+def _path(last, free, succ, count) -> None:
+    """Stop the path at last, or extend it past last."""
     count[free] += 1
-    for b, u in _BITS[pred[first] & free]:
-        _backward(u, free ^ b, pred, count)
+    for b, w in _BITS[succ[last] & free]:
+        _path(w, free ^ b, succ, count)
 
 
 def _cycle(start, last, free, succ, count) -> None:

@@ -198,8 +198,8 @@ def u_via_matrix_route(D: Digraph) -> SymFun:
     _admit("matrix-det", D)
     if n == 0:
         return SymFun.const(1)
-    H = matrix_series(complement(D).adjacency(), "H")
-    E = matrix_series(D.adjacency(), "E")
+    H = matrix_series(complement(D).adjacency())
+    E = matrix_series(D.adjacency())
     det_h = series_coefficients(det_ring(H, n), n, "H")
     det_e = series_coefficients(det_ring(E, n), n, "E")
     full = (1 << n) - 1

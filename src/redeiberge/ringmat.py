@@ -440,21 +440,19 @@ def immanant(M) -> dict:
 # ----------------------------------------------------------- matrix series
 
 
-def matrix_series(A, kind: str) -> list:
-    """The matrix H_z(XA) = sum_k h_k (XA)^k, or E_z(XA) with e_k, with
-    X = diag(x_1..x_n).
+def matrix_series(A) -> list:
+    """The matrix sum_k (XA)^k, X = diag(x_1..x_n), each term of (XA)^k
+    tagged with its degree k: read as H_z(XA) = sum_k h_k (XA)^k or as
+    E_z(XA) with e_k, by series_coefficients.
 
     X A is nilpotent in the multilinear ring, so the sum over k <= n is
     exact.  Entries are term dicts with int coefficients; the term x_S of
     (XA)^k, k = |S|, is keyed S plus one count in degree k's field
     (module docstring).  (XA)^k is (XA)^(k-1) times XA, entry by entry:
-    x_l A[l][j] extends each term of column l that avoids x_l.  H and E
-    pack alike and differ only in how series_coefficients reads the
-    fields: as h (kind "H") or e ("E").
+    x_l A[l][j] extends each term of column l that avoids x_l.
     """
     n = len(A)
     guard("matrix_series", n, 6)
-    _series_basis(kind)
     width = n.bit_length()
     out = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
     power = [[dict(t) for t in row] for row in out]  # (XA)^0
@@ -480,12 +478,13 @@ def series_coefficients(det: dict, n: int, kind: str) -> dict:
     """{mask: SymFun} of a product of matrix_series entries on n vertices,
     such as their det_ring: each key's degree fields read back as the
     partition of its h factors (kind "H") or e factors (kind "E")."""
+    if kind not in ("H", "E"):
+        raise ValueError("kind must be 'H' or 'E'")
     low = (1 << n) - 1
     by_mask: dict = {}
     for key, c in det.items():
         by_mask.setdefault(key & low, {})[_degrees(key, n)] = c
-    basis = _series_basis(kind)
-    return {mask: SymFun(basis, terms) for mask, terms in by_mask.items()}
+    return {mask: SymFun(kind.lower(), terms) for mask, terms in by_mask.items()}
 
 
 def _degrees(key: int, n: int) -> tuple:
@@ -499,9 +498,3 @@ def _degrees(key: int, n: int) -> tuple:
         fields >>= width
         k += 1
     return tuple(lam)
-
-
-def _series_basis(kind: str) -> str:
-    if kind not in ("H", "E"):
-        raise ValueError("kind must be 'H' or 'E'")
-    return kind.lower()

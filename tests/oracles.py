@@ -27,7 +27,7 @@ from redeiberge.combinat import (
     sgn_of_type,
     z_lambda,
 )
-from redeiberge.digraph import Digraph, _vertex_subset, complement
+from redeiberge.digraph import Digraph, complement
 from redeiberge.guards import guard
 from redeiberge.redei import _schur_JT
 from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, to_p
@@ -858,11 +858,11 @@ def multilinear_inverse(f: dict, n: int) -> dict:
 
 # ------------------------------------------------ permutations tied to edges
 
-def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
-    """Permutations of verts (default [n]), as dicts, whose cycles of length
-    >= 2 each step along edges of D, or (either=True) each step wholly
-    along edges of D or wholly along non-edges; by filtering all of them."""
-    vs = sorted(range(1, D.n + 1) if verts is None else set(verts))
+def perms_with_cycles_oracle(D, either: bool = False) -> list:
+    """Permutations of [n], as dicts, whose cycles of length >= 2 each step
+    along edges of D, or (either=True) each step wholly along edges of D
+    or wholly along non-edges; by filtering all of them."""
+    vs = range(1, D.n + 1)
     out = []
     for images in permutations(vs):
         sigma = dict(zip(vs, images))
@@ -889,8 +889,9 @@ def perms_with_cycles_oracle(D, verts=None, either: bool = False) -> list:
 # inner_product read the package's character table and p-basis conversion,
 # and is_p_positive its p-basis conversion, so they test those, not stand
 # in for them.  sgn, psi and foata_linearize read cycles_of here.
-# variable, induced and symfun_from_json_dict build inputs through the
-# package's validating constructors, and gamma reads its walk counts.
+# variable, induced, subdigraph and symfun_from_json_dict build inputs
+# through the package's validating constructors, and gamma reads its walk
+# counts.
 # walk_series and denominator_series read the determinant series and
 # the long division verify_walk_identity reads, so they test those.
 
@@ -1062,10 +1063,27 @@ def swap_labels(D: Digraph, i: int, j: int) -> Digraph:
     return Digraph(D.n, frozenset((swap.get(u, u), swap.get(v, v)) for u, v in D.edges))
 
 
+def _vertex_subset(D: Digraph, verts) -> list:
+    """The sorted vertex subset, each vertex checked to lie in [n]."""
+    vs = sorted(set(verts))
+    if not all(v in D.vertices() for v in vs):
+        raise ValueError("vertex subset out of range")
+    return vs
+
+
 def induced(D: Digraph, verts) -> Digraph:
     """Restrict the edge set to verts x verts; labels are kept."""
     vs = set(_vertex_subset(D, verts))
     return Digraph(D.n, frozenset(e for e in D.edges if e[0] in vs and e[1] in vs))
+
+
+def subdigraph(D: Digraph, verts) -> Digraph:
+    """The subdigraph induced on verts, relabeled 1..k in increasing order."""
+    label = {v: i for i, v in enumerate(_vertex_subset(D, verts), 1)}
+    return Digraph(
+        len(label),
+        frozenset((label[u], label[v]) for u, v in D.edges if u in label and v in label),
+    )
 
 
 def symfun_from_json_dict(data: dict) -> SymFun:

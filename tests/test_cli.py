@@ -247,6 +247,14 @@ _PINNED_STDOUT = {
     # F-definition at its bound
     "u --routes all --gen random:7,0.5 --seed 9 --basis e":
         "0d428b06d5a918a1f42d921915f2e35c912ac53809c42472fe355539366019b9",
+    # the enumerators at their bound: path-cover and powersum-GS, then
+    # tournament, then acyclic-powersum and acyclic-records
+    "u --routes all --gen random:8,0.5 --seed 4 --basis mtilde":
+        "6a814a2e2c2768a5f0c53049cf89234f0661188c2a0ffac0a908cbd02ae9822f",
+    "u --routes all --gen tournament:8 --seed 4":
+        "17616c97c592c292fd697cdc573c818e31696811dbb9444b5a6d7197312c71d9",
+    "u --routes all --gen star:3,3,2 --basis s":
+        "eeca9d6aa5a1d32f89c5445e7b64b0dda87e39c4ea9564f3f2453cca05f5672d",
 }
 
 

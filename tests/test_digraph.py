@@ -18,6 +18,8 @@ from oracles import (
 from redeiberge.combinat import is_partition, partitions_of
 from redeiberge.digraph import (
     Digraph,
+    _path_counts,
+    _successors,
     all_digraphs,
     complement,
     complete_digraph,
@@ -286,9 +288,9 @@ def test_path_cycle_covers_at_the_bound_split_the_vertices():
 def test_cycle_covers_are_the_pathless_covers(D, data):
     keep = data.draw(st.lists(st.booleans(), min_size=D.n, max_size=D.n))
     subset = [v for v, k in zip(D.vertices(), keep) if k]
-    for verts in (None, subset):
-        full = enumerate_path_cycle_covers(D, verts)
-        assert enumerate_cycle_covers(D, verts) == {
+    for G in (D, oracles.subdigraph(D, subset)):
+        full = enumerate_path_cycle_covers(G)
+        assert enumerate_cycle_covers(G) == {
             key: c for key, c in full.items() if not key[0]
         }
 
@@ -297,9 +299,9 @@ def test_cycle_covers_are_the_pathless_covers(D, data):
 def test_path_covers_are_the_cycleless_covers(D, data):
     keep = data.draw(st.lists(st.booleans(), min_size=D.n, max_size=D.n))
     subset = [v for v, k in zip(D.vertices(), keep) if k]
-    for verts in (None, subset):
-        full = enumerate_path_cycle_covers(D, verts)
-        assert enumerate_path_covers(D, verts) == {
+    for G in (D, oracles.subdigraph(D, subset)):
+        full = enumerate_path_cycle_covers(G)
+        assert enumerate_path_covers(G) == {
             key: c for key, c in full.items() if not key[1]
         }
 
@@ -318,6 +320,26 @@ def test_path_covers_never_close_a_cycle(monkeypatch):
         enumerate_path_cycle_covers(D)
 
 
+def _check_path_counts(D):
+    count = _path_counts(D.n, _successors(D))
+    by_size = [oracles.path_sets_oracle(D, k) for k in range(D.n + 1)]
+    for mask in range(1, 1 << D.n):
+        verts = frozenset(v for v in D.vertices() if mask >> v - 1 & 1)
+        assert count[mask] == by_size[len(verts)].get(verts, 0), sorted(verts)
+
+
+@given(digraphs(max_n=6))
+def test_path_walk_counts_each_vertex_sets_paths(D):
+    # the forward-only walk, per vertex set, against explicit enumeration
+    _check_path_counts(D)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_path_walk_counts_at_seven_and_eight(n):
+    for p in (0.15, 0.5, 0.85):
+        _check_path_counts(random_digraph(n, p, 70 + n))
+
+
 def test_cover_filters():
     D = digraph(2, [(1, 2), (2, 1)])
     # {1}{2}, 1->2, 2->1, cycle(12)
@@ -333,29 +355,21 @@ def test_cover_filters():
         enumerate_path_cycle_covers(empty_digraph(9))
 
 
-def test_covers_on_vertex_subset():
-    D = digraph(3, [(1, 2), (2, 1), (2, 3)])
-    assert enumerate_path_cycle_covers(D, verts={1, 2}) == {
-        ((), (2,)): 1, ((1, 1), ()): 1, ((2,), ()): 2
-    }
-
-
 # ------------------------------------------------- permutations tied to edges
 
-def _oracle_tally(D, verts=None, either: bool = False) -> Counter:
+def _oracle_tally(D, either: bool = False) -> Counter:
     """The filtering oracle's permutations tallied by (cycle type, (-1)^phi)."""
-    vs = sorted(D.vertices() if verts is None else set(verts))
     tally = Counter()
-    for sigma in oracles.perms_with_cycles_oracle(D, verts, either):
+    for sigma in oracles.perms_with_cycles_oracle(D, either):
         lengths, seen = [], set()
-        for v in vs:
+        for v in D.vertices():
             if v not in seen:
                 cycle = [v]
                 while sigma[cycle[-1]] != v:
                     cycle.append(sigma[cycle[-1]])
                 seen.update(cycle)
                 lengths.append(len(cycle))
-        one_line = tuple(sigma.get(v, v) for v in D.vertices())
+        one_line = tuple(sigma[v] for v in D.vertices())
         cycle_type = tuple(sorted(lengths, reverse=True))
         tally[cycle_type, (-1) ** oracles.phi(one_line, D)] += 1
     return tally
@@ -376,24 +390,28 @@ def test_perms_with_cycles_in_digraph():
     }
 
 
-def _vertex_subsets(D):
-    return st.one_of(st.none(), st.sets(st.integers(1, D.n)) if D.n else st.none())
+def _subdigraphs(D):
+    """D, or its subdigraph on a drawn vertex subset, relabeled 1..k."""
+    if not D.n:
+        return st.just(D)
+    subsets = st.sets(st.integers(1, D.n))
+    return st.just(D) | subsets.map(lambda vs: oracles.subdigraph(D, vs))
 
 
-def _check_tally(D, verts=None):
+def _check_tally(D):
     """Each family's tally is the oracle's, and counts only kept permutations."""
     for family, either in (
         (perms_with_all_cycles_in, False),
         (perms_with_cycles_in_either, True),
     ):
-        tally = family(D, verts)
+        tally = family(D)
         assert tally and all(c > 0 for c in tally.values())
-        assert tally == _oracle_tally(D, verts, either)
+        assert tally == _oracle_tally(D, either)
 
 
 @given(digraphs(max_n=6), st.data())
 def test_perm_families_match_filtering_oracle(D, data):
-    _check_tally(D, data.draw(_vertex_subsets(D)))
+    _check_tally(data.draw(_subdigraphs(D)))
 
 
 @given(digraphs(max_n=6), st.data())
@@ -401,14 +419,14 @@ def test_perm_records_carry_cycle_lengths_and_sign(D, data):
     # each key is a partition of the walked vertex count and a sign; when
     # every nontrivial cycle lies in D, each cycle is twisted by
     # (-1)^(length - 1), so the sign is sgn(sigma) = (-1)^(m - #cycles)
-    verts = data.draw(_vertex_subsets(D))
-    m = len(set(D.vertices() if verts is None else verts))
+    G = data.draw(_subdigraphs(D))
+    m = G.n
     for family in (perms_with_all_cycles_in, perms_with_cycles_in_either):
-        for lam, s in family(D, verts):
+        for lam, s in family(G):
             assert sum(lam) == m and all(k > 0 for k in lam)
             assert list(lam) == sorted(lam, reverse=True)
             assert s in (1, -1)
-    for lam, s in perms_with_all_cycles_in(D, verts):
+    for lam, s in perms_with_all_cycles_in(G):
         assert s == (-1) ** (m - len(lam))
 
 
@@ -417,21 +435,20 @@ def test_perm_tally_sign_flips_by_sgn_under_complement(D, data):
     # both walks keep the same permutations, one twisting the cycles of D
     # and the other those of Dbar; the two twists multiply to sgn(sigma) =
     # (-1)^(m - number of cycles), with no oracle involved
-    verts = data.draw(_vertex_subsets(D))
-    m = len(set(D.vertices() if verts is None else verts))
+    G = data.draw(_subdigraphs(D))
     twisted = Counter({
-        (lam, s * (-1) ** (m - len(lam))): c
-        for (lam, s), c in perms_with_cycles_in_either(D, verts).items()
+        (lam, s * (-1) ** (G.n - len(lam))): c
+        for (lam, s), c in perms_with_cycles_in_either(G).items()
     })
-    assert perms_with_cycles_in_either(complement(D), verts) == twisted
+    assert perms_with_cycles_in_either(complement(G)) == twisted
 
 
 def test_perm_records_at_zero_vertices():
     D = digraph(3, [(1, 2), (2, 3), (3, 1)])
-    for G, verts in ((empty_digraph(0), None), (D, ())):
-        _check_tally(G, verts)
+    for G in (empty_digraph(0), oracles.subdigraph(D, ())):
+        _check_tally(G)
         for family in (perms_with_all_cycles_in, perms_with_cycles_in_either):
-            assert family(G, verts) == {((), 1): 1}
+            assert family(G) == {((), 1): 1}
 
 
 @pytest.mark.parametrize("edges", [(), ((1, 2),), ((2, 1),), ((1, 2), (2, 1))])
@@ -445,14 +462,14 @@ def test_perm_records_on_two_vertices(edges, loops):
 
     looped = ((1, 1), (2, 2)) if loops else ()
     D = digraph(2, edges + looped)
-    # the same pattern on 2 < 4 inside a larger digraph, walked on {2, 4}
+    # the same pattern on 2 < 4 inside a larger digraph, cut out on {2, 4}
     relabel = {1: 2, 2: 4}
     moved = [(relabel[u], relabel[v]) for u, v in edges + looped]
     G = digraph(4, moved + [(1, 3), (3, 4), (4, 1)])
-    for H, verts in ((D, None), (G, [4, 2])):
-        assert perms_with_all_cycles_in(H, verts) == expected(False)
-        assert perms_with_cycles_in_either(H, verts) == expected(True)
-        _check_tally(H, verts)
+    for H in (D, oracles.subdigraph(G, [4, 2])):
+        assert perms_with_all_cycles_in(H) == expected(False)
+        assert perms_with_cycles_in_either(H) == expected(True)
+        _check_tally(H)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -482,18 +499,13 @@ def test_perm_families_keep_the_guard():
         perms_with_cycles_in_either(empty_digraph(9))
     with pytest.raises(GuardError):
         perms_with_all_cycles_in(empty_digraph(9))
-    # every permutation's cycles are cycles of the complete complement
-    eight = perms_with_cycles_in_either(empty_digraph(9), verts=range(1, 9))
-    assert sum(eight.values()) == factorial(8)
 
 
 def test_vertex_subsets_out_of_range_raise():
     D = digraph(3, [(1, 2), (2, 1)])
     for call in (
-        lambda: perms_with_cycles_in_either(D, verts=[7]),
-        lambda: perms_with_all_cycles_in(D, verts=[0, 1]),
-        lambda: enumerate_path_cycle_covers(D, verts=[9]),
         lambda: induced(D, [1, 4]),
+        lambda: oracles.subdigraph(D, [0, 1]),
     ):
         with pytest.raises(ValueError, match="vertex subset out of range"):
             call()

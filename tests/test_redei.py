@@ -703,7 +703,7 @@ def test_subset_extraction_from_h_series_det():
     # complement lacks the edge (3, 2); hence p_{11}, not p_2.
     Abar = complement(EXAMPLE3).adjacency()
     assert Abar == [[0, 1, 0], [1, 1, 1], [1, 0, 1]]
-    H = matrix_series(Abar, "H")
+    H = matrix_series(Abar)
     det = det_ring(H, 3)
     mask = (1 << 1) | (1 << 2)
     coeff = series_coefficients(det, 3, "H")[mask]
