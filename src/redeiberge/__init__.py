@@ -15,7 +15,6 @@ from .combinat import (
     character,
     conjugate,
     partitions_of,
-    record_partition,
     z_lambda,
 )
 from .digraph import (

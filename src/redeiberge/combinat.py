@@ -1,11 +1,9 @@
-"""Integer partitions, records of words, and symmetric group characters.
+"""Integer partitions and symmetric group characters.
 
 Conventions used throughout the package:
 
 - A partition is a tuple of weakly decreasing positive integers; the
   empty tuple is the unique partition of 0.
-- A permutation of [n] = {1, ..., n} is a tuple in one-line notation,
-  sigma[i-1] is the image of i.
 - Partitions of equal weight are listed reverse-lexicographically,
   from (n) down to (1,)*n; across weights, smaller weight first.
 """
@@ -90,26 +88,6 @@ def hook_partition(i: int, n: int) -> Partition:
     if not 1 <= i <= n:
         raise ValueError("hook arm must satisfy 1 <= i <= n")
     return (i,) + (1,) * (n - i)
-
-
-# -------------------------------------------------------------------- records
-
-def record_positions(word) -> list:
-    """Positions r (1-based) with word[r-1] greater than everything before it."""
-    out, best = [], 0
-    for r, v in enumerate(word, start=1):
-        if v > best:
-            out.append(r)
-            best = v
-    return out
-
-
-def record_partition(word) -> Partition:
-    """Gaps between successive record positions (last gap runs to n+1), sorted."""
-    recs = record_positions(word)
-    recs.append(len(word) + 1)
-    gaps = [recs[t + 1] - recs[t] for t in range(len(recs) - 1)]
-    return tuple(sorted(gaps, reverse=True))
 
 
 # ----------------------------------------------------------------- characters

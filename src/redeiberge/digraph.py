@@ -16,7 +16,8 @@ length, depends only on its kind and size, so the walks just count
 components in a flat list per kind, by vertex set.  The tally of a set R
 adds each component inside R through R's lowest vertex to the memoized
 tally of what it leaves, by adding codes, decoded once at the end: covers
-by (path partition, cycle partition), permutations by (cycle type, sign).
+by (path partition, cycle partition), permutations by (cycle type, sign),
+and permutations with no descent along edges by record partition.
 """
 
 from __future__ import annotations
@@ -123,13 +124,6 @@ def is_tournament(D: Digraph) -> bool:
 
 def has_only_descending_edges(D: Digraph) -> bool:
     return all(u > v for (u, v) in D.edges)
-
-
-def d_descent_set(D: Digraph, word) -> frozenset:
-    """Positions i with (word[i-1], word[i]) an edge of D."""
-    return frozenset(
-        i for i in range(1, len(word)) if D.has_edge(word[i - 1], word[i])
-    )
 
 
 # ----------------------------------------------------------------- generators
@@ -309,6 +303,22 @@ def _perms_with_cycles_along(m: int, succs) -> Counter:
     for code, c in _tally(m, kinds).items():
         tally[_lengths(code & _LOW), -1 if code >> 32 & 1 else 1] += c
     return tally
+
+
+def descent_free_records(D: Digraph) -> Counter:
+    """The permutations of [n] with no D-descent, tallied by record
+    partition; for D whose edges all descend.  Cut before each record,
+    such a permutation is a cover of [n] by paths of the complement, each
+    from its largest vertex: every cut ascends, so no edge of D crosses
+    one, and the blocks in order of their first vertex give it back."""
+    m = D.n
+    guard("perms", m, 8)
+    succ = [~s for s in _successors(D)]
+    count = [0] * (1 << m)
+    for i in range(m):  # the paths from i, along the vertices below i
+        _path(i, (1 << m) - 1 ^ 1 << i, [x & (1 << i) - 1 for x in succ], count)
+    tally = _tally(m, [(count[::-1], [0] + [1 << 4 * k for k in range(m)])])
+    return Counter({_lengths(code): c for code, c in tally.items()})
 
 
 # ------------------------------------------------- tallies by unplaced set

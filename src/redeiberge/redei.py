@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations as _it_permutations, product
+from itertools import combinations, product
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -38,12 +38,11 @@ from .combinat import (
     hook_partition,
     multiplicity_factorial,
     partitions_of,
-    record_partition,
 )
 from .digraph import (
     Digraph,
     complement,
-    d_descent_set,
+    descent_free_records,
     enumerate_cycle_covers,
     enumerate_path_covers,
     enumerate_path_cycle_covers,
@@ -284,10 +283,10 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
 
     powersum: unsigned cycle covers of the complement over [n].
     schur:    immanants of the complement's adjacency matrix.
-    records:  record partitions of D-descent-free permutations; valid
-              when every edge descends (u > v).
+    records:  record partitions of the permutations with no D-descent,
+              from the cover walk (descent_free_records); valid when
+              every edge descends (u > v).
     """
-    n = D.n
     _admit(f"acyclic-{flavor}", D)
     if flavor == "powersum":
         tally = enumerate_cycle_covers(complement(D))
@@ -296,12 +295,7 @@ def u_acyclic(D: Digraph, flavor: str = "powersum") -> SymFun:
         imms = immanant(complement(D).adjacency())
         return SymFun("s", {lam: c for lam, c in imms.items() if c})
     # records: _admit has rejected every other flavor
-    out: dict = {}
-    for pi in _it_permutations(range(1, n + 1)):
-        if not d_descent_set(D, pi):
-            lam = record_partition(pi)
-            out[lam] = out.get(lam, 0) + 1
-    return SymFun("p", out)
+    return SymFun("p", descent_free_records(D))
 
 
 def u_tournament(D: Digraph) -> SymFun:
@@ -327,9 +321,10 @@ def powersum_to_ones(f: SymFun):
 def hook_coefficient(D: Digraph) -> list:
     """[s_(i,1^(n-i))] U_D for i = 1..n, read off the descents: the number
     of permutations whose D-descent set is exactly {i, ..., n-1}, read
-    off _descent_counts.  Admits the n that schur-JT admits."""
+    off _descent_counts, the DP of F-definition, so it admits the n that
+    route admits."""
     n = D.n
-    guard("u_hooks", n, ROUTES["schur-JT"].bound)
+    guard("u_hooks", n, ROUTES["F-definition"].bound)
     c = _descent_counts(D)
     return [c[(1 << (n - 1)) - (1 << (i - 1))] for i in range(1, n + 1)]
 

@@ -2,15 +2,25 @@
 
 Everything here recomputes values from first principles with the
 dumbest correct algorithm available (literal enumeration, classical
-recurrences), sharing no code with the package internals beyond the
-Digraph container, so that agreement is meaningful.  Elements of the
+recurrences), so that agreement is meaningful.  Elements of the
 multilinear ring are term dicts, as in the package, multiplied here by
 ring_mul, a product loop of the tests' own.
 specialize (and lift_to_mtilde, its inverse) evaluates a SymFun in its
-own basis, with no basis conversion; inner_product reads a SymFun
-through the library's conversion to p.  schur_coeff_JT is not an
-oracle: it reads one partition off the schur-JT route's _schur_JT, for
-the tests that pin single Schur coefficients.
+own basis, with no basis conversion.
+
+What this module imports from the library, and why:
+
+- Digraph, the container every oracle reads; SymFun and
+  TwoAlphabetSymFun, the containers some return, with _as_coeff, the
+  coefficient check their constructors apply.
+- multiplicity_factorial, sgn_of_type and z_lambda: one-line products
+  over a partition's parts, which the oracles take as given.
+- character and to_p, read by character_degree, inner_product,
+  is_p_positive, equals and the two-alphabet lifts: these test the
+  library's character table and conversion to p, not stand in for them.
+- _schur_JT, read by schur_coeff_JT, which is not an oracle: it reads
+  one partition off the schur-JT route, for the tests that pin single
+  Schur coefficients.
 """
 
 from __future__ import annotations
@@ -27,11 +37,9 @@ from redeiberge.combinat import (
     sgn_of_type,
     z_lambda,
 )
-from redeiberge.digraph import Digraph, complement
-from redeiberge.guards import guard
+from redeiberge.digraph import Digraph
 from redeiberge.redei import _schur_JT
 from redeiberge.symfun import SymFun, TwoAlphabetSymFun, _as_coeff, to_p
-from redeiberge.walks import _det_series, _flip, _ratio, _walk_counts
 
 
 # ---------------------------------------------------- fundamental / U oracle
@@ -537,6 +545,45 @@ def hook_descent_count(D, i: int) -> int:
     )
 
 
+# ------------------------------------------ descent-free permutations, records
+
+def d_descent_set(D: Digraph, word) -> frozenset:
+    """Positions i with (word[i-1], word[i]) an edge of D."""
+    return frozenset(
+        i for i in range(1, len(word)) if D.has_edge(word[i - 1], word[i])
+    )
+
+
+def record_positions(word) -> list:
+    """Positions r (1-based) with word[r-1] greater than everything before it."""
+    out, best = [], 0
+    for r, v in enumerate(word, start=1):
+        if v > best:
+            out.append(r)
+            best = v
+    return out
+
+
+def record_partition(word) -> tuple:
+    """Gaps between successive record positions (last gap runs to n+1), sorted."""
+    recs = record_positions(word)
+    recs.append(len(word) + 1)
+    gaps = [recs[t + 1] - recs[t] for t in range(len(recs) - 1)]
+    return tuple(sorted(gaps, reverse=True))
+
+
+def records_oracle(D) -> dict:
+    """The permutations of [n] with no D-descent, tallied by record
+    partition, by filtering S_n."""
+    n = D.n
+    out: dict = {}
+    for pi in permutations(range(1, n + 1)):
+        if not d_descent_set(D, pi):
+            lam = record_partition(pi)
+            out[lam] = out.get(lam, 0) + 1
+    return out
+
+
 def path_sets_oracle(D, k: int) -> dict:
     """Directed paths on exactly k distinct vertices, counted per vertex
     set (frozenset -> count), by explicit enumeration."""
@@ -890,10 +937,7 @@ def perms_with_cycles_oracle(D, either: bool = False) -> list:
 # and is_p_positive its p-basis conversion, so they test those, not stand
 # in for them.  sgn, psi and foata_linearize read cycles_of here.
 # variable, induced, subdigraph and symfun_from_json_dict build inputs
-# through the package's validating constructors, and gamma reads its walk
-# counts.
-# walk_series and denominator_series read the determinant series and
-# the long division verify_walk_identity reads, so they test those.
+# through the package's validating constructors.
 
 def permutations_of(n: int):
     """All permutations of [n] in one-line notation, lexicographic."""
@@ -1093,34 +1137,6 @@ def symfun_from_json_dict(data: dict) -> SymFun:
         lam = tuple(item["partition"])
         terms[lam] = terms.get(lam, 0) + Fraction(item["coeff"])
     return SymFun(data["basis"], terms)
-
-
-def gamma(D: Digraph, k: int, point) -> int:
-    """Weighted walk count with k steps: 1^T (XA)^k X 1 at the given point.
-
-    Walks on k+1 vertices, repetition allowed; k = 0 gives the sum of
-    the point's coordinates.
-    """
-    guard("gamma", k, 12)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    pt = list(point)
-    if len(pt) != D.n:
-        raise ValueError("point must have one coordinate per vertex")
-    return _walk_counts(D.adjacency(), pt, k + 1)[k]
-
-
-def walk_series(D: Digraph, point, K: int) -> list:
-    """Coefficients gamma_0..gamma_K of W_D(z) at the point, via the
-    determinant ratio."""
-    pt = list(point)
-    num = _det_series(complement(D).adjacency(), pt, K)
-    return _ratio(num, _det_series(D.adjacency(), pt, K))
-
-
-def denominator_series(D: Digraph, point, K: int) -> list:
-    """det(I - zXA) as a truncated series at the point."""
-    return _flip(_det_series(D.adjacency(), list(point), K))
 
 
 def is_p_positive(f) -> bool:

@@ -255,6 +255,12 @@ _PINNED_STDOUT = {
         "17616c97c592c292fd697cdc573c818e31696811dbb9444b5a6d7197312c71d9",
     "u --routes all --gen star:3,3,2 --basis s":
         "eeca9d6aa5a1d32f89c5445e7b64b0dda87e39c4ea9564f3f2453cca05f5672d",
+    # acyclic-records at its bound, on a digraph whose edges all descend
+    "u --routes all --gen path:8":
+        "c1c0bd11bf2cab85301233826acc58daf99228905419b3a8c4fd527fa4cc2668",
+    # every digraph on three vertices through the identity suite
+    "verify --corpus exhaustive3 --artifacts ''":
+        "e12df5bbbbce035794425b26b7dc8f6ad210b6425310f2bf5084401bf860f629",
 }
 
 

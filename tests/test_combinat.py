@@ -20,6 +20,8 @@ from oracles import (
     permutations_of,
     phi,
     psi,
+    record_partition,
+    record_positions,
     sgn,
 )
 from redeiberge.combinat import (
@@ -30,8 +32,6 @@ from redeiberge.combinat import (
     multiplicity_factorial,
     partition_key,
     partitions_of,
-    record_partition,
-    record_positions,
     sgn_of_type,
     z_lambda,
 )

@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 from collections import Counter
 from math import comb, factorial, prod
 
@@ -11,6 +12,7 @@ import oracles
 from gens import digraphs
 from oracles import (
     all_tournaments,
+    d_descent_set,
     induced,
     is_two_cycle_free,
     random_acyclic_digraph,
@@ -23,7 +25,7 @@ from redeiberge.digraph import (
     all_digraphs,
     complement,
     complete_digraph,
-    d_descent_set,
+    descent_free_records,
     digraph,
     digraph_from_json_dict,
     digraph_from_text,
@@ -499,6 +501,28 @@ def test_perm_families_keep_the_guard():
         perms_with_cycles_in_either(empty_digraph(9))
     with pytest.raises(GuardError):
         perms_with_all_cycles_in(empty_digraph(9))
+
+
+def _descending(n, keep):
+    """The digraph on [n] with the descending edges (u, v), u > v, that
+    keep(edge index) selects."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, u)]
+    return Digraph(n, frozenset(e for i, e in enumerate(pairs) if keep(i)))
+
+
+def test_descent_free_records_match_the_filter():
+    # every digraph with only descending edges up to n = 5, 1,024 at n = 5
+    for n in range(6):
+        for mask in range(1 << n * (n - 1) // 2):
+            D = _descending(n, lambda i: mask >> i & 1)
+            assert descent_free_records(D) == oracles.records_oracle(D), D
+    for n in (6, 7, 8):
+        for p in (0.15, 0.5, 0.85):
+            rng = random.Random(60 + n)
+            D = _descending(n, lambda i: rng.random() < p)
+            assert descent_free_records(D) == oracles.records_oracle(D), D
+    with pytest.raises(GuardError, match="perms"):
+        descent_free_records(empty_digraph(9))
 
 
 def test_vertex_subsets_out_of_range_raise():

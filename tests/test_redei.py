@@ -245,6 +245,17 @@ def test_hook_readoffs_are_ham_counts():
         assert hooks[-1] == ham_dp(complement(D))
 
 
+def test_hook_coefficient_admits_what_f_definition_admits():
+    # the hooks are read off F-definition's descent DP, so they share its bound
+    bound = ROUTES["F-definition"].bound
+    D = random_digraph(bound, 0.5, seed=3)
+    hooks = hook_coefficient(D)
+    assert len(hooks) == bound
+    assert hooks == [oracles.hook_descent_count(D, i) for i in range(1, bound + 1)]
+    with pytest.raises(GuardError, match="u_hooks"):
+        hook_coefficient(random_digraph(bound + 1, 0.5, seed=3))
+
+
 def test_hook_descent_count_on_example3():
     # Descent sets over S_3: three permutations have {}, (3,2,1) has {1},
     # (2,1,3) has {2} via the edge (1,3), and (1,3,2) has {1,2}.

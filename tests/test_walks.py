@@ -4,22 +4,51 @@ from hypothesis import strategies as st
 
 import oracles
 from gens import digraphs
-from oracles import (
-    denominator_series,
-    gamma,
-    random_acyclic_digraph,
-    walk_series,
-)
+from oracles import random_acyclic_digraph
 import redeiberge.walks as walks
 from redeiberge.digraph import (
+    Digraph,
+    complement,
     digraph,
     directed_path_digraph,
     empty_digraph,
     random_digraph,
 )
-from redeiberge.guards import DisagreementError, GuardError
+from redeiberge.guards import DisagreementError, GuardError, guard
 from redeiberge.hamilton import ham_dp
 from redeiberge.walks import verify_walk_identity, xi
+
+
+# The walk counts, determinant series and long division that
+# verify_walk_identity reads, called here at one point each, so that the
+# tests below check those kernels against the oracles' enumerations.
+
+def gamma(D: Digraph, k: int, point) -> int:
+    """Weighted walk count with k steps: 1^T (XA)^k X 1 at the given point.
+
+    Walks on k+1 vertices, repetition allowed; k = 0 gives the sum of
+    the point's coordinates.
+    """
+    guard("gamma", k, 12)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    pt = list(point)
+    if len(pt) != D.n:
+        raise ValueError("point must have one coordinate per vertex")
+    return walks._walk_counts(D.adjacency(), pt, k + 1)[k]
+
+
+def walk_series(D: Digraph, point, K: int) -> list:
+    """Coefficients gamma_0..gamma_K of W_D(z) at the point, via the
+    determinant ratio."""
+    pt = list(point)
+    num = walks._det_series(complement(D).adjacency(), pt, K)
+    return walks._ratio(num, walks._det_series(D.adjacency(), pt, K))
+
+
+def denominator_series(D: Digraph, point, K: int) -> list:
+    """det(I - zXA) as a truncated series at the point."""
+    return walks._flip(walks._det_series(D.adjacency(), list(point), K))
 
 
 # ------------------------------------------------------------------ xi
