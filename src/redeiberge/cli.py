@@ -35,6 +35,7 @@ from .digraph import (
     digraph_from_json_dict,
     digraph_from_text,
     digraph_hash,
+    digraph_memo,
     digraph_to_json_dict,
     digraph_to_text,
     directed_path_digraph,
@@ -215,16 +216,23 @@ def identity_suite(D: Digraph) -> dict:
     only routes-agree, the first row, returns these, and only if it passes.
     A row that raises is recorded as failed, its detail starting with the
     exception's type name, so one bad digraph never aborts a corpus run.
-    Raises GuardError when no identity ran."""
+    Raises GuardError when no identity ran.
+
+    The rows run inside one digraph_memo, so each per_digraph function
+    (complement, ham_dp, cycle_weights, the descent DP) runs once per
+    digraph value for the whole suite; the memo is dropped when the suite
+    returns or raises, and a shared result is never mutated.  run_corpus's
+    pool workers each call this, so each opens its own."""
     results: dict = {}
     u_read: dict = {None: None}
-    for name, (admits, reads, check) in IDENTITIES.items():
-        if reads in u_read and admits(D):
-            try:
-                u_read.update(check(D, u_read[reads]) or {})
-                results[name] = None
-            except Exception as exc:
-                results[name] = f"{type(exc).__name__}: {exc}"
+    with digraph_memo():
+        for name, (admits, reads, check) in IDENTITIES.items():
+            if reads in u_read and admits(D):
+                try:
+                    u_read.update(check(D, u_read[reads]) or {})
+                    results[name] = None
+                except Exception as exc:
+                    results[name] = f"{type(exc).__name__}: {exc}"
     if not results:
         raise GuardError(f"no identity admits n = {D.n}")
     return results
@@ -240,9 +248,10 @@ def build_corpus(spec: str, seed=0) -> list:
         guard("corpus_exhaustive", n, 3)
         return list(all_digraphs(n))
     if spec.startswith("random:"):
-        body = spec.split(":", 1)[1]
-        n_str, count_str = body.split(",")
-        n, count = int(n_str), int(count_str)
+        try:
+            n, count = map(int, spec[len("random:"):].split(","))
+        except ValueError:
+            raise ValueError(f"bad corpus spec {spec!r}: expected random:n,count") from None
         if count < 1:
             raise ValueError(f"corpus count must be at least 1, got {count}")
         guard("generator", n, DP_BOUND)

@@ -18,6 +18,9 @@ adds each component inside R through R's lowest vertex to the memoized
 tally of what it leaves, by adding codes, decoded once at the end: covers
 by (path partition, cycle partition), permutations by (cycle type, sign),
 and permutations with no descent along edges by record partition.
+
+per_digraph marks a function of one digraph whose result a caller may
+share: inside a digraph_memo block it runs once per digraph value.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import hashlib
 import json
 import random
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 
 from .guards import guard
@@ -84,8 +89,48 @@ def digraph(n: int, edges) -> Digraph:
     return Digraph(n, pairs)
 
 
+# ------------------------------------------------------------ shared results
+
+# (fn, D) -> fn(D) while a digraph_memo block runs, else None
+_MEMO: ContextVar = ContextVar("digraph_memo", default=None)
+_MISSING = object()
+
+
+@contextmanager
+def digraph_memo():
+    """Share per_digraph results inside the with block, and only there.
+
+    The memo is a fresh dict, dropped when the block exits, by return or
+    by an exception; no state survives it.  Callers must not mutate a
+    shared result: a later call in the block returns the same object.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def per_digraph(fn):
+    """fn(D), run once per digraph value while a digraph_memo is open, and
+    on every call when none is.  A call that raises stores nothing."""
+
+    @wraps(fn)
+    def shared(D):
+        memo = _MEMO.get()
+        if memo is None:
+            return fn(D)
+        value = memo.get((fn, D), _MISSING)
+        if value is _MISSING:
+            value = memo[fn, D] = fn(D)
+        return value
+
+    return shared
+
+
 # ------------------------------------------------------------------ operations
 
+@per_digraph
 def complement(D: Digraph) -> Digraph:
     """All pairs of [n] x [n] (loops included) that are not edges of D."""
     return Digraph(D.n, frozenset(product(D.vertices(), repeat=2)) - D.edges)
@@ -437,13 +482,15 @@ def digraph_from_text(text: str) -> Digraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if n is None:
-            n = int(line)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            if n is None:
+                n = int(line)
+            else:
+                u, v = map(int, line.split())
+                edges.append((u, v))
+        except ValueError:
+            kind = "vertex count" if n is None else "edge"
+            raise ValueError(f"bad {kind} line {raw!r}") from None
     if n is None:
         raise ValueError("missing vertex count line")
     return digraph(n, edges)

@@ -34,6 +34,7 @@ from .digraph import (
     enumerate_cycle_covers,
     is_acyclic,
     is_tournament,
+    per_digraph,
 )
 from .guards import DisagreementError, GuardError, guard
 from .ringmat import _anchored_cycle_weights, _signed_cycles, partition_sum
@@ -49,6 +50,14 @@ PARITY_BOUND = 12
 WISEMAN_BOUND = 8
 
 
+@per_digraph
+def cycle_weights(D: Digraph) -> list:
+    """_anchored_cycle_weights of D's adjacency matrix: the directed cycles
+    on exactly each vertex set, by bitmask.  Inside a digraph_memo the list
+    is shared, so callers must not mutate it."""
+    return _anchored_cycle_weights(D.adjacency())
+
+
 def _minors(D: Digraph, kind: str, tables: dict) -> list:
     """One table of A, D's adjacency matrix, indexed by bitmask: its
     anchored cycle weights ("cyc"), per A[S] ("per") or det A[S] ("det"),
@@ -60,12 +69,11 @@ def _minors(D: Digraph, kind: str, tables: dict) -> list:
     tables are shared, so callers must not mutate them.
     """
     if kind not in tables:
-        A = D.adjacency()
         if kind == "cyc":
-            tables[kind] = _anchored_cycle_weights(A)
+            tables[kind] = cycle_weights(D)
         else:
             kernel = {"per": principal_permanents, "det": principal_determinants}[kind]
-            tables[kind] = kernel(A, _minors(D, "cyc", tables))
+            tables[kind] = kernel(D.adjacency(), _minors(D, "cyc", tables))
     return tables[kind]
 
 
@@ -77,11 +85,12 @@ def ham_detper(D: Digraph, tables: dict | None = None) -> int:
     dropped when tables is None."""
     guard("ham_detper", D.n, DETPER_BOUND)
     cyc = _minors(D, "cyc", {} if tables is None else tables)
-    # only this route reads Abar's cycle weights, so they are not kept
-    bar = _signed_cycles(_anchored_cycle_weights(complement(D).adjacency()))
+    # only this route reads Abar's cycle weights, so tables does not keep them
+    bar = _signed_cycles(cycle_weights(complement(D)))
     return partition_sum([a + b for a, b in zip(cyc, bar)])
 
 
+@per_digraph
 def ham_dp(D: Digraph) -> int:
     """Hamiltonian paths: the full-set total of ringmat.path_counts, the
     subset dynamic program over endpoints."""

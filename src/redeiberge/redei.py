@@ -49,13 +49,13 @@ from .digraph import (
     has_only_descending_edges,
     is_acyclic,
     is_tournament,
+    per_digraph,
     perms_with_all_cycles_in,
     perms_with_cycles_in_either,
 )
 from .guards import DisagreementError, guard
-from .hamilton import ham_dp
+from .hamilton import cycle_weights, ham_dp
 from .ringmat import (
-    _anchored_cycle_weights,
     _signed_cycles,
     det_ring,
     immanant,
@@ -82,16 +82,18 @@ CHOW_IDENTITIES_BOUND = 5
 
 # --------------------------------------------------------------- fundamentals
 
-def _descent_counts(D: Digraph) -> list:
+@per_digraph
+def _descent_counts(D: Digraph) -> tuple:
     """c[S], S a bitmask on [n-1] (bit i-1 for position i): the number of
     permutations of [n] whose D-descent set is S.  T[R][v] packs in W-bit
     fields, W = (n!).bit_length(), the orderings of the vertex set R that
     end at v, field d counting those with descent mask d.  Appending w
     outside R adds T[R][v] to T[R | w][w], shifted by W * 2^(|R|-1) when
-    v -> w is an edge of D (a descent at position |R|); loops are ignored."""
+    v -> w is an edge of D (a descent at position |R|); loops are ignored.
+    A tuple, as F-definition and hook_coefficient may share it."""
     n = D.n
     if n == 0:
-        return [1]
+        return (1,)
     W = factorial(n).bit_length()
     A = D.adjacency()
     preds = [[u for u in range(n) if A[u][w] and u != w] for w in range(n)]
@@ -105,7 +107,7 @@ def _descent_counts(D: Digraph) -> list:
                 b = sum([row[v] for v in preds[w]])
                 T[R | 1 << w][w] += total - b + (b << shift)
     packed, mask = sum(T[-1]), (1 << W) - 1
-    return [packed >> W * d & mask for d in range(1 << (n - 1))]
+    return tuple(packed >> W * d & mask for d in range(1 << (n - 1)))
 
 
 def u_via_fundamental(D: Digraph) -> SymFun:
@@ -120,7 +122,7 @@ def u_via_fundamental(D: Digraph) -> SymFun:
     """
     n = D.n
     _admit("F-definition", D)
-    a = _descent_counts(D)
+    a = list(_descent_counts(D))  # summed in place below
     for i in range(n - 1):
         bit = 1 << i
         for T in range(len(a)):
@@ -177,8 +179,8 @@ def u_via_subset_formula(D: Digraph) -> SymFun:
     these are unsigned cycle covers of the complement against signed
     cycle covers of D."""
     _admit("subset-formula", D)
-    cyc = _signed_cycles(_anchored_cycle_weights(D.adjacency()))
-    cyc_bar = _anchored_cycle_weights(complement(D).adjacency())
+    cyc = _signed_cycles(cycle_weights(D))
+    cyc_bar = cycle_weights(complement(D))
     w = [a + b for a, b in zip(cyc_bar, cyc)]
     return SymFun("p", {lam: c for (lam,), c in subset_exp(w).items()})
 
@@ -375,8 +377,8 @@ def _chow_xi_powersum(D: Digraph) -> TwoAlphabetSymFun:
     v(B) = (-1)^(k-1) cyc_Dbar(B) + cyc_D(B).  Grouped by vertex sets,
     these are signed cycle covers of the complement in z against cycle
     covers of D in the union alphabet z u y."""
-    cyc = _anchored_cycle_weights(D.adjacency())
-    cyc_bar = _signed_cycles(_anchored_cycle_weights(complement(D).adjacency()))
+    cyc = cycle_weights(D)
+    cyc_bar = _signed_cycles(cycle_weights(complement(D)))
     v = [a + b for a, b in zip(cyc_bar, cyc)]
     return _with_terms(TwoAlphabetSymFun(), subset_exp(v, cyc))
 

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ import pytest
 import redeiberge.cli as cli
 import redeiberge.hamilton as hamilton
 import redeiberge.redei as redei
+import redeiberge.ringmat as ringmat
 import redeiberge.walks as walks
 from redeiberge.cli import (
     build_corpus,
@@ -29,21 +31,29 @@ from redeiberge.cli import (
 )
 from redeiberge.combinat import partitions_of
 from redeiberge.digraph import (
+    Digraph,
     complement,
     complete_digraph,
     digraph,
     digraph_hash,
+    digraph_memo,
     digraph_to_json_dict,
     digraph_to_text,
     directed_path_digraph,
     empty_digraph,
     opposite,
+    per_digraph,
     random_digraph,
     random_tournament,
 )
 from redeiberge.guards import DisagreementError, GuardError
 from redeiberge.redei import applicable_routes, u_digraph
 from redeiberge.symfun import SymFun, convert, omega, to_p
+
+import oracles
+
+# the module; the package's `digraph` is its constructor function
+digraph_module = importlib.import_module("redeiberge.digraph")
 
 EXAMPLE3 = digraph(3, [(1, 1), (1, 3), (3, 2)])
 
@@ -396,6 +406,10 @@ def test_build_corpus_shapes():
         build_corpus("exhaustive:4")
     with pytest.raises(ValueError):
         build_corpus("sampled:3")
+    for spec in ("random:5", "random:5,2,3", "random:5,x"):
+        with pytest.raises(ValueError) as info:
+            build_corpus(spec)
+        assert str(info.value) == f"bad corpus spec {spec!r}: expected random:n,count"
 
 
 def test_hooks_readoff_computes_each_hook_once(monkeypatch):
@@ -416,6 +430,19 @@ def test_hooks_readoff_computes_each_hook_once(monkeypatch):
     assert "hooks-readoff" not in identity_suite(empty_digraph(0))
 
 
+def _count_everywhere(monkeypatch, original, calls, name):
+    """Count calls of original under every module name that holds it."""
+
+    def counted(*args):
+        calls.setdefault(name, []).append(args)
+        return original(*args)
+
+    for module in (ringmat, hamilton, walks, redei, digraph_module):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+
+
 def test_identity_suite_builds_each_table_once(monkeypatch):
     # One xi pair, for the schur-JT route, whose table hooks-readoff
     # reads; the two path-cycle cover tallies of verify_chow_identities
@@ -433,14 +460,104 @@ def test_identity_suite_builds_each_table_once(monkeypatch):
         monkeypatch.setattr(redei, name, counted)
         if name == "u_tournament":
             monkeypatch.setattr(cli, name, counted, raising=False)
-    results = identity_suite(random_digraph(5, 0.5, seed=3))
+    # The kernels behind the suite's shared tables, counted where they
+    # run, not under the names the suite shares them by: the descent DP
+    # re-wrapped as redei wraps it, and each Digraph by its construction.
+    kernels: dict = {}
+    _count_everywhere(monkeypatch, ringmat.path_counts, kernels, "path_counts")
+    _count_everywhere(monkeypatch, ringmat._anchored_cycle_weights, kernels, "cycles")
+    descent_dp = redei._descent_counts.__wrapped__
+    monkeypatch.setattr(redei, "_descent_counts", per_digraph(
+        lambda D: kernels.setdefault("descent", []).append(D) or descent_dp(D)
+    ))
+    check = Digraph.__post_init__
+    monkeypatch.setattr(
+        Digraph, "__post_init__",
+        lambda G: kernels.setdefault("Digraph", []).append(G) or check(G),
+    )
+    D = random_digraph(5, 0.5, seed=3)
+    del kernels["Digraph"]
+    Dbar = complement(D)
+    A, Abar = D.adjacency(), Dbar.adjacency()
+    kernels.clear()
+    results = identity_suite(D)
     assert all(v is None for v in results.values())
     assert counts == {"xi": 2, "enumerate_path_cycle_covers": 2, "u_tournament": 0}
+    # path_counts: the xi pair, then ham_dp of D and of its complement
+    assert [args[0] for args in kernels["path_counts"]] == [Abar, A, A, Abar]
+    # cycle weights of D and of its complement once each, plus one
+    # det(I + zXA) and one det(I + zXAbar) at each of walk-identity's
+    # two points, whose matrices differ
+    cycles = [args[0] for args in kernels["cycles"]]
+    assert cycles[:2] == [A, Abar]
+    assert len(cycles) == 6 and A not in cycles[2:] and Abar not in cycles[2:]
+    assert kernels["descent"] == [D]
+    # the complement, the opposite and the complement's complement, which
+    # is D again; each built once however many rows ask for it
+    assert Counter(kernels["Digraph"]) == Counter([Dbar, opposite(D), D])
     counts.update(dict.fromkeys(counts, 0))
     results = identity_suite(random_tournament(5, 2))
     assert results["tournament-ones"] is None
     assert all(v is None for v in results.values())
     assert counts["u_tournament"] == 1
+
+
+def test_direct_calls_share_nothing(monkeypatch):
+    # with no identity suite running, each call runs its kernel again
+    calls: dict = {}
+    _count_everywhere(monkeypatch, ringmat.path_counts, calls, "path_counts")
+    D = random_digraph(5, 0.5, seed=3)
+    assert hamilton.ham_dp(D) == hamilton.ham_dp(D)
+    assert len(calls["path_counts"]) == 2
+    assert complement(D) is not complement(D)
+
+
+def test_identity_suite_drops_its_memo(monkeypatch):
+    calls: dict = {}
+    _count_everywhere(monkeypatch, ringmat.path_counts, calls, "path_counts")
+    D = random_digraph(5, 0.5, seed=3)
+    assert all(v is None for v in identity_suite(D).values())
+    assert digraph_module._MEMO.get() is None
+    assert len(calls.pop("path_counts")) == 4
+
+    # a check that raises is recorded, and the next suite builds afresh
+    def boom(G):
+        hamilton.ham_dp(G)
+        raise DisagreementError("boom")
+
+    monkeypatch.setattr(cli, "parity_suite", boom)
+    for _ in range(2):
+        results = identity_suite(D)
+        assert results.pop("berge-parity") == "DisagreementError: boom"
+        assert all(v is None for v in results.values())
+        assert digraph_module._MEMO.get() is None
+        assert len(calls.pop("path_counts")) == 4
+
+    # an exception that leaves the suite drops the memo too
+    def no_scan(G):
+        raise RuntimeError("admits failed")
+
+    monkeypatch.setattr(cli, "is_acyclic", no_scan)
+    with pytest.raises(RuntimeError, match="admits failed"):
+        identity_suite(D)
+    assert digraph_module._MEMO.get() is None
+
+
+def test_fundamental_route_leaves_the_shared_descent_counts_as_they_are():
+    # F-definition sums its counts in place: on a copy, since inside a
+    # memo hook_coefficient and a second F-definition read the same tuple
+    D = random_digraph(5, 0.5, seed=3)
+    want = tuple(oracles.descent_set_counts(D))
+    with digraph_memo():
+        shared = redei._descent_counts(D)
+        first = redei.u_via_fundamental(D)
+        assert redei.u_via_fundamental(D) == first
+        assert to_p(first) == u_digraph(D)
+        assert redei._descent_counts(D) is shared
+        assert shared == want
+        assert redei.hook_coefficient(D) == [
+            want[(1 << 4) - (1 << (i - 1))] for i in range(1, 6)
+        ]
 
 
 def test_immanant_lr_calls_immanant_once_per_submatrix(monkeypatch):
@@ -841,6 +958,18 @@ def test_u_from_edge_files(tmp_path, capsys):
         assert code == 0
         assert payload["digraph"]["hash"] == digraph_hash(EXAMPLE3)
         assert payload["value"] == expected
+
+
+def test_bad_edge_file_lines_are_named(tmp_path, capsys):
+    for text, line in (
+        ("3\n2 x\n", "bad edge line '2 x'"),
+        ("3\n1 2 3\n", "bad edge line '1 2 3'"),
+        ("three\n1 2\n", "bad vertex count line 'three'"),
+    ):
+        path = tmp_path / "bad.dg"
+        path.write_text(text)
+        assert main(["u", "--edges", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_poset_generator_through_cli(tmp_path, capsys):

@@ -167,14 +167,14 @@ def test_descent_counts_match_the_permutation_tally():
             D = random_digraph(n, p, seed=10 * n)
             corpus += [D, digraph(n, D.edges | {(v, v) for v in D.vertices()})]
     for D in corpus:
-        assert redei._descent_counts(D) == oracles.descent_set_counts(D)
+        assert redei._descent_counts(D) == tuple(oracles.descent_set_counts(D))
 
 
 def test_descent_counts_fill_a_whole_field_at_n7():
     # all 7! = 5040 permutations descend at every position of the complete
     # digraph and at none of the empty one; 5040 needs every bit of a field
-    assert redei._descent_counts(complete_digraph(7)) == [0] * 63 + [5040]
-    assert redei._descent_counts(empty_digraph(7)) == [5040] + [0] * 63
+    assert redei._descent_counts(complete_digraph(7)) == (0,) * 63 + (5040,)
+    assert redei._descent_counts(empty_digraph(7)) == (5040,) + (0,) * 63
 
 
 @given(digraphs(max_n=4))
